@@ -246,7 +246,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CapacityError, straightening.CapacityExceeded) as exc:
+    except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return CAPACITY_ERROR
     except (ComparablePairError, PosetError, ValueError, KeyError, OSError) as exc:

@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .chain_order import odot_elements
 from .plucker_lattices import (
     PluckerLattice,
     pbw_arrange,
     pbw_lattice,
+    pbw_to_ssyt,
     semistandard_lattice,
 )
 from .straightening import straighten_pair, straightening_terms
@@ -139,13 +141,13 @@ def cone_hrep(target, *, n=None, lattice=None, partition=None):
     if target in ("HIBI", "HIBI_REDUNDANT", "GENHIBI", "GENHIBI_REDUNDANT"):
         if lattice is None:
             raise ValueError(f"target {target} needs a lattice")
-        key = getattr(lattice, "weight_key", lambda x: x)
+        key = lattice.weight_key
         part = None
         if target.startswith("GENHIBI"):
             part = partition if partition is not None else getattr(lattice, "partition", None)
             if part is None:
                 raise ValueError("GENHIBI needs a partition over the join-irreducibles")
-            lower = lambda a, b: _odot(lattice, part, a, b)
+            lower = lambda a, b: odot_elements(lattice, part, a, b)
         else:
             lower = lattice.meet
         pairs = (lattice.diamond_pairs() if target in ("HIBI", "GENHIBI")
@@ -169,11 +171,6 @@ def _lattice_label(lattice):
     if isinstance(lattice, PluckerLattice):
         return f"{lattice.kind}({lattice.n})"
     return f"lattice[{len(lattice.elements)}]"
-
-
-def _odot(lattice, part, a, b):
-    from .chain_order import odot_elements
-    return odot_elements(lattice, part, a, b)
 
 
 def _incomparable_pairs(lattice):
@@ -229,7 +226,7 @@ def interior_witness(lattice):
     Not an interior point of the generalized (chain-order) cones in general;
     use ``generalized_interior_witness`` there.
     """
-    key = getattr(lattice, "weight_key", lambda x: x)
+    key = lattice.weight_key
     return {key(a): lattice.grade(a) ** 2 for a in lattice.elements}
 
 
@@ -239,7 +236,7 @@ def generalized_interior_witness(lattice, base=3):
     The join sits one level up and any replacement of the meet only moves
     down, so base >= 3 clears every inequality with room to spare.
     """
-    key = getattr(lattice, "weight_key", lambda x: x)
+    key = lattice.weight_key
     return {key(a): base ** lattice.grade(a) for a in lattice.elements}
 
 
@@ -257,7 +254,7 @@ def facet_witness(hrep, facet_id):
         return _square_witness(lat, a, b)
     if hrep.target in ("GENHIBI", "PBW") and kind == "diamond":
         if hrep.target == "GENHIBI":
-            below = _odot(lat, hrep.partition, a, b)
+            below = odot_elements(lat, hrep.partition, a, b)
         else:
             below = lat.classify_pair(a, b).below
         return _power_witness(lat, a, b, below)
@@ -265,23 +262,14 @@ def facet_witness(hrep, facet_id):
         return _ladder_witness(lat, a, b)
     if hrep.target == "PBW" and kind == "special":
         mlat = semistandard_lattice(lat.n)
-        hat = _ladder_witness(mlat, *_preimage_pair(mlat, lat, a, b))
-        return {lat.weight_key(c): hat[_preimage(mlat, lat, c)] for c in lat.elements}
+        hat = _ladder_witness(mlat, pbw_to_ssyt(lat, a), pbw_to_ssyt(lat, b))
+        return {lat.weight_key(c): hat[pbw_to_ssyt(lat, c)] for c in lat.elements}
     raise KeyError(f"target {hrep.target} has no witness rule for facet kind {kind!r}")
-
-
-def _preimage(mlat, nlat, c):
-    from .plucker_lattices import pbw_to_ssyt
-    return pbw_to_ssyt(nlat, c)
-
-
-def _preimage_pair(mlat, nlat, a, b):
-    return _preimage(mlat, nlat, a), _preimage(mlat, nlat, b)
 
 
 def _square_witness(lattice, a, b):
     """Convex-function witness: one on the pair, squared distance elsewhere."""
-    key = getattr(lattice, "weight_key", lambda x: x)
+    key = lattice.weight_key
     m = lattice.grade(a)
     out = {}
     for c in lattice.elements:
@@ -291,7 +279,7 @@ def _square_witness(lattice, a, b):
 
 def _power_witness(lattice, a, b, below):
     """Power witness A**(grade - m) above the pair, 3**(m - grade) below."""
-    key = getattr(lattice, "weight_key", lambda x: x)
+    key = lattice.weight_key
     m = lattice.grade(a)
     amp = 3 ** (m - lattice.grade(below))
     out = {}

@@ -4,8 +4,10 @@ Kind ``M``: columns (i_1 < ... < i_k) ordered so that two columns form a
 semistandard tableau, with closed meet/join formulas.  Kind ``N``: one-column
 PBW-semistandard tableaux with the two-column PBW order.  Both lattices share
 the grid of join-irreducible cells (r, s) and the diagonal/off-diagonal
-partition that drives the transfer machinery, and they are isomorphic via the
-relabelling map computed by ``pbw_label``.
+partition that drives the transfer machinery.  Elements of both kinds are
+determined by their cell ideals, and the lattice isomorphism goes through
+them: ``m_column_of_ideal`` and ``pbw_column_of_ideal`` are the one
+conversion from a cell ideal back to a column of each kind.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import chain_order
-from .order_core import CapacityError, DistributiveLattice, OrderIdeal, Poset
+from .order_core import CapacityError, DistributiveLattice, Grading, OrderIdeal, Poset
 
 MAX_FULL_N = 12
 
@@ -130,21 +132,8 @@ def cell_leq(c1, c2):
 
 
 def pbw_label(col, n):
-    """PBW column attached to a kind-M column via its K-set of cells.
-
-    Take (1, ..., kappa) where kappa tracks the diagonal cells below the
-    column, then overwrite position r with s for every maximal off-diagonal
-    cell (r, s) of the column's ideal.
-    """
-    ideal = m_cell_ideal(col, n)
-    kappa = 1
-    while (kappa + 1, kappa + 1) in ideal:
-        kappa += 1
-    out = list(range(1, kappa + 1))
-    for r, s in _maximal_cells(ideal):
-        if r != s:
-            out[r - 1] = s
-    return tuple(out)
+    """PBW column attached to a kind-M column: the one with the same cell ideal."""
+    return pbw_column_of_ideal(m_cell_ideal(col, n), n)
 
 
 def m_cell_ideal(col, n):
@@ -164,6 +153,15 @@ def pbw_cell_ideal(alpha, n):
 def _maximal_cells(cells):
     return [c for c in cells
             if (c[0] + 1, c[1]) not in cells and (c[0], c[1] + 1) not in cells]
+
+
+def m_column_of_ideal(cells, n):
+    """Recover the kind-M column from its cell ideal: the join of its cells' columns."""
+    col = None
+    for c in cells:
+        jc = ji_column(c, n)
+        col = jc if col is None else column_join(col, jc)
+    return col if col is not None else tuple(range(1, n))
 
 
 def pbw_column_of_ideal(cells, n):
@@ -316,11 +314,7 @@ class PluckerLattice:
     def element_of_cell_ideal(self, cells):
         if self.kind == "N":
             return pbw_column_of_ideal(frozenset(cells), self.n)
-        el = None
-        for c in cells:
-            col = ji_column(c, self.n)
-            el = col if el is None else column_join(el, col)
-        return el if el is not None else self.minimum
+        return m_column_of_ideal(cells, self.n)
 
     @cached_property
     def ji_poset(self):
@@ -379,10 +373,6 @@ class PluckerLattice:
                         out.append((a, b))
         return out
 
-    def special_pairs(self):
-        return [p for p in self.diamond_pairs()
-                if self.classify_pair(*p).verdict == "diamond_special"]
-
     def odot(self, a, b):
         return chain_order.odot_elements(self, self.partition, a, b)
 
@@ -394,7 +384,6 @@ class PluckerLattice:
         return key if self.kind == "M" else pbw_arrange(key)
 
     def grading(self):
-        from .order_core import Grading
         return Grading(dict(self._grade))
 
     def to_distributive_lattice(self):
@@ -496,10 +485,6 @@ def pbw_lattice(n):
     return PluckerLattice("N", n)
 
 
-def build_lattice(kind, n):
-    return PluckerLattice(kind, n)
-
-
 def lazy_lattice(kind, n):
     """Unmaterialized lattice: pair-local operations at sizes past the full cap."""
     return PluckerLattice(kind, n, materialize=False)
@@ -514,19 +499,4 @@ def ssyt_to_pbw(mlat, a):
 def pbw_to_ssyt(nlat, alpha):
     """Inverse isomorphism: rebuild the column from the PBW cell ideal."""
     assert nlat.kind == "N"
-    cells = nlat.cell_ideal(alpha)
-    col = None
-    for c in cells:
-        jc = ji_column(c, nlat.n)
-        col = jc if col is None else column_join(col, jc)
-    if col is None:
-        col = tuple(range(1, nlat.n))
-    return col
-
-
-def parse_element(kind, n, text):
-    """Parse a comma-joined tuple such as '1,4' into a lattice element."""
-    entries = tuple(int(x) for x in text.split(","))
-    lat = PluckerLattice(kind, n)
-    lat.check_element(entries if kind == "N" else tuple(sorted(entries)))
-    return entries if kind == "N" else tuple(sorted(entries))
+    return m_column_of_ideal(nlat.cell_ideal(alpha), nlat.n)

@@ -7,15 +7,26 @@ The module provides the classical exchange and shuffle relation generators,
 worklist straightening against either lattice order, Hibi and generalized
 Hibi binomials with their monomial-map exponents, and two independent
 ideal-membership oracles built on minor evaluation.
+
+One shuffle core, summing over cosets rather than permutations, serves both
+``shuffle_relation`` and straightening.  The evaluation oracles (probabilistic
+membership, the standard-basis rank check and the standard-expansion solve)
+read products of top-justified minors from one minor table per random matrix.
+A table computes a minor on first use and keeps it; the tables of a seed's
+matrices are kept behind a small bounded cache and shared between calls.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
 
+from .chain_order import k_set, odot_elements
+from .order_core import CapacityError
 from .plucker_lattices import ComparablePairError, pbw_arrange
 
 ORACLE_PRIME = (1 << 62) - 57  # 62-bit prime
@@ -124,30 +135,45 @@ def exchange_relation(col_a, col_b, r, n=None):
     return poly
 
 
+def _shuffle_sums(first, second, r):
+    """Alternating shuffle of second[:r] with first[r-1:], one term per coset.
+
+    The alternating sum over all (k+1)! arrangements of the k+1 symbols
+    visits each shuffle (the choice of which r symbols land in the first r
+    slots of ``second``) r!(k+1-r)! times with one sign; this core visits
+    each once, with sign (-1)^(sum(chosen) - r(r-1)/2).  Keys are pairs of
+    canonical columns (new first, new second), values nonzero integers.
+    """
+    k = len(first)
+    symbols = second[:r] + first[r - 1:]
+    offset = r * (r - 1) // 2
+    out = {}
+    for chosen in combinations(range(k + 1), r):
+        rest = tuple(s for i, s in enumerate(symbols) if i not in chosen)
+        cb = canonicalize(tuple(symbols[i] for i in chosen) + second[r:])
+        ca = canonicalize(first[:r - 1] + rest)
+        if ca is None or cb is None:
+            continue
+        sign = -1 if (sum(chosen) - offset) % 2 else 1
+        poly_add_term(out, (ca[1], cb[1]), sign * ca[0] * cb[0])
+    return out
+
+
 def shuffle_relation(col_a, col_b, r, n=None):
     """Alternating shuffle of {B_1..B_r} with {A_r..A_k}, cosets merged.
 
-    Normalized so the coefficient of X_A X_B is one; degenerate inputs whose
-    shuffles all annihilate give the zero polynomial.
+    Normalized so the coefficient of the canonical monomial X_A X_B is one;
+    degenerate inputs whose shuffles all annihilate give the zero polynomial.
     """
     k, l = len(col_a), len(col_b)
     if k < l:
         raise ShapeError("first column must be at least as long")
     if not 1 <= r <= l:
         raise ShapeError(f"shuffle position {r} out of range")
-    symbols = col_b[:r] + col_a[r - 1:]
     poly = {}
-    base = monomial((col_a, col_b))
-    for perm in permutations(range(k + 1)):
-        sign = _perm_sign(perm)
-        arranged = [symbols[p] for p in perm]
-        new_b = tuple(arranged[:r]) + col_b[r:]
-        new_a = col_a[:r - 1] + tuple(arranged[r:])
-        ca, cb = canonicalize(new_a), canonicalize(new_b)
-        if ca is None or cb is None:
-            continue
-        poly_add_term(poly, monomial((ca[1], cb[1])), Fraction(sign * ca[0] * cb[0]))
-    lead = poly.get(base)
+    for (ca, cb), c in _shuffle_sums(col_a, col_b, r).items():
+        poly_add_term(poly, monomial((ca, cb)), Fraction(c))
+    lead = poly.get(monomial((tuple(sorted(col_a)), tuple(sorted(col_b)))))
     if lead:
         poly = poly_scale(poly, Fraction(1, lead))
     if n is not None:
@@ -234,23 +260,7 @@ def _slot_shuffle(arr_first, arr_second, r):
     (plain columns for the semistandard order, PBW arrangements otherwise);
     keys are pairs of canonical columns in production order.
     """
-    k = len(arr_first)
-    symbols = arr_second[:r] + arr_first[r - 1:]
-    raw = {}
-    for perm in permutations(range(k + 1)):
-        sign = _perm_sign(perm)
-        arranged = [symbols[p] for p in perm]
-        new_b = tuple(arranged[:r]) + arr_second[r:]
-        new_a = arr_first[:r - 1] + tuple(arranged[r:])
-        ca, cb = canonicalize(new_a), canonicalize(new_b)
-        if ca is None or cb is None:
-            continue
-        key = (ca[1], cb[1])
-        c = raw.get(key, 0) + sign * ca[0] * cb[0]
-        if c:
-            raw[key] = c
-        else:
-            raw.pop(key, None)
+    raw = _shuffle_sums(arr_first, arr_second, r)
     base = (canonicalize(arr_first)[1], canonicalize(arr_second)[1])
     lead = raw.get(base)
     assert lead, "pivot monomial must survive the shuffle"
@@ -344,7 +354,6 @@ def hibi_generator(lattice, a, b, part=None):
     if part is None:
         lower = lattice.meet(a, b)
     else:
-        from .chain_order import odot_elements
         lower = odot_elements(lattice, part, a, b)
         theta_a = theta_exponent(lattice, part, (a,))
         theta_b = theta_exponent(lattice, part, (b,))
@@ -388,9 +397,7 @@ def theta_exponent(lattice, part, mono):
     out = {}
     for a in mono:
         out["t"] = out.get("t", 0) + 1
-        ideal = lattice.iota(a)
-        from .chain_order import k_set
-        for p in k_set(part, ideal):
+        for p in k_set(part, lattice.iota(a)):
             key = ("z", p)
             out[key] = out.get(key, 0) + 1
     return {k: v for k, v in out.items() if v}
@@ -442,7 +449,10 @@ class MembershipVerdict:
 
 
 def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
-    """Determinant of rows 1..k and the given columns, mod p."""
+    """Determinant of rows 1..k and the given columns, mod p (Gaussian elimination).
+
+    The one minor evaluator; ``MinorTable`` keeps its values.
+    """
     k = len(cols)
     sub = [[matrix[i][c - 1] % p for c in cols] for i in range(k)]
     det = 1
@@ -466,18 +476,75 @@ def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
     return det % p
 
 
-def plucker_eval(poly, matrix, p=ORACLE_PRIME):
-    """Evaluate a relation at a square matrix over GF(p) via top-justified minors."""
-    total = 0
+class MinorTable(dict):
+    """Top-justified minors of one matrix mod p, keyed by canonical column.
+
+    An entry is computed by ``minor_mod_p`` on its first lookup and kept, so
+    the table holds only the columns asked for.  The empty column maps to 1.
+    """
+
+    def __init__(self, matrix, p=ORACLE_PRIME):
+        super().__init__({(): 1})
+        self.matrix, self.p = matrix, p
+
+    def __missing__(self, col):
+        value = self[col] = minor_mod_p(self.matrix, col, self.p)
+        return value
+
+
+_KEPT_DRAWS = 1024  # minor tables kept per (n, seed)
+_DRAWS_LOCK = threading.Lock()  # kept draws must come off the generator in order
+
+
+@lru_cache(maxsize=8)
+def _seed_draws(n, seed):
+    """The generator ``Random(seed)`` and the minor tables drawn from it so far."""
+    return random.Random(seed), []
+
+
+def _seed_minor_tables(n, seed, count):
+    """Minor tables of the first ``count`` matrices drawn from ``Random(seed)``.
+
+    Every oracle call re-seeds its generator, so all calls at one seed see
+    the same matrices.  Up to ``_KEPT_DRAWS`` tables per (n, seed), with the
+    minors already computed in them, are kept behind a small bounded cache
+    and serve later calls; a longer request draws afresh and keeps nothing.
+    """
+    if count > _KEPT_DRAWS:
+        rng = random.Random(seed)
+        return (MinorTable(random_matrix(n, rng)) for _ in range(count))
+    rng, tables = _seed_draws(n, seed)
+    with _DRAWS_LOCK:
+        while len(tables) < count:
+            tables.append(MinorTable(random_matrix(n, rng)))
+        return tables[:count]
+
+
+def _monomial_value(mono, table, p=ORACLE_PRIME):
+    val = 1
+    for col in mono:
+        val = val * table[col] % p
+    return val
+
+
+def _terms_mod_p(poly, p=ORACLE_PRIME):
+    """(monomial, coefficient reduced into GF(p)) pairs of a rational polynomial."""
+    terms = []
     for mono, coeff in poly.items():
         c = Fraction(coeff)
         if c.denominator % p == 0:
             raise ZeroDivisionError("coefficient denominator divisible by the field characteristic")
-        val = c.numerator * pow(c.denominator, p - 2, p)
-        for col in mono:
-            val = val * minor_mod_p(matrix, col, p)
-        total = (total + val) % p
-    return total % p
+        terms.append((mono, c.numerator * pow(c.denominator, p - 2, p) % p))
+    return terms
+
+
+def _evaluate(terms, table, p=ORACLE_PRIME):
+    return sum(c * _monomial_value(mono, table, p) for mono, c in terms) % p
+
+
+def plucker_eval(poly, matrix, p=ORACLE_PRIME):
+    """Evaluate a relation at a square matrix over GF(p) via top-justified minors."""
+    return _evaluate(_terms_mod_p(poly, p), MinorTable(matrix, p), p)
 
 
 def random_matrix(n, rng, p=ORACLE_PRIME):
@@ -536,20 +603,12 @@ def ideal_membership(poly, n, mode="probabilistic", trials=20, seed=0):
     total_degree = sum(deg_vector(next(iter(poly)), n)[k] * (k + 1) for k in range(n - 1))
     if mode == "symbolic":
         if sum(deg_vector(next(iter(poly)), n)) > SYMBOLIC_DEGREE_LIMIT or n > SYMBOLIC_N_LIMIT:
-            raise CapacityExceeded("symbolic oracle limited to cubics with n <= 6")
+            raise CapacityError("symbolic oracle limited to cubics with n <= 6")
         return MembershipVerdict(not symbolic_pi_expand(poly, n), "symbolic")
-    rng = random.Random(seed)
-    member = True
-    for _ in range(trials):
-        if plucker_eval(poly, random_matrix(n, rng)) != 0:
-            member = False
-            break
+    terms = _terms_mod_p(poly)
+    member = all(_evaluate(terms, table) == 0 for table in _seed_minor_tables(n, seed, trials))
     bound = Fraction(total_degree, ORACLE_PRIME) ** trials
     return MembershipVerdict(member, "probabilistic", bound)
-
-
-class CapacityExceeded(Exception):
-    pass
 
 
 def apply_index_permutation(poly, perm):
@@ -607,16 +666,11 @@ def monomials_of_degree(lat, lam):
         if count == 0:
             continue
         cols = [tuple(c) for c in combinations(range(1, n + 1), k)]
-        per_length.append(list(combinations_with_replacement_sorted(cols, count)))
+        per_length.append(list(combinations_with_replacement(cols, count)))
     out = [()]
     for group in per_length:
         out = [m + g for m in out for g in group]
     return [monomial(m) for m in out]
-
-
-def combinations_with_replacement_sorted(items, count):
-    from itertools import combinations_with_replacement
-    return [tuple(c) for c in combinations_with_replacement(items, count)]
 
 
 def is_standard_monomial(lat, mono):
@@ -627,28 +681,15 @@ def is_standard_monomial(lat, mono):
 def standard_basis_check(lat, lam, seeds=(0, 1, 2)):
     """Compare the standard-monomial count against the evaluation rank of all monomials."""
     if sum(lam) > SYMBOLIC_DEGREE_LIMIT or lat.n > RANK_N_LIMIT:
-        raise CapacityExceeded("rank oracle limited to total degree <= 3, n <= 5")
+        raise CapacityError("rank oracle limited to total degree <= 3, n <= 5")
     monos = monomials_of_degree(lat, lam)
     if not monos:
         return True
     n_standard = sum(1 for m in monos if is_standard_monomial(lat, m))
     ranks = set()
     for seed in seeds:
-        rng = random.Random(seed)
-        rows = []
-        for _ in range(len(monos) + 10):
-            Z = random_matrix(lat.n, rng)
-            cache = {}
-            row = []
-            for m in monos:
-                val = 1
-                for col in m:
-                    if col not in cache:
-                        cache[col] = minor_mod_p(Z, col)
-                    val = val * cache[col] % ORACLE_PRIME
-                row.append(val)
-            rows.append(row)
-        ranks.add(rank_mod_p(rows))
+        tables = _seed_minor_tables(lat.n, seed, len(monos) + 10)
+        ranks.add(rank_mod_p([[_monomial_value(m, t) for m in monos] for t in tables]))
     return len(ranks) == 1 and ranks.pop() == n_standard
 
 
@@ -664,24 +705,8 @@ def standard_expansion_mod_p(lat, a, b, seed=0):
     target = monomial((ca, cb))
     candidates = _bidegree_monomials(lat.n, target)
     standard = [m for m in candidates if m != target and is_standard_monomial(lat, m)]
-    rng = random.Random(seed)
-    rows = []
-    rhs = []
-    for _ in range(len(standard) + 8):
-        Z = random_matrix(lat.n, rng)
-        cache = {}
-
-        def ev(mono):
-            val = 1
-            for col in mono:
-                if col not in cache:
-                    cache[col] = minor_mod_p(Z, col)
-                val = val * cache[col] % p
-            return val
-
-        rows.append([ev(m) for m in standard])
-        rhs.append(ev(target))
-    aug = [row + [r] for row, r in zip(rows, rhs)]
+    aug = [[_monomial_value(m, t) for m in standard + [target]]
+           for t in _seed_minor_tables(lat.n, seed, len(standard) + 8)]
     pivots = _row_reduce(aug, p)
     assert len(aug[0]) - 1 not in pivots, "evaluation system is inconsistent"
     assert len(pivots) == len(standard), "standard monomials must be independent"

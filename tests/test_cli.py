@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -58,6 +59,11 @@ class TestStraighten:
         code, _, err = run(capsys, "straighten", "--kind", "M", "--n", "4",
                            "--pair", "1,2 1,3")
         assert code == 2 and "comparable" in err
+
+    def test_symbolic_oracle_capacity(self, capsys):
+        code, _, err = run(capsys, "straighten", "--kind", "M", "--n", "7",
+                           "--pair", "1,4 2,3", "--oracle", "symbolic")
+        assert code == 3 and err.startswith("capacity:")
 
 
 class TestCone:
@@ -167,3 +173,24 @@ class TestPairsCommand:
         assert len(rows) == 10
         classes = {tuple(r["pair"]): r["class"] for r in rows}
         assert classes[("1,4", "2,3")] == "diamond_special"
+
+
+# SHA-256 of the stdout of fixed commands; a refactor of the straightening or
+# oracle layers must leave these bytes unchanged
+GOLDEN_STDOUT = {
+    "cone --target SSYT_REDUNDANT --n 5":
+        "aa58a457e5e624776986a3dd01f6ec4b87f65b395c425f93f43e74eeed5b5636",
+    "cone --target PBW_REDUNDANT --n 5":
+        "c10361b0b7d59fa6968b566c5108d09af5064a96e72ce40364af96afb775e7bd",
+    "verify --suite strlaws --n 4":
+        "bc05b8ce7c56be5275f43b478795782f01ff3d139bb36b688aaa967abaf6ca7b",
+    "verify --suite asl --n 3":
+        "91a8199c35155a41730f0314ecf61f73f51a7b414eacd25ef1fe59153a07d991",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

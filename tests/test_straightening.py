@@ -1,5 +1,9 @@
 import itertools
+import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,11 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from plueckerfan.plucker_lattices import (
     ComparablePairError,
+    all_columns,
+    lazy_lattice,
+    pbw_label,
+    pbw_arrange,
     pbw_lattice,
     semistandard_lattice,
 )
+from plueckerfan.order_core import CapacityError
 from plueckerfan.straightening import (
-    CapacityExceeded,
     ORACLE_PRIME,
     apply_index_permutation,
     append_columns,
@@ -22,6 +30,7 @@ from plueckerfan.straightening import (
     hibi_grevlex_initial,
     ideal_membership,
     minor_mod_p,
+    MinorTable,
     monomial,
     monomials_of_degree,
     plucker_eval,
@@ -36,6 +45,9 @@ from plueckerfan.straightening import (
     theta_exponent,
     theta_to_psi,
     wt_vector,
+    _seed_draws,
+    _seed_minor_tables,
+    _shuffle_sums,
 )
 
 EXAMPLE_GR24 = {
@@ -103,6 +115,13 @@ class TestShuffleRelation:
 
     def test_repeated_symbols_annihilate(self):
         assert shuffle_relation((1, 2), (1,), 1) == {}
+
+    def test_unsorted_columns_normalize_on_the_sorted_monomial(self):
+        assert shuffle_relation((2, 1), (4, 3), 1) == shuffle_relation((1, 2), (3, 4), 1)
+        assert shuffle_relation((3, 1), (4, 2), 1) == shuffle_relation((1, 3), (2, 4), 1)
+        rel = shuffle_relation((5, 1, 3), (4, 2), 2)
+        assert rel[monomial(((1, 3, 5), (2, 4)))] == 1
+        assert ideal_membership(rel, 5).member
 
     def test_membership_various(self):
         cases = [((1, 3, 5), (2, 4), 5, 2), ((2, 4), (1, 3), 4, 1), ((1, 2, 4), (3,), 4, 1)]
@@ -272,7 +291,7 @@ class TestMembership:
 
     def test_symbolic_guard(self):
         big = {monomial(((1, 2), (3, 4), (1, 3), (2, 4))): 1}
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(CapacityError):
             ideal_membership(big, 4, mode="symbolic")
 
     def test_inhomogeneous_split(self):
@@ -414,13 +433,149 @@ class TestStandardBasis:
 
     def test_guard(self):
         lat = semistandard_lattice(4)
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(CapacityError):
             standard_basis_check(lat, (4, 0, 0))
 
     def test_monomial_enumeration_counts(self):
         lat = semistandard_lattice(4)
         assert len(monomials_of_degree(lat, (2, 0, 0))) == 10
         assert len(monomials_of_degree(lat, (1, 1, 0))) == 24
+
+
+class TestShuffleCore:
+    """The coset-sum shuffle core against the permutation form it replaces."""
+
+    @staticmethod
+    def perm_shuffle_sums(first, second, r):
+        """Reference: alternating sum over all (k+1)! arrangements of the symbols."""
+        k = len(first)
+        symbols = second[:r] + first[r - 1:]
+        out = {}
+        for perm in itertools.permutations(range(k + 1)):
+            inversions = sum(1 for i, j in itertools.combinations(range(k + 1), 2)
+                             if perm[i] > perm[j])
+            arranged = tuple(symbols[i] for i in perm)
+            cb = canonicalize(arranged[:r] + second[r:])
+            ca = canonicalize(first[:r - 1] + arranged[r:])
+            if ca is None or cb is None:
+                continue
+            key = (ca[1], cb[1])
+            out[key] = out.get(key, 0) + (-1) ** inversions * ca[0] * cb[0]
+        return {key: c for key, c in out.items() if c}
+
+    def check(self, first, second, r):
+        coset = math.factorial(r) * math.factorial(len(first) + 1 - r)
+        core = _shuffle_sums(first, second, r)
+        assert {key: c * coset for key, c in core.items()} == \
+            self.perm_shuffle_sums(first, second, r)
+
+    @staticmethod
+    def inputs(n):
+        cols = all_columns(n)
+        for a in cols:
+            for b in cols:
+                if len(a) >= len(b):
+                    for r in range(1, len(b) + 1):
+                        yield a, b, r
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exhaustive_sorted_columns(self, n):
+        for a, b, r in self.inputs(n):
+            self.check(a, b, r)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exhaustive_pbw_arrangements(self, n):
+        for a, b, r in self.inputs(n):
+            self.check(pbw_arrange(a), pbw_arrange(b), r)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_shuffle_relation_matches_permutation_form(self, n):
+        for a, b, r in self.inputs(n):
+            ref = {}
+            for (ca, cb), c in self.perm_shuffle_sums(a, b, r).items():
+                mono = monomial((ca, cb))
+                ref[mono] = ref.get(mono, 0) + c
+            ref = {m: Fraction(c) for m, c in ref.items() if c}
+            lead = ref.get(monomial((a, b)))
+            if lead:
+                ref = {m: c / lead for m, c in ref.items()}
+            assert shuffle_relation(a, b, r) == ref
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_n6_n7(self, data):
+        n = data.draw(st.sampled_from([6, 7]))
+        cols = [data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+                for _ in range(2)]
+        a, b = sorted((tuple(sorted(c)) for c in cols), key=len, reverse=True)
+        r = data.draw(st.integers(1, len(b)))
+        if data.draw(st.booleans()):
+            a, b = pbw_arrange(a), pbw_arrange(b)
+        self.check(a, b, r)
+
+
+class TestMinorTable:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_minor_mod_p(self, n):
+        rng = random.Random(n)
+        small = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
+        for Z in (random_matrix(n, rng), small):
+            table = MinorTable(Z)
+            cols = [c for k in range(n + 1) for c in itertools.combinations(range(1, n + 1), k)]
+            for c in cols:
+                assert table[c] == minor_mod_p(Z, c)
+            assert sorted(table) == sorted(cols)
+
+    def test_holds_only_queried_columns(self):
+        table = MinorTable(random_matrix(20, random.Random(0)))
+        assert table[(2, 5, 11)] == minor_mod_p(table.matrix, (2, 5, 11))
+        assert sorted(table) == [(), (2, 5, 11)]
+
+    def test_seed_tables_use_the_seeded_matrices(self):
+        rng = random.Random(4)
+        expected = [random_matrix(5, rng) for _ in range(3)]
+        assert [t.matrix for t in _seed_minor_tables(5, 4, 3)] == expected
+        # longer requests extend the kept draws; past the cap nothing is kept
+        assert [t.matrix for t in _seed_minor_tables(5, 4, 2)] == expected[:2]
+        assert [t.matrix for t in itertools.islice(_seed_minor_tables(5, 4, 5000), 3)] == expected
+        assert len(_seed_draws(5, 4)[1]) == 3
+
+    def test_concurrent_draws_match_the_seeded_matrices(self):
+        def draw(seed, count, results):
+            results.append([t.matrix for t in _seed_minor_tables(8, seed, count)])
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(100, 105):  # a fresh (n, seed) per round
+                rng = random.Random(seed)
+                expected = [random_matrix(8, rng) for _ in range(60)]
+                results = []
+                threads = [threading.Thread(target=draw, args=(seed, 25 + 5 * i, results))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(len(r) for r in results) == [25 + 5 * i for i in range(8)]
+                assert all(r == expected[:len(r)] for r in results)
+        finally:
+            sys.setswitchinterval(old_interval)
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    def test_membership_at_n20_is_pair_local(self, kind):
+        # the oracle computes only the minors the relation's columns need
+        a, b = (3, 4), (2, 5)
+        if kind == "N":
+            a, b = pbw_label(a, 20), pbw_label(b, 20)
+        rel = straighten_pair(lazy_lattice(kind, 20), a, b)
+        seed = 11 if kind == "M" else 12
+        start = time.perf_counter()
+        assert ideal_membership(rel, 20, seed=seed).member
+        assert time.perf_counter() - start < 2.0
+        columns = {()} | {c for mono in rel for c in mono}
+        assert all(set(t) <= columns for t in _seed_minor_tables(20, seed, 20))
 
 
 def test_minor_mod_p_matches_fraction_det():
