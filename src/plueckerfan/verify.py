@@ -1,9 +1,10 @@
 """Named verification suites bundling the library's invariants.
 
 Each suite runs a block of exact checks with a fixed seed and returns a
-``SuiteReport``; a failure record always carries a minimal reproducer.  The
-bulk lattice-point checks are vectorized with numpy over integer arithmetic,
-which stays exact for the small bounded coordinates involved.
+``SuiteReport``; a failure record always carries a minimal reproducer.  Only
+the checks and the brute-force box oracle ``integer_points`` live here; the
+lattice-point checks use the batched int64 transfer maps of ``chain_order``,
+which stay exact for the small bounded coordinates involved.
 """
 
 from __future__ import annotations
@@ -16,9 +17,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import cones, straightening
-from .chain_order import ChainOrderPartition, interpolating_hrep
+from .chain_order import (
+    ChainOrderPartition,
+    interpolating_hrep,
+    k_matrix,
+    strict_order_matrix,
+    zeta_matrix,
+    zeta_prime_matrix,
+)
 from .order_core import CapacityError, Poset
-from .plucker_lattices import pbw_lattice, pbw_to_ssyt, semistandard_lattice, ssyt_to_pbw
+from .plucker_lattices import lazy_lattice, pbw_lattice, pbw_to_ssyt, semistandard_lattice, ssyt_to_pbw
 
 EHRHART_MAX_ELEMENTS = 8
 EHRHART_MAX_T = 3
@@ -62,9 +70,9 @@ class SuiteReport:
 
 def _timed(fn):
     def wrapper(n=None, seed=0):
-        start = time.time()
+        start = time.perf_counter()
         report = fn(n, seed)
-        report.elapsed_s = time.time() - start
+        report.elapsed_s = time.perf_counter() - start
         return report
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
@@ -157,7 +165,7 @@ def ehrhart_posets(n, seed):
     """Bounded-size posets: the irreducible grids up to the cutoff plus seeded random ones."""
     out = []
     for m in range(2, 6):
-        grid = semistandard_lattice(m).ji_poset
+        grid = lazy_lattice("M", m).ji_poset
         if len(grid) <= n:
             out.append(("grid", m, grid))
     rng = random.Random(seed)
@@ -177,80 +185,21 @@ def partitions_of(poset, seed):
     return [ChainOrderPartition.from_masks(poset, mask) for mask in sorted(masks)]
 
 
-def _hrep_arrays(poset, part):
-    hrep = interpolating_hrep(poset, part)
-    A = np.array([row for row, _ in hrep.rows], dtype=np.int64)
-    b = np.array([bound for _, bound in hrep.rows], dtype=np.int64)
-    return A, b
-
-
-def integer_points(poset, part, t):
-    """Brute-force integer points of the t-dilation, as an array of rows."""
-    size = len(poset)
-    A, b = _hrep_arrays(poset, part)
+def integer_points(A, b, t):
+    """Brute-force integer points of the t-dilation of {x : A x <= b}, as an array of rows."""
+    size = A.shape[1]
     grid = np.indices((t + 1,) * size).reshape(size, -1).T.astype(np.int64)
     keep = (grid @ A.T <= t * b).all(axis=1)
     return grid[keep]
 
 
-def _lt_matrix(poset):
-    size = len(poset)
-    lt = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            if i != j and poset.up[i] >> j & 1:
-                lt[i][j] = 1
-    return lt
-
-
-def zeta_matrix(part, X):
-    """Vectorized transfer map on a points-by-elements integer array."""
-    poset = part.poset
-    size = len(poset)
-    out = X.copy()
-    for i in range(size):
-        strict_up = [j for j in range(size) if j != i and poset.up[i] >> j & 1]
-        if part.chain_mask >> i & 1 and strict_up:
-            out[:, i] = X[:, i] - X[:, strict_up].max(axis=1)
-    return out
-
-
-def zeta_prime_matrix(part, X):
-    poset = part.poset
-    size = len(poset)
-    best = np.zeros_like(X)
-    for i in reversed(range(size)):
-        if part.order_mask >> i & 1:
-            best[:, i] = X[:, i]
-        else:
-            strict_up = [j for j in range(size) if j != i and poset.up[i] >> j & 1]
-            tail = best[:, strict_up].max(axis=1) if strict_up else np.zeros(len(X), dtype=X.dtype)
-            best[:, i] = X[:, i] + np.maximum(tail, 0)
-    out = X.copy()
-    for i in range(size):
-        if not part.order_mask >> i & 1:
-            out[:, i] = best[:, i]
-    return out
-
-
-def k_matrix(part, J):
-    """Row-wise K-set indicators of a boolean ideal-membership array."""
-    poset = part.poset
-    size = len(poset)
-    lt = _lt_matrix(poset)
-    above_in_j = J @ lt.T  # entry (x, p): number of q > p with q in J_x
-    maximal = (J > 0) & (above_in_j == 0)
-    order_row = np.array([1 if part.order_mask >> i & 1 else 0 for i in range(size)], dtype=bool)
-    return np.where(order_row, J > 0, maximal).astype(np.int64)
-
-
-def _ehrhart_combo(report, poset, part, order_part, t, check_decomposition):
-    points = integer_points(poset, part, t)
-    reference = integer_points(poset, order_part, t)
+def _ehrhart_combo(report, part, arrays, order_arrays, reference, t, check_decomposition):
+    """Checks of one partition at one t against the order polytope's points ``reference``."""
+    points = integer_points(*arrays, t)
     report.record(len(points) == len(reference),
-                  ("point count", poset.elements, part.to_json_obj(), t,
+                  ("point count", part.poset.elements, part.to_json_obj(), t,
                    len(points), len(reference)))
-    if len(poset) == 0 or t == 0:
+    if len(part.poset) == 0 or t == 0:
         return
     # transfer round trips
     Y = zeta_prime_matrix(part, points)
@@ -261,13 +210,13 @@ def _ehrhart_combo(report, poset, part, order_part, t, check_decomposition):
     report.record(bool((forward == reference).all()),
                   ("zeta_prime o zeta", part.to_json_obj(), t))
     # zeta maps the order dilation into the chain-order dilation and back
-    A, b = _hrep_arrays(poset, part)
+    A, b = arrays
     report.record(bool((Z @ A.T <= t * b).all()), ("zeta image", part.to_json_obj(), t))
-    Ao, bo = _hrep_arrays(poset, order_part)
+    Ao, bo = order_arrays
     report.record(bool((Y @ Ao.T <= t * bo).all()), ("zeta_prime image", part.to_json_obj(), t))
     if not check_decomposition:
         return
-    lt = _lt_matrix(poset)
+    lt = strict_order_matrix(part.poset)
     total = np.zeros_like(points)
     for i in range(1, t + 1):
         J = (Y >= i).astype(np.int64)
@@ -288,10 +237,14 @@ def _ehrhart_like(name, n, seed, check_decomposition):
             f"suite {name} enumerates boxes of side t+1; poset size capped at {EHRHART_MAX_ELEMENTS}")
     report = SuiteReport(name, n, seed)
     for label, idx, poset in ehrhart_posets(n, seed):
-        order_part = ChainOrderPartition.order_polytope(poset)
+        order_arrays = interpolating_hrep(
+            poset, ChainOrderPartition.order_polytope(poset)).arrays()
+        references = [integer_points(*order_arrays, t) for t in range(EHRHART_MAX_T + 1)]
         for part in partitions_of(poset, seed + idx):
-            for t in range(EHRHART_MAX_T + 1):
-                _ehrhart_combo(report, poset, part, order_part, t, check_decomposition)
+            arrays = interpolating_hrep(poset, part).arrays()
+            for t, reference in enumerate(references):
+                _ehrhart_combo(report, part, arrays, order_arrays, reference, t,
+                               check_decomposition)
     return report
 
 

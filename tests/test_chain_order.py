@@ -8,18 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from plueckerfan.chain_order import (
     ChainOrderPartition,
+    _admissible_chains,
     dilation_points,
     interpolating_hrep,
+    k_matrix,
     k_set,
     minkowski_decompose,
     odot_ideals,
     point_from_json_obj,
     point_to_json_obj,
     zeta,
+    zeta_matrix,
     zeta_prime,
+    zeta_prime_matrix,
 )
-from plueckerfan.order_core import OrderIdeal, Poset, enumerate_order_ideals
-from plueckerfan.plucker_lattices import pbw_lattice
+from plueckerfan.order_core import OrderIdeal, Poset, _bits, enumerate_order_ideals
+from plueckerfan.plucker_lattices import lazy_lattice, pbw_lattice
 from plueckerfan import verify
 
 
@@ -122,6 +126,105 @@ class TestHRepPruning:
                 for t in (1, 2):
                     for vec in itertools.product(range(-1, t + 2), repeat=len(poset)):
                         assert hrep.contains(vec, t) == contains_full(full, vec, t)
+
+
+def reference_hrep(poset, part):
+    """Element-id form of ``interpolating_hrep``: (rows, labels) in emission order."""
+    n = len(poset)
+    rows = []
+    labels = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = -1
+        rows.append((tuple(row), 0))
+        labels.append(("nonneg", poset.elements[i]))
+
+    def insertable(mask, low_bound):
+        members = list(_bits(mask))
+        topmask = poset.maximal_of(mask)
+        for cand in _bits(part.chain_mask & ~mask):
+            if low_bound is not None and not poset.lt(low_bound, poset.elements[cand]):
+                continue
+            if topmask & poset.up[cand] & ~(1 << cand):
+                if all(poset.up[cand] >> m & 1 or poset.up[m] >> cand & 1 for m in members):
+                    return True
+        return False
+
+    def extendable_above(mask):
+        top = next(iter(_bits(poset.maximal_of(mask))))
+        return bool(part.chain_mask >> top & 1 and poset.up[top] & ~(1 << top))
+
+    for mask in sorted(_admissible_chains(part)):
+        strict_up = 0
+        for i in _bits(mask):
+            strict_up |= poset.up[i] & ~(1 << i)
+        bottom = next(iter(_bits(mask & ~strict_up)))
+        below_orders = [q for q in _bits(part.order_mask)
+                        if poset.lt(poset.elements[q], poset.elements[bottom])]
+        if extendable_above(mask):
+            continue
+        if not below_orders and not insertable(mask, None):
+            row = [0] * n
+            for i in _bits(mask):
+                row[i] = 1
+            rows.append((tuple(row), 1))
+            labels.append(("chain", poset.ids_of(mask)))
+        for q in below_orders:
+            if any(poset.lt(poset.elements[q], poset.elements[q2]) for q2 in below_orders):
+                continue
+            if insertable(mask, poset.elements[q]):
+                continue
+            row = [0] * n
+            for i in _bits(mask):
+                row[i] = 1
+            row[q] -= 1
+            rows.append((tuple(row), 0))
+            labels.append(("headed", poset.elements[q], poset.ids_of(mask)))
+    return tuple(rows), tuple(labels)
+
+
+def grid_poset(n):
+    return lazy_lattice("M", n).ji_poset
+
+
+def sampled_partitions(poset, count, seed):
+    rng = random.Random(seed)
+    masks = sorted({rng.getrandbits(len(poset)) for _ in range(count)})
+    return [ChainOrderPartition.from_masks(poset, m) for m in masks]
+
+
+class TestHRepMatchesReference:
+    """The mask-based system emits the element-id reference's rows and labels in order."""
+
+    @staticmethod
+    def assert_same(poset, parts):
+        for part in parts:
+            hrep = interpolating_hrep(poset, part)
+            assert (hrep.rows, hrep.labels) == reference_hrep(poset, part), part.to_json_obj()
+        return len(parts)
+
+    def test_random_posets_every_partition(self):
+        rng = random.Random(41)
+        cases = sum(self.assert_same(poset, all_partitions(poset))
+                    for poset in (verify.random_poset(rng, max_size=5) for _ in range(120)))
+        assert cases > 1000
+
+    def test_grid_n4_every_partition(self):
+        poset = grid_poset(4)
+        assert self.assert_same(poset, all_partitions(poset)) == 256
+
+    @pytest.mark.parametrize("n, count", [(5, 400), (6, 200)])
+    def test_grid_sampled_partitions(self, n, count):
+        poset = grid_poset(n)
+        assert self.assert_same(poset, sampled_partitions(poset, count, seed=n)) > count // 2
+
+    def test_order_and_chain_polytopes(self):
+        rng = random.Random(43)
+        posets = [two_chain()] + [grid_poset(n) for n in (3, 4, 5, 6)] + [
+            verify.random_poset(rng, max_size=8) for _ in range(30)]
+        for poset in posets:
+            self.assert_same(poset, [ChainOrderPartition.order_polytope(poset),
+                                     ChainOrderPartition.chain_polytope(poset)])
 
 
 class TestTransferMaps:
@@ -311,17 +414,22 @@ class TestMinkowski:
                         assert total == x
 
 
+def batched_cases(rng):
+    """Two grid posets and seeded random posets, each with a sample of partitions."""
+    posets = [grid_poset(3), grid_poset(4)] + [
+        verify.random_poset(rng, max_size=6) for _ in range(10)]
+    return [(poset, part) for poset in posets
+            for part in sampled_partitions(poset, 6, rng.getrandbits(32))]
+
+
 class TestVectorizedAgreesWithScalar:
     def test_zeta_matrix(self):
         rng = random.Random(7)
-        for _ in range(10):
-            poset = verify.random_poset(rng, max_size=6)
-            mask = rng.getrandbits(len(poset))
-            part = ChainOrderPartition.from_masks(poset, mask)
-            pts = np.array([[rng.randint(0, 3) for _ in poset.elements] for _ in range(9)],
+        for poset, part in batched_cases(rng):
+            pts = np.array([[rng.randint(-3, 3) for _ in poset.elements] for _ in range(9)],
                            dtype=np.int64)
-            fast_z = verify.zeta_matrix(part, pts)
-            fast_zp = verify.zeta_prime_matrix(part, pts)
+            fast_z = zeta_matrix(part, pts)
+            fast_zp = zeta_prime_matrix(part, pts)
             for row, zrow, zprow in zip(pts, fast_z, fast_zp):
                 x = dict(zip(poset.elements, (int(v) for v in row)))
                 assert zeta(part, x) == dict(zip(poset.elements, (int(v) for v in zrow)))
@@ -329,14 +437,11 @@ class TestVectorizedAgreesWithScalar:
 
     def test_k_matrix(self):
         rng = random.Random(8)
-        for _ in range(10):
-            poset = verify.random_poset(rng, max_size=6)
-            mask = rng.getrandbits(len(poset))
-            part = ChainOrderPartition.from_masks(poset, mask)
+        for poset, part in batched_cases(rng):
             ideals = enumerate_order_ideals(poset)
             J = np.array([[1 if e in ideal.members() else 0 for e in poset.elements]
                           for ideal in ideals], dtype=np.int64)
-            K = verify.k_matrix(part, J)
+            K = k_matrix(part, J)
             for ideal, krow in zip(ideals, K):
                 expect = set(k_set(part, ideal))
                 got = {e for e, v in zip(poset.elements, krow) if v}

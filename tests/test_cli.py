@@ -175,8 +175,8 @@ class TestPairsCommand:
         assert classes[("1,4", "2,3")] == "diamond_special"
 
 
-# SHA-256 of the stdout of fixed commands; a refactor of the straightening or
-# oracle layers must leave these bytes unchanged
+# SHA-256 of the stdout of fixed commands; a refactor of the straightening,
+# oracle or chain-order layers must leave these bytes unchanged
 GOLDEN_STDOUT = {
     "cone --target SSYT_REDUNDANT --n 5":
         "aa58a457e5e624776986a3dd01f6ec4b87f65b395c425f93f43e74eeed5b5636",
@@ -186,6 +186,10 @@ GOLDEN_STDOUT = {
         "bc05b8ce7c56be5275f43b478795782f01ff3d139bb36b688aaa967abaf6ca7b",
     "verify --suite asl --n 3":
         "91a8199c35155a41730f0314ecf61f73f51a7b414eacd25ef1fe59153a07d991",
+    "verify --suite ehrhart --n 4":
+        "8be651710217bc08c4fad92dff5f7c8be78d78ebac9789a42330a8235849886c",
+    "verify --suite minkowski --n 4":
+        "3614d2c707e3bd1167514e1af44684aa9e2c7404dd917f7ee14c88d4fce7ca98",
 }
 
 
