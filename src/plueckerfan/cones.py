@@ -5,7 +5,9 @@ Targets cover the Hibi cone of any distributive lattice, its generalized
 with redundant companions, and the two toric subcone descriptions assembled
 from straightening data.  All arithmetic is exact; weight vectors are plain
 dicts keyed by canonical column tuples (or lattice element ids for generic
-lattices).
+lattices).  ``contains_many`` and ``lead_is_initial_many`` are the batched
+twins of ``contains`` and ``initial_form`` over many weight vectors at once;
+the scalar forms are the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -125,6 +127,61 @@ def contains(hrep, weights):
 
 def contains_closure(hrep, weights):
     return all(ineq.holds_nonstrict(weights) for ineq in hrep.inequalities)
+
+
+# -- batched twins of contains and initial_form ---------------------------------
+
+_INT64_LIMIT = 1 << 63
+
+
+def weight_matrix(points, keys):
+    """Weight dicts as a samples-by-keys array, column-major so each key's samples are contiguous.
+
+    The array is int64 when every weight is an ``int`` that fits, else an
+    ``object`` array of the exact values.
+    """
+    import numpy as np  # on first use, as in chain_order
+
+    def values():  # key by key, so the transpose of the filled array is column-major
+        return (w[k] for k in keys for w in points)
+
+    fits = all(type(v) is int and -_INT64_LIMIT < v < _INT64_LIMIT for v in values())
+    W = np.fromiter(values(), dtype=np.int64 if fits else object, count=len(points) * len(keys))
+    return W.reshape(len(keys), len(points)).T
+
+
+def _exact_columns(keys, W, l1):
+    """The columns of ``W`` by key, exact under forms of l1 norm at most ``l1``.
+
+    int64 columns are kept only while max|w| * l1 < 2**63, so no sum of such
+    a form can overflow; otherwise the same code runs on Python integers.
+    """
+    import numpy as np
+    if W.dtype != object and W.size:
+        top = max(int(W.max()), -int(W.min()))
+        if type(l1) is not int or top * l1 >= _INT64_LIMIT:
+            W = W.astype(object)
+    return dict(zip(keys, np.ascontiguousarray(W.T)))
+
+
+def contains_many(hrep, keys, W):
+    """``contains`` on every row of the samples-by-keys weight matrix ``W``, as a bool array.
+
+    Each inequality is evaluated once, as one exact column over all samples.
+    """
+    import numpy as np
+    l1 = max((sum(abs(c) for _, c in iq.form) for iq in hrep.inequalities), default=0)
+    columns = _exact_columns(keys, W, l1)
+    ok = np.ones(len(W), dtype=bool)
+    for ineq in hrep.inequalities:
+        value = sum(coeff * columns[key] for key, coeff in ineq.form)
+        if ineq.relation == STRICT:
+            ok &= value < 0
+        elif ineq.relation == NONSTRICT:
+            ok &= value <= 0
+        else:
+            ok &= value == 0
+    return ok
 
 
 # -- H-representation builders ----------------------------------------------
@@ -508,6 +565,24 @@ def initial_form(poly, weights):
             raise KeyError(f"weight vector missing key {exc}") from None
     least = min(values.values())
     return {m: c for m, c in poly.items() if values[m] == least}
+
+
+def lead_is_initial_many(poly, lead, keys, W):
+    """``set(initial_form(poly, w)) == {lead}`` for every row ``w`` of the weight matrix ``W``.
+
+    Each monomial's weight is one exact column over all samples; ``lead``
+    must weigh strictly less than every other term.
+    """
+    import numpy as np
+    if lead not in poly:
+        return np.zeros(len(W), dtype=bool)
+    columns = _exact_columns(keys, W, max(len(mono) for mono in poly))
+    least = sum(columns[c] for c in lead)
+    ok = np.ones(len(W), dtype=bool)
+    for mono in poly:
+        if mono != lead:
+            ok &= sum(columns[c] for c in mono) > least
+    return ok
 
 
 def weights_from_json_obj(obj, keys):

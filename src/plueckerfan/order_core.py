@@ -190,6 +190,16 @@ class Poset:
             out.append(m)
         return tuple(out)
 
+    @cached_property
+    def strict_order_matrix(self):
+        """Read-only boolean matrix whose (i, j) entry says element i lies strictly below element j."""
+        import numpy as np  # on first use, see chain_order.PolytopeHRep.arrays
+        n = len(self)
+        lt = np.array([[up >> j & 1 for j in range(n)] for up in self.up], dtype=bool).reshape(n, n)
+        np.fill_diagonal(lt, False)
+        lt.flags.writeable = False
+        return lt
+
     def cover_pairs(self):
         out = []
         for i in range(len(self)):

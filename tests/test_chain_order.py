@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from plueckerfan.chain_order import (
     ChainOrderPartition,
     _admissible_chains,
+    _as_point,
+    _k_mask,
     dilation_points,
     interpolating_hrep,
     k_matrix,
@@ -372,6 +374,61 @@ class TestDilationPoints:
             dilation_points(ChainOrderPartition.order_polytope(big), 1)
 
 
+def _decreasing_chains(ideal_bits, t):
+    if t == 0:
+        yield ()
+        return
+    subs = {m: [m2 for m2 in ideal_bits if m2 & ~m == 0] for m in ideal_bits}
+
+    def rec(prefix, last, depth):
+        if depth == t:
+            yield tuple(prefix)
+            return
+        for m in subs[last] if last is not None else ideal_bits:
+            prefix.append(m)
+            yield from rec(prefix, m, depth + 1)
+            prefix.pop()
+
+    yield from rec([], None, 0)
+
+
+def reference_dilation_points(part, t):
+    """The per-chain form of ``dilation_points``: a generator of chains and a scalar check each."""
+    poset = part.poset
+    hrep = interpolating_hrep(poset, part)
+    bits = [ideal.bits for ideal in enumerate_order_ideals(poset)]
+    n = len(poset)
+    kvec = {m: tuple(1 if _k_mask(part, m) >> i & 1 else 0 for i in range(n)) for m in bits}
+    seen = set()
+    count = 0
+    for chain in _decreasing_chains(bits, t):
+        count += 1
+        point = tuple(sum(col) for col in zip(*(kvec[m] for m in chain))) if chain else (0,) * n
+        assert hrep.contains(point, t), "chain point escapes the dilated polytope"
+        seen.add(point)
+    assert len(seen) == count, "distinct ideal chains must give distinct points"
+    return [_as_point(poset, p) for p in sorted(seen)]
+
+
+class TestDilationMatchesReference:
+    def test_random_posets_every_partition(self):
+        rng = random.Random(41)
+        posets = [Poset.from_covers([], [])] + [
+            verify.random_poset(rng, max_size=5) for _ in range(24)]
+        assert {len(p) for p in posets} == {0, 1, 2, 3, 4, 5}
+        for poset in posets:
+            for part in all_partitions(poset):
+                for t in range(4):
+                    got = dilation_points(part, t)
+                    assert got == reference_dilation_points(part, t)
+                    assert all(type(v) is int for pt in got for v in pt.values())
+
+    def test_grid_n4_every_partition(self):
+        poset = grid_poset(4)
+        for part in all_partitions(poset):
+            assert dilation_points(part, 2) == reference_dilation_points(part, 2)
+
+
 class TestMinkowski:
     def test_t_one_returns_point(self):
         p = two_chain()
@@ -446,6 +503,23 @@ class TestVectorizedAgreesWithScalar:
                 expect = set(k_set(part, ideal))
                 got = {e for e, v in zip(poset.elements, krow) if v}
                 assert got == expect
+
+
+def test_strict_order_matrix_is_memoised_and_read_only():
+    poset = grid_poset(4)
+    lt = poset.strict_order_matrix
+    assert lt is poset.strict_order_matrix
+    assert lt.tolist() == [[i != j and bool(poset.up[i] >> j & 1) for j in range(len(poset))]
+                           for i in range(len(poset))]
+    with pytest.raises(ValueError):
+        lt[0, 1] = not lt[0, 1]
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, 10 ** 30, True, False,
+                                   Fraction(4, 2), Fraction(-2, 6), 0.5, -1.25, 3.0])
+def test_point_json_matches_fraction_form(value):
+    point = {"q": value, "p": 1}
+    assert point_to_json_obj(point) == {"p": "1", "q": str(Fraction(value))}
 
 
 def test_point_json_round_trip():

@@ -176,7 +176,7 @@ class TestPairsCommand:
 
 
 # SHA-256 of the stdout of fixed commands; a refactor of the straightening,
-# oracle or chain-order layers must leave these bytes unchanged
+# oracle, chain-order or cone layers must leave these bytes unchanged
 GOLDEN_STDOUT = {
     "cone --target SSYT_REDUNDANT --n 5":
         "aa58a457e5e624776986a3dd01f6ec4b87f65b395c425f93f43e74eeed5b5636",
@@ -190,6 +190,14 @@ GOLDEN_STDOUT = {
         "8be651710217bc08c4fad92dff5f7c8be78d78ebac9789a42330a8235849886c",
     "verify --suite minkowski --n 4":
         "3614d2c707e3bd1167514e1af44684aa9e2c7404dd917f7ee14c88d4fce7ca98",
+    "verify --suite hibi-cone --n 4":
+        "886dee6092136af67d7197497b337445df743b56a775d2ebcbf27fdab4bcdb57",
+    "verify --suite genhibi-cone --n 4":
+        "e9b5472bae0b658d6082a5d9f0c96b96f5dd7bac6b4b065ee1414d75e642b17c",
+    "verify --suite ssyt-cone --n 4":
+        "6fb5ed5a1f6f17621a9ca27c3ba985acf43c24345d99927151757576ebe4c7eb",
+    "verify --suite pbw-cone --n 4":
+        "fa323ad4192f6a8d6ec4e3ab6ab50f087c7bfb246351334a18fcd3f1b07bcd74",
 }
 
 

@@ -1,22 +1,30 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from plueckerfan.cones import (
+    ALL_TARGETS,
+    ConeHRep,
+    LinearInequality,
     XiPoint,
+    _exact_columns,
     classify_facet_vs_subcone,
     cone_hrep,
     contains,
     contains_closure,
+    contains_many,
     facet_count,
     facet_witness,
     generalized_interior_witness,
     in_K,
     initial_form,
     interior_witness,
+    lead_is_initial_many,
     rho_map,
     sigma_map,
+    weight_matrix,
     weights_from_json_obj,
     weights_to_json_obj,
 )
@@ -343,3 +351,127 @@ def test_hibi_binomial_initial_at_toric_point():
         gen = hibi_generator(lat, a, b)
         poly = {monomial(m): c for m, c in gen.items()}
         assert initial_form(poly, w) == poly
+
+
+def target_hrep(target, n):
+    if target.startswith("HIBI"):
+        return cone_hrep(target, lattice=semistandard_lattice(n))
+    if target.startswith("GENHIBI"):
+        return cone_hrep(target, lattice=pbw_lattice(n))
+    return cone_hrep(target, n=n)
+
+
+def seeded_weights(hrep, rng, count, scale):
+    """The scaled exponential witness plus noise of growing spread: points on both sides."""
+    center = generalized_interior_witness(hrep.lattice)
+    keys = sorted(center)
+    return keys, [{k: scale * center[k] + rng.randint(-spread, spread) for k in keys}
+                  for spread in (2 ** (i % 6) for i in range(count))]
+
+
+def lead_polys(lat):
+    """(lead, polynomial) of every straightening relation and Hibi binomial of ``lat``."""
+    key = lat.weight_key
+    out = []
+    for a, b in lat.incomparable_pairs():
+        lead = monomial((key(a), key(b)))
+        out.append((lead, straighten_pair(lat, a, b)))
+        gen = hibi_generator(lat, a, b, None if lat.kind == "M" else lat.partition)
+        out.append((lead, {monomial(tuple(map(key, m))): c for m, c in gen.items()}))
+    return out
+
+
+class TestBatchedTwins:
+    """``contains_many`` and ``lead_is_initial_many`` against the scalar forms."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("target", ALL_TARGETS)
+    def test_contains_many(self, target, n):
+        hrep = target_hrep(target, n)
+        rng = random.Random(n)
+        keys, pts = seeded_weights(hrep, rng, 60, 1)
+        got = contains_many(hrep, keys, weight_matrix(pts, keys))
+        expect = [contains(hrep, w) for w in pts]
+        assert got.tolist() == expect
+        if target in ("TORIC_GT", "TORIC_FFLV"):
+            w = (sigma_map if target == "TORIC_GT" else rho_map)(n, square_xi(n))
+            assert contains(hrep, w)
+            assert contains_many(hrep, keys, weight_matrix([w], keys)).tolist() == [True]
+        else:
+            assert any(expect) and not all(expect)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    def test_lead_is_initial_many(self, kind, n):
+        lat = semistandard_lattice(n) if kind == "M" else pbw_lattice(n)
+        hrep = cone_hrep("SSYT_REDUNDANT" if kind == "M" else "PBW_REDUNDANT", n=n)
+        keys, pts = seeded_weights(hrep, random.Random(10 + n), 40, 1)
+        W = weight_matrix(pts, keys)
+        outcomes = set()
+        for lead, poly in lead_polys(lat):
+            got = lead_is_initial_many(poly, lead, keys, W).tolist()
+            assert got == [set(initial_form(poly, w)) == {lead} for w in pts]
+            outcomes.update(got)
+        assert outcomes == {True, False}
+
+    def test_missing_lead_never_initial(self):
+        lat = semistandard_lattice(4)
+        a, b = lat.incomparable_pairs()[0]
+        poly = straighten_pair(lat, a, b)
+        k = next(k for k in lat.elements if all(k not in mono for mono in poly))
+        w = {**interior_witness(lat), k: -100}  # the stranger is lighter than every term
+        stranger = monomial((k, k))
+        assert set(initial_form({**poly, stranger: 1}, w)) == {stranger}
+        keys = sorted(w)
+        assert lead_is_initial_many(poly, stranger, keys, weight_matrix([w], keys)).tolist() == [False]
+
+    def test_fraction_weights_take_the_object_path(self):
+        hrep = cone_hrep("PBW_REDUNDANT", n=4)
+        keys, pts = seeded_weights(hrep, random.Random(3), 40, 1)
+        pts = [{k: Fraction(v, 3) for k, v in w.items()} for w in pts]
+        W = weight_matrix(pts, keys)
+        assert W.dtype == object
+        assert contains_many(hrep, keys, W).tolist() == [contains(hrep, w) for w in pts]
+        for lead, poly in lead_polys(pbw_lattice(4)):
+            assert lead_is_initial_many(poly, lead, keys, W).tolist() == [
+                set(initial_form(poly, w)) == {lead} for w in pts]
+
+    def test_weights_near_two_to_the_62(self):
+        # every weight fits int64, but a form's sum may not: the object path must run
+        hrep = cone_hrep("SSYT_REDUNDANT", n=4)
+        lat = semistandard_lattice(4)
+        center = generalized_interior_witness(lat)
+        keys = sorted(center)
+        top = max(center.values())
+        rng = random.Random(5)
+        pts = [{k: (center[k] << 62) // top + rng.randint(-5, 5) for k in keys} for _ in range(30)]
+        W = weight_matrix(pts, keys)
+        assert W.dtype == "int64" and int(W.max()) > 1 << 61
+        assert all(col.dtype == object for col in _exact_columns(keys, W, 4).values())
+        assert contains_many(hrep, keys, W).tolist() == [contains(hrep, w) for w in pts]
+        outcomes = set()
+        for lead, poly in lead_polys(lat):
+            got = lead_is_initial_many(poly, lead, keys, W).tolist()
+            assert got == [set(initial_form(poly, w)) == {lead} for w in pts]
+            outcomes.update(got)
+        assert True in outcomes
+
+    def test_int64_kept_when_sums_fit(self):
+        keys = ["x", "y"]
+        W = weight_matrix([{"x": 1 << 60, "y": -(1 << 60)}], keys)
+        assert all(col.dtype == "int64" for col in _exact_columns(keys, W, 7).values())
+        assert all(col.dtype == object for col in _exact_columns(keys, W, 8).values())
+        assert weight_matrix([{"x": 1 << 63, "y": 0}], keys).dtype == object
+        assert weight_matrix([{"x": True, "y": 0}], keys).dtype == object
+
+    def test_every_relation(self):
+        hrep = target_hrep("HIBI", 3)
+        keys = sorted({k for iq in hrep.inequalities for k, _ in iq.form})
+        form = tuple((k, 1) for k in keys[:2])
+        for relation, expect in (("<", [False, True, False]), ("<=", [True, True, False]),
+                                 ("=", [True, False, False])):
+            h = ConeHRep("TEST", "TEST", (LinearInequality(form, relation, ("test",)),))
+            pts = [dict.fromkeys(keys, 0), {**dict.fromkeys(keys, 0), keys[0]: -1},
+                   {**dict.fromkeys(keys, 0), keys[0]: 1}]
+            assert [contains(h, w) for w in pts] == expect
+            assert contains_many(h, keys, weight_matrix(pts, keys)).tolist() == expect

@@ -1,6 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from plueckerfan import verify
+from plueckerfan import cones, straightening, verify
 from plueckerfan.chain_order import ChainOrderPartition, interpolating_hrep
 from plueckerfan.order_core import (
     CapacityError,
@@ -93,3 +97,180 @@ def test_non_lattice_rejected():
         [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     with pytest.raises(LatticeError):
         DistributiveLattice.from_poset(poset)
+
+
+def test_sampler_raises_when_nothing_is_accepted():
+    from plueckerfan.plucker_lattices import semistandard_lattice
+    lat = semistandard_lattice(3)
+    hrep = cones.cone_hrep("HIBI", lattice=lat)
+    zero = dict.fromkeys(cones.interior_witness(lat), 0)
+    with pytest.raises(RuntimeError, match="not converging"):
+        verify.sample_cone_points(hrep, zero, 5, seed=0, spread=0)
+
+
+def test_sampler_raises_under_python_O():
+    # an assert would vanish under -O and leave the sampler looping forever
+    script = (
+        "from plueckerfan import cones, verify\n"
+        "from plueckerfan.plucker_lattices import semistandard_lattice\n"
+        "lat = semistandard_lattice(3)\n"
+        "hrep = cones.cone_hrep('HIBI', lattice=lat)\n"
+        "zero = dict.fromkeys(cones.interior_witness(lat), 0)\n"
+        "verify.sample_cone_points(hrep, zero, 5, seed=0, spread=0)\n")
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          timeout=60, env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "RuntimeError: rejection sampling is not converging" in proc.stderr
+
+
+# -- the per-sample cone suite loop, kept as the reference of the batched one ----
+
+def reference_cone_suite(name, n, seed, target, redundant_target, relation_kind):
+    report = verify.SuiteReport(name, n, seed)
+    if target in ("HIBI", "SSYT"):
+        lat = verify.semistandard_lattice(n)
+    else:
+        lat = verify.pbw_lattice(n)
+    kwargs = {"n": n} if target in ("SSYT", "PBW") else {"lattice": lat}
+    minimal = cones.cone_hrep(target, **kwargs)
+    redundant = cones.cone_hrep(redundant_target, **kwargs)
+    if target in ("HIBI", "SSYT"):
+        center = cones.interior_witness(lat)
+    else:
+        center = cones.generalized_interior_witness(lat)
+    report.record(cones.contains(minimal, center), ("interior witness", target, n))
+    points, rejected = verify.sample_cone_points(minimal, center, verify.CONE_SAMPLES, seed)
+    report.notes["rejected_samples"] = rejected
+    relations = None
+    if relation_kind:
+        relations = [(a, b, straightening.straighten_pair(lat, a, b))
+                     for a, b in lat.incomparable_pairs()]
+    binomials = [(a, b, straightening.hibi_generator(
+        lat, a, b, None if target == "HIBI" else lat.partition))
+        for a, b in lat.incomparable_pairs()] if target in ("HIBI", "GENHIBI") else None
+    for idx, w in enumerate(points):
+        if not cones.contains(redundant, w):
+            bad = [iq.provenance for iq in redundant.inequalities if not iq.holds(w)]
+            report.record(False, ("redundant description", idx, bad[:3]))
+        else:
+            report.record(True, None)
+        if relations is not None:
+            for a, b, rel in relations:
+                inf = cones.initial_form(rel, w)
+                lead = straightening.monomial(
+                    (lat.weight_key(a), lat.weight_key(b)))
+                report.record(set(inf) == {lead}, ("initial form", idx, a, b, sorted(inf)))
+        if binomials is not None:
+            for a, b, gen in binomials:
+                key = lat.weight_key
+                inf = cones.initial_form(
+                    {straightening.monomial(tuple(map(key, m))): c for m, c in gen.items()}, w)
+                lead = straightening.monomial((key(a), key(b)))
+                report.record(set(inf) == {lead}, ("initial binomial", idx, a, b))
+    for fid in minimal.facet_ids():
+        witness = cones.facet_witness(minimal, fid)
+        own = minimal.inequality(fid)
+        ok = not own.holds(witness) and all(
+            iq.holds_nonstrict(witness)
+            for j, iq in enumerate(minimal.inequalities) if j != fid)
+        report.record(ok, ("facet witness", target, n, own.provenance))
+    return report
+
+
+CONE_SUITES = {
+    "hibi-cone": ("HIBI", "HIBI_REDUNDANT", None),
+    "genhibi-cone": ("GENHIBI", "GENHIBI_REDUNDANT", None),
+    "ssyt-cone": ("SSYT", "SSYT_REDUNDANT", "M"),
+    "pbw-cone": ("PBW", "PBW_REDUNDANT", "N"),
+}
+
+
+def assert_same_report(name, n, seed):
+    got = verify.run_suite(name, n=n, seed=seed)
+    expect = reference_cone_suite(name, n, seed, *CONE_SUITES[name])
+    assert (got.checks, got.failures, got.notes) == (expect.checks, expect.failures, expect.notes)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CONE_SUITES))
+@pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (5, 2)])
+def test_cone_suite_matches_reference(name, n, seed):
+    assert assert_same_report(name, n, seed).ok
+
+
+def same_grade(lat, a, avoid):
+    """An element of a's grade outside ``avoid``: the sampled noise alone orders the two."""
+    return next((e for e in lat.elements if lat.grade(e) == lat.grade(a) and e not in avoid), None)
+
+
+def wrong_pair(lat):
+    """The first incomparable pair (a, b) whose b shares its grade with some c; returns (a, b, c)."""
+    return next((a, b, c) for a, b in lat.incomparable_pairs()
+                if (c := same_grade(lat, b, (a, b))) is not None)
+
+
+@pytest.fixture
+def broken_redundant(monkeypatch):
+    """SSYT_REDUNDANT gains a row that about half of the sampled points violate."""
+    build = cones.cone_hrep
+
+    def broken(target, **kwargs):
+        hrep = build(target, **kwargs)
+        if target != "SSYT_REDUNDANT":
+            return hrep
+        lat = hrep.lattice
+        a, b = lat.incomparable_pairs()[0]
+        c = same_grade(lat, a, (a,))
+        extra = cones.LinearInequality(cones._form((a, 1), (c, -1)), cones.STRICT, ("broken", a, c))
+        return cones.ConeHRep(hrep.target, hrep.label, hrep.inequalities + (extra,), lat)
+
+    monkeypatch.setattr(cones, "cone_hrep", broken)
+
+
+@pytest.fixture
+def wrong_leads(monkeypatch):
+    """One relation and one Hibi binomial per lattice gain a term that undercuts the lead on some samples."""
+    straighten = straightening.straighten_pair
+    hibi = straightening.hibi_generator
+
+    def wrong_relation(lat, a, b):
+        rel = dict(straighten(lat, a, b))
+        wa, wb, c = wrong_pair(lat)
+        if (a, b) == (wa, wb):
+            rel[straightening.monomial((lat.weight_key(a), lat.weight_key(c)))] = 1
+        return rel
+
+    def wrong_binomial(lat, a, b, partition=None):
+        gen = dict(hibi(lat, a, b, partition))
+        wa, wb, c = wrong_pair(lat)
+        if (a, b) == (wa, wb):
+            gen[straightening.monomial((a, c))] = 1
+        return gen
+
+    monkeypatch.setattr(straightening, "straighten_pair", wrong_relation)
+    monkeypatch.setattr(straightening, "hibi_generator", wrong_binomial)
+
+
+def failure_kinds(report):
+    return [f[0] for f in report.failures]
+
+
+def test_broken_redundant_cone_fails_like_reference(broken_redundant):
+    kinds = failure_kinds(assert_same_report("ssyt-cone", 4, 0))
+    assert 0 < kinds.count("redundant description") < verify.CONE_SAMPLES
+
+
+def test_wrong_lead_fails_like_reference(wrong_leads):
+    for name, kind in (("pbw-cone", "initial form"), ("hibi-cone", "initial binomial")):
+        kinds = failure_kinds(assert_same_report(name, 4, 0))
+        assert 0 < kinds.count(kind) < verify.CONE_SAMPLES, name
+
+
+def test_mixed_failures_keep_the_per_sample_order(broken_redundant, wrong_leads):
+    report = assert_same_report("ssyt-cone", 4, 0)
+    kinds = failure_kinds(report)
+    assert 0 < kinds.count("redundant description") < verify.CONE_SAMPLES
+    assert 0 < kinds.count("initial form") < verify.CONE_SAMPLES
+    samples = [f[1] for f in report.failures]
+    assert samples == sorted(samples) and kinds != sorted(kinds, reverse=True)
