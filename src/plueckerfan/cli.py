@@ -8,6 +8,7 @@ flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,7 +176,13 @@ def cmd_verify(args):
     return min(len(report.failures), 125)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and kept for the process.
+
+    ``parse_args`` only reads the parser and returns a new namespace on every
+    call, so one parser serves every ``main`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="plueckerfan",
         description="Straightening relations, generalized Hibi ideals and Groebner cone descriptions.")
@@ -242,8 +249,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CapacityError as exc:

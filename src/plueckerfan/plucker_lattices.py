@@ -13,7 +13,7 @@ conversion from a cell ideal back to a column of each kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import chain_order
@@ -127,6 +127,12 @@ def ji_column(cell, n):
     return tuple(i for i in range(1, n + 1) if i not in gap)
 
 
+@lru_cache(maxsize=16)
+def _ji_columns(n):
+    """The pairs (cell, ji_column(cell, n)) over ``ji_cells(n)``, built once per n."""
+    return tuple((c, ji_column(c, n)) for c in ji_cells(n))
+
+
 def cell_leq(c1, c2):
     return c1[0] <= c2[0] and c1[1] <= c2[1]
 
@@ -138,7 +144,7 @@ def pbw_label(col, n):
 
 def m_cell_ideal(col, n):
     """Cells (r, s) whose join-irreducible column sits below ``col``."""
-    return frozenset(c for c in ji_cells(n) if semistandard_leq(ji_column(c, n), col))
+    return frozenset(c for c, jc in _ji_columns(n) if semistandard_leq(jc, col))
 
 
 def pbw_cell_ideal(alpha, n):

@@ -513,6 +513,12 @@ def test_strict_order_matrix_is_memoised_and_read_only():
                            for i in range(len(poset))]
     with pytest.raises(ValueError):
         lt[0, 1] = not lt[0, 1]
+    # the flag sticks: neither the matrix nor any base array can be made writeable again
+    base = lt
+    while isinstance(base, np.ndarray):
+        with pytest.raises(ValueError):
+            base.flags.writeable = True
+        base = base.base
 
 
 @pytest.mark.parametrize("value", [0, 1, -3, 10 ** 30, True, False,

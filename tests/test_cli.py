@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -176,7 +178,7 @@ class TestPairsCommand:
 
 
 # SHA-256 of the stdout of fixed commands; a refactor of the straightening,
-# oracle, chain-order or cone layers must leave these bytes unchanged
+# oracle, chain-order, cone or lattice layers must leave these bytes unchanged
 GOLDEN_STDOUT = {
     "cone --target SSYT_REDUNDANT --n 5":
         "aa58a457e5e624776986a3dd01f6ec4b87f65b395c425f93f43e74eeed5b5636",
@@ -198,6 +200,10 @@ GOLDEN_STDOUT = {
         "6fb5ed5a1f6f17621a9ca27c3ba985acf43c24345d99927151757576ebe4c7eb",
     "verify --suite pbw-cone --n 4":
         "fa323ad4192f6a8d6ec4e3ab6ab50f087c7bfb246351334a18fcd3f1b07bcd74",
+    "verify --suite counts --n 6":
+        "edb26aba630eb42c750c0c98759fcf83f33b6923365652f89d34724dfec1d5cb",
+    "facets --n 7":
+        "466bc35feaa34ac3e5574543434d023eef9ec85044d2625a10c001ac36219747",
 }
 
 
@@ -206,3 +212,60 @@ def test_golden_stdout(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+class TestParserReuse:
+    """One parser serves every call of ``main`` in a process."""
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "plueckerfan":
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for argv in (["facets", "--n", "3"], ["facets", "--n", "4", "--format", "text"],
+                     ["lattice", "--kind", "N", "--n", "3"], ["facets", "--n", "3"]):
+            assert run(capsys, *argv)[0] == 0
+        assert len(built) == 1
+
+    def test_format_does_not_persist(self, capsys):
+        _, text, _ = run(capsys, "facets", "--n", "4", "--format", "text")
+        _, out, _ = run(capsys, "facets", "--n", "4")
+        assert text.startswith("{'n': 4")
+        assert json.loads(out)["n"] == 4
+
+    def test_out_does_not_persist(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, out, _ = run(capsys, "facets", "--n", "3", "--out", str(path))
+        assert code == 0 and out == ""
+        path.unlink()
+        code, out, _ = run(capsys, "facets", "--n", "3")
+        assert code == 0 and json.loads(out)["n"] == 3
+        assert not path.exists()
+
+    def test_usage_error_then_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["facets", "--n", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        code, out, _ = run(capsys, "facets", "--n", "4")
+        assert code == 0 and json.loads(out)["diamond"] == 5
+
+    def test_parse_args_from_threads(self):
+        argvs = [["facets", "--n", "3"],
+                 ["lattice", "--kind", "N", "--n", "4", "--format", "text"],
+                 ["straighten", "--n", "5", "--pair", "1,4 2,3", "--oracle", "symbolic"],
+                 ["cone", "--target", "SSYT", "--n", "4", "--out", "x.json"],
+                 ["polytope", "--poset", "p.json", "--t", "3", "--action", "points"],
+                 ["verify", "--suite", "counts", "--seed", "7"],
+                 ["check-point", "--target", "HIBI", "--n", "3", "--weights", "w.json"],
+                 ["pairs", "--n", "6"]] * 8
+        expected = [cli.build_parser().parse_args(argv) for argv in argvs]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda argv: cli.build_parser().parse_args(argv), argvs))
+        assert got == expected

@@ -1,21 +1,26 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plueckerfan import plucker_lattices, verify
 from plueckerfan.order_core import CapacityError
 from plueckerfan.plucker_lattices import (
     ComparablePairError,
     PluckerLattice,
+    all_columns,
     column_grade,
     is_pbw_column,
     ji_cells,
     ji_column,
+    m_cell_ideal,
     pbw_arrange,
     pbw_lattice,
     pbw_to_ssyt,
     pbw_two_column_leq,
     semistandard_lattice,
+    semistandard_leq,
     ssyt_to_pbw,
 )
 
@@ -331,3 +336,31 @@ class TestLazyLattice:
             lazy_lattice("M", 15).check_element((4, 2))
         with pytest.raises(ValueError):
             lazy_lattice("N", 15).check_element((2, 3))
+
+
+# -- the per-n join-irreducible column table -----------------------------------
+
+def reference_m_cell_ideal(col, n):
+    """The per-cell form: every join-irreducible column rebuilt on every call."""
+    return frozenset(c for c in ji_cells(n) if semistandard_leq(ji_column(c, n), col))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_m_cell_ideal_matches_reference(n):
+    for col in all_columns(n):
+        assert m_cell_ideal(col, n) == reference_m_cell_ideal(col, n)
+
+
+def test_counts_suite_builds_each_column_once(monkeypatch):
+    calls = Counter()
+
+    def counting(cell, n):
+        calls[cell, n] += 1
+        return ji_column(cell, n)
+
+    monkeypatch.setattr(plucker_lattices, "ji_column", counting)
+    plucker_lattices._ji_columns.cache_clear()
+    report = verify.run_suite("counts", n=9)
+    assert report.ok
+    assert set(calls) == {(c, m) for m in range(3, 10) for c in ji_cells(m)}
+    assert max(calls.values()) == 1

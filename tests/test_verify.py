@@ -1,3 +1,5 @@
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -274,3 +276,57 @@ def test_mixed_failures_keep_the_per_sample_order(broken_redundant, wrong_leads)
     assert 0 < kinds.count("initial form") < verify.CONE_SAMPLES
     samples = [f[1] for f in report.failures]
     assert samples == sorted(samples) and kinds != sorted(kinds, reverse=True)
+
+
+# -- failure reproducers of the lattice-point suites ----------------------------
+
+def shifted_last_entry(fn):
+    """``fn`` with the last entry of its result raised by one on posets of even size."""
+    def broken(part, X):
+        out = fn(part, X)
+        if out.size and len(part.poset) % 2 == 0:
+            out = out.copy()
+            out[-1, -1] += 1
+        return out
+    return broken
+
+
+# (suite, broken map, n, seed) -> (failures, SHA-256 of the JSON list of their reprs),
+# taken from the code that rebuilt each reproducer's partition label per check
+EHRHART_FAILURES = {
+    ("ehrhart", "zeta_matrix", 4, 1):
+        (2448, "633d58f1a562b70b0314020ef5a5d90890b65e13cd291aedbb05931a33e7df39"),
+    ("minkowski", "zeta_prime_matrix", 4, 1):
+        (2916, "320a0b523d0e267d90cbf8a8dae438088567488be4558f95ba5316d716b7501b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EHRHART_FAILURES))
+def test_ehrhart_failures_are_unchanged(monkeypatch, case):
+    suite, name, n, seed = case
+    monkeypatch.setattr(verify, name, shifted_last_entry(getattr(verify, name)))
+    failures = verify.run_suite(suite, n=n, seed=seed).to_json_obj()["failures"]
+    digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
+    assert (len(failures), digest) == EHRHART_FAILURES[case]
+
+
+# -- the counts suite under python -O -------------------------------------------
+
+COUNTS_WITH_A_PAIR_DROPPED = (
+    "from plueckerfan import verify\n"
+    "from plueckerfan.plucker_lattices import PluckerLattice\n"
+    "real = PluckerLattice.diamond_pairs\n"
+    "PluckerLattice.diamond_pairs = lambda self: real(self)[1:]\n"
+    "report = verify.run_suite('counts', n=6)\n"
+    "print(report.checks, len(report.failures))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_counts_suite_finds_wrong_counts(flags):
+    # facet_count checks the closed forms with asserts, which vanish under -O
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *flags, "-c", COUNTS_WITH_A_PAIR_DROPPED],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "4"]
