@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chain_order import odot_elements
+from .order_core import check
 from .plucker_lattices import (
     PluckerLattice,
     pbw_arrange,
@@ -417,15 +418,18 @@ def facet_count(n):
         special=len(m_special),
         pbw_total=len(n_diamond) + len(n_special),
     )
-    assert counts.diamond == _closed_form(n, n * n - n - 2)
-    assert counts.ssyt_total == _closed_form(n, n * n + n - 4)
-    assert counts.pbw_total == counts.ssyt_total
+    check(counts.diamond == _closed_form(n, n * n - n - 2),
+          f"{counts.diamond} diamond pairs at n = {n}, against the closed form")
+    check(counts.ssyt_total == _closed_form(n, n * n + n - 4),
+          f"{counts.ssyt_total} semistandard facets at n = {n}, against the closed form")
+    check(counts.pbw_total == counts.ssyt_total,
+          f"{counts.pbw_total} PBW facets against {counts.ssyt_total} semistandard ones at n = {n}")
     return counts
 
 
 def _closed_form(n, quad):
     value = Fraction(quad) * Fraction(2) ** (n - 5)
-    assert value.denominator == 1
+    check(value.denominator == 1, f"closed form {value} at n = {n} is not an integer")
     return int(value)
 
 
@@ -532,7 +536,7 @@ def classify_facet_vs_subcone(target, facet_id, n):
             cell = (j + 1, v)
             zcoeff[cell] = zcoeff.get(cell, 0) + sign * coeff
         ccoeff[len(alpha)] = ccoeff.get(len(alpha), 0) + coeff
-    assert all(v == 0 for v in ccoeff.values()), "length shifts must cancel on facet forms"
+    check(all(v == 0 for v in ccoeff.values()), "length shifts must cancel on facet forms")
     reduced = tuple(sorted((cell, v) for cell, v in zcoeff.items()
                            if v and cell[0] != cell[1]))
     if not reduced:
@@ -545,8 +549,8 @@ def classify_facet_vs_subcone(target, facet_id, n):
                 matches.append(((s, t), 1))
             elif reduced == tuple(sorted((c, -v) for c, v in f)):
                 matches.append(((s, t), -1))
-    assert len(matches) == 1, \
-        f"facet pullback must match exactly one submodularity binomial, got {matches}"
+    check(len(matches) == 1,
+          f"facet pullback must match exactly one submodularity binomial, got {matches}")
     (s, t), sign = matches[0]
     return ConvexClassification("meets_in_facet", (s, t), sign)
 

@@ -21,6 +21,19 @@ class CapacityError(Exception):
     """An enumeration would exceed the supported bitset capacity."""
 
 
+class InvariantError(Exception):
+    """A mathematical invariant of a computed object does not hold.
+
+    Raised in place of ``assert``, so the check stays live under ``python -O``.
+    """
+
+
+def check(ok, message):
+    """Raise ``InvariantError(message)`` unless ``ok``."""
+    if not ok:
+        raise InvariantError(message)
+
+
 class PosetError(ValueError):
     pass
 
@@ -218,24 +231,34 @@ class Poset:
     def ids_of(self, mask):
         return tuple(self.elements[i] for i in _bits(mask))
 
+    # the three mask scans below walk the set bits inline, lowest first: they
+    # run once per ideal in the ideal product and the lattice conversions
+
     def is_down_closed(self, mask):
-        for i in _bits(mask):
-            if self.down[i] & ~mask:
+        down, rest = self.down, mask
+        while rest:
+            low = rest & -rest
+            if down[low.bit_length() - 1] & ~mask:
                 return False
+            rest ^= low
         return True
 
     def down_closure(self, mask):
-        out = 0
-        for i in _bits(mask):
-            out |= self.down[i]
+        down, out, rest = self.down, 0, mask
+        while rest:
+            low = rest & -rest
+            out |= down[low.bit_length() - 1]
+            rest = (rest ^ low) & ~out  # what is already below needs no scan of its own
         return out
 
     def maximal_of(self, mask):
         """Bitmask of elements of ``mask`` with no strictly larger element in ``mask``."""
-        out = 0
-        for i in _bits(mask):
-            if self.up[i] & ~(1 << i) & mask == 0:
-                out |= 1 << i
+        up, out, rest = self.up, 0, mask
+        while rest:
+            low = rest & -rest
+            if up[low.bit_length() - 1] & mask & ~low == 0:
+                out |= low
+            rest ^= low
         return out
 
     def subposet(self, ids):

@@ -4,10 +4,15 @@ Kind ``M``: columns (i_1 < ... < i_k) ordered so that two columns form a
 semistandard tableau, with closed meet/join formulas.  Kind ``N``: one-column
 PBW-semistandard tableaux with the two-column PBW order.  Both lattices share
 the grid of join-irreducible cells (r, s) and the diagonal/off-diagonal
-partition that drives the transfer machinery.  Elements of both kinds are
-determined by their cell ideals, and the lattice isomorphism goes through
-them: ``m_column_of_ideal`` and ``pbw_column_of_ideal`` are the one
-conversion from a cell ideal back to a column of each kind.
+partition that drives the transfer machinery.  By Birkhoff's theorem an
+element of either kind is its cell ideal, an order ideal of that grid, and
+``PluckerLattice`` works on it as a bitmask over the grid's poset
+(``_ji_poset``).  The column/mask conversions ``m_column_mask``,
+``pbw_column_mask``, ``m_column_of_mask`` and ``pbw_column_of_mask`` are the
+only kind-specific part of the lattice operations, and the lattice
+isomorphism goes through them.  The column formulas (``semistandard_leq``,
+``column_meet``/``column_join``, ``pbw_two_column_leq``, ``m_cell_ideal``,
+``pbw_cell_ideal``) are the references the masks are tested against.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import chain_order
-from .order_core import CapacityError, DistributiveLattice, Grading, OrderIdeal, Poset
+from .order_core import CapacityError, DistributiveLattice, OrderIdeal, Poset, PosetError, check
 
 MAX_FULL_N = 12
 
@@ -129,59 +134,101 @@ def ji_column(cell, n):
 
 @lru_cache(maxsize=16)
 def _ji_columns(n):
-    """The pairs (cell, ji_column(cell, n)) over ``ji_cells(n)``, built once per n."""
-    return tuple((c, ji_column(c, n)) for c in ji_cells(n))
+    """``{cell: ji_column(cell, n)}`` over ``ji_cells(n)``, built once per n."""
+    return {c: ji_column(c, n) for c in ji_cells(n)}
 
 
 def cell_leq(c1, c2):
     return c1[0] <= c2[0] and c1[1] <= c2[1]
 
 
-def pbw_label(col, n):
-    """PBW column attached to a kind-M column: the one with the same cell ideal."""
-    return pbw_column_of_ideal(m_cell_ideal(col, n), n)
+@lru_cache(maxsize=16)
+def _ji_poset(n):
+    """The poset of join-irreducible cells, built once per n.
+
+    Its canonical positions are the bits of every cell-ideal mask at this n,
+    for both kinds.
+    """
+    return Poset.from_leq(ji_cells(n), cell_leq)
 
 
 def m_cell_ideal(col, n):
     """Cells (r, s) whose join-irreducible column sits below ``col``."""
-    return frozenset(c for c, jc in _ji_columns(n) if semistandard_leq(jc, col))
+    return frozenset(c for c, jc in _ji_columns(n).items() if semistandard_leq(jc, col))
 
 
-def pbw_cell_ideal(alpha, n):
-    """Down-closure of the diagonal cell (k, k) and the cells (r, alpha_r > r)."""
+def _pbw_generators(alpha):
+    """The diagonal cell (k, k) and the cells (r, alpha_r > r) of a PBW column."""
     k = len(alpha)
     gens = [(r, v) for r, v in enumerate(alpha, start=1) if v > r]
     if k >= 2:
         gens.append((k, k))
+    return gens
+
+
+def pbw_cell_ideal(alpha, n):
+    """Down-closure of the generator cells of a PBW column, as a set of cells."""
+    gens = _pbw_generators(alpha)
     return frozenset(c for c in ji_cells(n) if any(cell_leq(c, g) for g in gens))
 
 
-def _maximal_cells(cells):
-    return [c for c in cells
-            if (c[0] + 1, c[1]) not in cells and (c[0], c[1] + 1) not in cells]
+# -- conversions between a column and its cell-ideal mask --------------------
+#
+# A mask has bit i set when cell ``_ji_poset(n).elements[i]`` lies in the cell
+# ideal.  These four functions are the only kind-specific part of the lattice
+# operations; ``m_cell_ideal`` and ``pbw_cell_ideal`` are their references.
+
+def _mask_of_cells(gens, n):
+    poset = _ji_poset(n)
+    return poset.down_closure(poset.mask_of(gens))
 
 
-def m_column_of_ideal(cells, n):
-    """Recover the kind-M column from its cell ideal: the join of its cells' columns."""
-    col = None
-    for c in cells:
-        jc = ji_column(c, n)
-        col = jc if col is None else column_join(col, jc)
-    return col if col is not None else tuple(range(1, n))
+def m_column_mask(col, n):
+    """Cell-ideal mask of a kind-M column of length k.
+
+    Its generators are the diagonal cell (n - k, n - k) and the cells
+    (col_p - p, n + 1 - p) for every entry col_p > p.  The diagonal cell is
+    dropped when it is (1, 1), which is not join-irreducible.
+    """
+    k = len(col)
+    gens = [(v - p, n + 1 - p) for p, v in enumerate(col, start=1) if v > p]
+    if n - k >= 2:
+        gens.append((n - k, n - k))
+    return _mask_of_cells(gens, n)
 
 
-def pbw_column_of_ideal(cells, n):
-    """Recover the PBW column from its cell ideal: maximal cells give the entries."""
+def pbw_column_mask(alpha, n):
+    """Cell-ideal mask of a PBW column: the down-closure of its generator cells."""
+    return _mask_of_cells(_pbw_generators(alpha), n)
+
+
+def m_column_of_mask(mask, n):
+    """The kind-M column of a cell ideal: the join of its maximal cells' columns."""
+    poset, columns = _ji_poset(n), _ji_columns(n)
+    col = tuple(range(1, n))  # the minimum, the join of no cells
+    for c in poset.ids_of(poset.maximal_of(mask)):
+        col = column_join(col, columns[c])
+    return col
+
+
+def pbw_column_of_mask(mask, n):
+    """The PBW column of a cell ideal: the diagonal gives the length, maximal cells the entries."""
+    poset = _ji_poset(n)
     k = 1
-    while (k + 1, k + 1) in cells:
+    while k < n - 1 and mask >> poset.index((k + 1, k + 1)) & 1:
         k += 1
     out = list(range(1, k + 1))
-    for r, s in _maximal_cells(cells):
+    for r, s in poset.ids_of(poset.maximal_of(mask)):
         if r != s:
             out[r - 1] = s
     alpha = tuple(out)
-    assert is_pbw_column(alpha, n), alpha
+    check(is_pbw_column(alpha, n), f"cell ideal {mask:#x} gives no PBW column: {alpha}")
     return alpha
+
+
+def pbw_label(col, n):
+    """PBW column attached to a kind-M column: the one with the same cell ideal."""
+    return pbw_column_of_mask(m_column_mask(col, n), n)
 
 
 # -- the lattices ---------------------------------------------------------
@@ -207,9 +254,14 @@ class PairClassification:
 class PluckerLattice:
     """Lattice of Pluecker variables of one kind ('M' or 'N') at a fixed n.
 
-    The materialized form (the default) enumerates all 2^n - 2 elements and
-    is capped at n = 12; ``lazy_lattice`` skips the enumeration so pair-local
-    operations (classification, meets, the ideal product) work at any n.
+    Every operation works on one representation of an element: the bitmask
+    of its cell ideal over ``ji_poset``.  The order is mask inclusion, meet
+    and join are intersection and union, and the grade is the number of
+    cells.  The materialized form (the default) enumerates all 2^n - 2
+    elements, keeps an element -> mask and a mask -> element table, and is
+    capped at n = 12; ``lazy_lattice`` skips the enumeration and converts
+    between columns and masks on every call, so pair-local operations
+    (classification, meets, the ideal product) work at any n.
     """
 
     def __init__(self, kind, n, materialize=True):
@@ -222,22 +274,23 @@ class PluckerLattice:
         self.kind = kind
         self.n = n
         self.materialized = materialize
-        self._ideal_cache = {}
+        self._column_mask = m_column_mask if kind == "M" else pbw_column_mask
+        self._column_of_mask = m_column_of_mask if kind == "M" else pbw_column_of_mask
         if not materialize:
-            self.elements = None
-            self._pos = None
-            self._grade = None
+            self.elements = self._mask_of = self._element_of = None
             return
+        columns = all_columns(n) if kind == "M" else [pbw_arrange(c) for c in all_columns(n)]
+        self._mask_of = masks = {c: self._column_mask(c, n) for c in columns}
+        self._element_of = {m: e for e, m in masks.items()}
+        check(len(self._element_of) == len(masks),
+              "distinct elements must have distinct cell ideals")
+        self.elements = tuple(sorted(columns, key=lambda e: (masks[e].bit_count(), e)))
         if kind == "M":
-            elems = all_columns(n)
-            self._grade = {c: column_grade(c, n) for c in elems}
-        else:
-            elems = [pbw_arrange(c) for c in all_columns(n)]
-            self._grade = {a: len(pbw_cell_ideal(a, n)) for a in elems}
-        self.elements = tuple(sorted(elems, key=lambda e: (self._grade[e], e)))
-        self._pos = {e: i for i, e in enumerate(self.elements)}
-        if kind == "N":
-            self._ideal_cache = {a: pbw_cell_ideal(a, n) for a in self.elements}
+            # Birkhoff: the join-irreducible column of a cell has the cells below it as its ideal
+            ji_columns, down = _ji_columns(n), self.ji_poset.down
+            for i, c in enumerate(self.ji_poset.elements):
+                check(masks[ji_columns[c]] == down[i],
+                      f"the ideal of the join-irreducible column of {c} is not its down-set")
 
     def __len__(self):
         return 2 ** self.n - 2
@@ -246,8 +299,8 @@ class PluckerLattice:
         return f"PluckerLattice(kind={self.kind!r}, n={self.n})"
 
     def _is_element(self, el):
-        if self._pos is not None:
-            return el in self._pos
+        if self._mask_of is not None:
+            return el in self._mask_of
         if not isinstance(el, tuple) or not 1 <= len(el) <= self.n - 1:
             return False
         if self.kind == "M":
@@ -263,68 +316,64 @@ class PluckerLattice:
             raise ValueError(f"{el!r} is not an element of {self!r}")
         return el
 
+    def _mask(self, el):
+        """The cell-ideal mask of an element; ``ValueError`` for anything else."""
+        if self._mask_of is not None:
+            mask = self._mask_of.get(el)
+            if mask is not None:
+                return mask
+        return self._column_mask(self.check_element(el), self.n)
+
+    def _element(self, mask):
+        """The element whose cell ideal is ``mask``; ``ValueError`` unless it is an order ideal."""
+        if self._element_of is not None:
+            el = self._element_of.get(mask)
+            if el is not None:
+                return el
+        if not self.ji_poset.is_down_closed(mask):
+            raise ValueError(f"cells {self.ji_poset.ids_of(mask)} are not an order ideal")
+        return self._column_of_mask(mask, self.n)
+
+    def _cell_bit(self, cell):
+        return 1 << self.ji_poset.index(cell)
+
     def grade(self, a):
-        if self._grade is not None:
-            return self._grade[self.check_element(a)]
-        self.check_element(a)
-        return column_grade(a, self.n) if self.kind == "M" else len(self.cell_ideal(a))
+        return self._mask(a).bit_count()
 
     def leq(self, a, b):
-        self.check_element(a), self.check_element(b)
-        if self.kind == "M":
-            return semistandard_leq(a, b)
-        return pbw_two_column_leq(b, a)
+        return self._mask(a) & ~self._mask(b) == 0
 
     def comparable(self, a, b):
-        return self.leq(a, b) or self.leq(b, a)
-
-    def _pbw_ideal(self, a):
-        if a not in self._ideal_cache:
-            self._ideal_cache[a] = pbw_cell_ideal(a, self.n)
-        return self._ideal_cache[a]
+        ma, mb = self._mask(a), self._mask(b)
+        return ma & ~mb == 0 or mb & ~ma == 0
 
     def meet(self, a, b):
-        if self.kind == "M":
-            self.check_element(a), self.check_element(b)
-            return column_meet(a, b)
-        return pbw_column_of_ideal(self._pbw_ideal(a) & self._pbw_ideal(b), self.n)
+        return self._element(self._mask(a) & self._mask(b))
 
     def join(self, a, b):
-        if self.kind == "M":
-            self.check_element(a), self.check_element(b)
-            return column_join(a, b)
-        return pbw_column_of_ideal(self._pbw_ideal(a) | self._pbw_ideal(b), self.n)
+        return self._element(self._mask(a) | self._mask(b))
 
     @property
     def minimum(self):
-        return tuple(range(1, self.n)) if self.kind == "M" else (1,)
+        return self._element(0)
 
     @property
     def maximum(self):
-        if self.kind == "M":
-            return (self.n,)
-        return pbw_arrange(tuple(range(1, self.n - 1)) + (self.n,))
+        return self._element((1 << len(self.ji_poset)) - 1)
 
     def cell_ideal(self, a):
         """Join-irreducible cells below ``a`` as a set of (r, s) pairs."""
-        if self.kind == "M":
-            return m_cell_ideal(self.check_element(a), self.n)
-        return self._pbw_ideal(self.check_element(a))
+        return frozenset(self.ji_poset.ids_of(self._mask(a)))
 
     def element_of_cell(self, cell):
-        if self.kind == "M":
-            return ji_column(cell, self.n)
-        return pbw_column_of_ideal(frozenset(
-            c for c in ji_cells(self.n) if cell_leq(c, cell)), self.n)
+        return self._element(self.ji_poset.down[self.ji_poset.index(cell)])
 
     def element_of_cell_ideal(self, cells):
-        if self.kind == "N":
-            return pbw_column_of_ideal(frozenset(cells), self.n)
-        return m_column_of_ideal(cells, self.n)
+        return self._element(self.ji_poset.mask_of(cells))
 
     @cached_property
     def ji_poset(self):
-        return Poset.from_leq(ji_cells(self.n), cell_leq)
+        return _ji_poset(self.n)
 
     @cached_property
     def partition(self):
@@ -334,10 +383,12 @@ class PluckerLattice:
         return chain_order.ChainOrderPartition.from_sets(self.ji_poset, diag, off)
 
     def iota(self, a):
-        return OrderIdeal.from_members(self.ji_poset, self.cell_ideal(a))
+        return OrderIdeal(self.ji_poset, self._mask(a))
 
     def from_ideal(self, ideal):
-        return self.element_of_cell_ideal(ideal.members())
+        if ideal.poset is not self.ji_poset:
+            raise PosetError("ideal does not live on this lattice's join-irreducible poset")
+        return self._element(ideal.bits)
 
     def covers(self, a, b):
         return self.grade(b) == self.grade(a) + 1 and self.leq(a, b)
@@ -346,7 +397,7 @@ class PluckerLattice:
     def _levels(self):
         levels = {}
         for e in self.elements:
-            levels.setdefault(self._grade[e], []).append(e)
+            levels.setdefault(self._mask_of[e].bit_count(), []).append(e)
         return levels
 
     def cover_pairs(self):
@@ -367,16 +418,16 @@ class PluckerLattice:
         return out
 
     def diamond_pairs(self):
-        # a diamond pair sits inside one grade level, so only same-level pairs qualify
+        # a diamond pair sits inside one grade level, and two cell ideals of one
+        # size form a diamond exactly when each has one cell the other lacks
         out = []
         for _, level in sorted(self._levels.items()):
+            masks = [self._mask_of[a] for a in level]
             for i, a in enumerate(level):
-                for b in level[i + 1:]:
-                    if self.comparable(a, b):
-                        continue
-                    if (self.grade(self.join(a, b)) == self.grade(a) + 1
-                            and self.grade(self.meet(a, b)) == self.grade(a) - 1):
-                        out.append((a, b))
+                mask = masks[i]
+                for j in range(i + 1, len(level)):
+                    if (mask ^ masks[j]).bit_count() == 2:
+                        out.append((a, level[j]))
         return out
 
     def odot(self, a, b):
@@ -388,9 +439,6 @@ class PluckerLattice:
 
     def element_of_key(self, key):
         return key if self.kind == "M" else pbw_arrange(key)
-
-    def grading(self):
-        return Grading(dict(self._grade))
 
     def to_distributive_lattice(self):
         poset = Poset.from_leq(self.elements, self.leq)
@@ -438,47 +486,57 @@ class PluckerLattice:
             a, b = b, a
         if len(a) == len(b):
             diff = [r for r in range(len(a)) if a[r] != b[r]]
-            assert len(diff) == 2, "equal-length diamond pairs differ in exactly two slots"
+            check(len(diff) == 2, "equal-length diamond pairs differ in exactly two slots")
             r1, r2 = diff
             i, j = (a, b) if a[r1] == b[r1] - 1 else (b, a)
-            assert i[r1] == j[r1] - 1 and i[r2] == j[r2] + 1
+            check(i[r1] == j[r1] - 1 and i[r2] == j[r2] + 1,
+                  "equal-length diamond pairs trade one step between two slots")
             special = r2 == r1 + 1 and j[r1] == j[r2] - 1
             p1 = i[:r1 + 1] + (j[r1],) + i[r1 + 1:r2] + i[r2 + 1:]
             q1 = j[:r1] + j[r1 + 1:r2 + 1] + (i[r2],) + j[r2 + 1:]
         else:
-            assert len(a) == len(b) + 1 and a[-1] == n
+            check(len(a) == len(b) + 1 and a[-1] == n,
+                  "mixed-length diamond pairs differ in length by one, the longer ending in n")
             diff = [r for r in range(len(b)) if a[r] != b[r]]
-            assert len(diff) == 1, "mixed-length diamond pairs differ in exactly one slot"
+            check(len(diff) == 1, "mixed-length diamond pairs differ in exactly one slot")
             r1 = diff[0]
             i, j = a, b
-            assert i[r1] == j[r1] + 1
+            check(i[r1] == j[r1] + 1, "mixed-length diamond pairs differ by one step")
             special = r1 == len(b) - 1 and j[r1] == n - 2
             p1 = i[:r1] + (j[r1], i[r1]) + i[r1 + 1:-1]
             q1 = j[:r1] + j[r1 + 1:] + (n,)
-        assert p1 == tuple(sorted(p1)) and q1 == tuple(sorted(q1))
+        check(p1 == tuple(sorted(p1)) and q1 == tuple(sorted(q1)),
+              "the third-monomial factors are columns")
         verdict = "diamond_special" if special else "diamond_plain"
         if special:
             self._check_special_ideals(a, b, meet, join, p1, q1)
         return PairClassification(verdict, (a, b), meet, join, below=p1, above=q1)
 
+    def _added_cells(self, a, b, meet):
+        """The cells that ``a`` and ``b`` of a diamond pair add to their meet, the larger first."""
+        cells = self.ji_poset.elements
+        mm = self._mask(meet)
+        added = [cells[(self._mask(x) & ~mm).bit_length() - 1] for x in (a, b)]
+        return sorted(added, reverse=True)
+
     def _check_special_ideals(self, a, b, meet, join, p1, q1):
         """Cross-check the tuple formulas against the cell-ideal description."""
-        ia, ib, im = self.cell_ideal(a), self.cell_ideal(b), self.cell_ideal(meet)
-        (s, t), (u, v) = sorted([next(iter(ia - im)), next(iter(ib - im))], reverse=True)
-        assert (u, v) == (s - 1, t + 1), "special pairs add a diagonally adjacent cell pair"
-        assert self.cell_ideal(p1) == im - {(s - 1, t)}
-        assert self.cell_ideal(q1) == self.cell_ideal(join) | {(s, t + 1)}
+        (s, t), (u, v) = self._added_cells(a, b, meet)
+        check((u, v) == (s - 1, t + 1), "special pairs add a diagonally adjacent cell pair")
+        check(self._mask(p1) == self._mask(meet) & ~self._cell_bit((s - 1, t)),
+              "the lower factor of a special pair drops the cell under the added square")
+        check(self._mask(q1) == self._mask(join) | self._cell_bit((s, t + 1)),
+              "the upper factor of a special pair adds the cell right of the added square")
 
     def _classify_n(self, a, b, meet, join):
-        ia, ib, im = self.cell_ideal(a), self.cell_ideal(b), self.cell_ideal(meet)
         below = self.odot(a, b)
-        (s, t), (u, v) = sorted([next(iter(ia - im)), next(iter(ib - im))], reverse=True)
+        (s, t), (u, v) = self._added_cells(a, b, meet)
         special = (u, v) == (s - 1, t + 1)
         if not special:
             return PairClassification("diamond_plain", (a, b), meet, join, below=below)
-        assert self.cell_ideal(below) == im - {(s - 1, t)}, \
-            "ideal product of a special pair drops the cell under the added square"
-        above = self.element_of_cell_ideal(self.cell_ideal(join) | {(s, t + 1)})
+        check(self._mask(below) == self._mask(meet) & ~self._cell_bit((s - 1, t)),
+              "ideal product of a special pair drops the cell under the added square")
+        above = self._element(self._mask(join) | self._cell_bit((s, t + 1)))
         return PairClassification("diamond_special", (a, b), meet, join,
                                   below=below, above=above, companion=meet)
 
@@ -497,12 +555,12 @@ def lazy_lattice(kind, n):
 
 
 def ssyt_to_pbw(mlat, a):
-    """The lattice isomorphism from kind M to kind N."""
+    """The lattice isomorphism from kind M to kind N: the PBW column of the same cell ideal."""
     assert mlat.kind == "M"
-    return pbw_label(mlat.check_element(a), mlat.n)
+    return pbw_column_of_mask(mlat._mask(a), mlat.n)
 
 
 def pbw_to_ssyt(nlat, alpha):
-    """Inverse isomorphism: rebuild the column from the PBW cell ideal."""
+    """Inverse isomorphism: the kind-M column of the same cell ideal."""
     assert nlat.kind == "N"
-    return m_column_of_ideal(nlat.cell_ideal(alpha), nlat.n)
+    return m_column_of_mask(nlat._mask(alpha), nlat.n)

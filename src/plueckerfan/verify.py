@@ -25,8 +25,16 @@ from .chain_order import (
     zeta_matrix,
     zeta_prime_matrix,
 )
-from .order_core import CapacityError, Poset
-from .plucker_lattices import lazy_lattice, pbw_lattice, pbw_to_ssyt, semistandard_lattice, ssyt_to_pbw
+from .order_core import CapacityError, InvariantError, Poset
+from .plucker_lattices import (
+    lazy_lattice,
+    pbw_lattice,
+    pbw_to_ssyt,
+    pbw_two_column_leq,
+    semistandard_lattice,
+    semistandard_leq,
+    ssyt_to_pbw,
+)
 
 EHRHART_MAX_ELEMENTS = 8
 EHRHART_MAX_T = 3
@@ -66,6 +74,18 @@ class SuiteReport:
         if with_timing:
             out["elapsed_s"] = round(self.elapsed_s, 3)
         return out
+
+
+def _size(n, default, least):
+    """The size a suite runs at: ``default`` when ``n`` is None.
+
+    ``least`` is the smallest size at which the suite builds its objects and
+    makes at least one check; below it the size is a usage error.
+    """
+    n = default if n is None else n
+    if n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
+    return n
 
 
 def _timed(fn):
@@ -119,21 +139,27 @@ def _log2_str(bound):
 @_timed
 def suite_strlaws(n, seed):
     """Straightening-law shape and membership over the semistandard order."""
-    return _straightening_suite("strlaws", "M", n or 5, seed)
+    return _straightening_suite("strlaws", "M", _size(n, 5, 3), seed)
 
 
 @_timed
 def suite_pbwstrlaws(n, seed):
     """Straightening-law shape and membership over the PBW order."""
-    return _straightening_suite("pbwstrlaws", "N", n or 5, seed)
+    return _straightening_suite("pbwstrlaws", "N", _size(n, 5, 3), seed)
 
 
 # -- lattice isomorphism -------------------------------------------------------
 
 @_timed
 def suite_tau(n, seed):
-    """Exhaustive bijectivity and order preservation of the relabelling map."""
-    n = n or 7
+    """Exhaustive bijectivity and order preservation of the relabelling map.
+
+    Both lattices order their elements by cell-ideal masks, on which the map
+    preserves the order by construction; the order check therefore compares
+    the two column rules themselves, the semistandard rule on kind-M columns
+    against the two-column PBW rule on their images.
+    """
+    n = _size(n, 7, 2)
     report = SuiteReport("tau", n, seed)
     mlat, nlat = semistandard_lattice(n), pbw_lattice(n)
     image = {a: ssyt_to_pbw(mlat, a) for a in mlat.elements}
@@ -142,7 +168,7 @@ def suite_tau(n, seed):
         report.record(pbw_to_ssyt(nlat, image[a]) == a, ("inverse", a))
     for a in mlat.elements:
         for b in mlat.elements:
-            if mlat.leq(a, b) != nlat.leq(image[a], image[b]):
+            if semistandard_leq(a, b) != pbw_two_column_leq(image[b], image[a]):
                 report.record(False, ("order", a, b))
     report.checks += len(mlat.elements) ** 2
     return report
@@ -231,7 +257,7 @@ def _ehrhart_combo(report, part, label, arrays, order_arrays, reference, t, chec
 
 
 def _ehrhart_like(name, n, seed, check_decomposition):
-    n = n or EHRHART_MAX_ELEMENTS
+    n = _size(n, EHRHART_MAX_ELEMENTS, 1)
     if n > EHRHART_MAX_ELEMENTS:
         raise CapacityError(
             f"suite {name} enumerates boxes of side t+1; poset size capped at {EHRHART_MAX_ELEMENTS}")
@@ -287,7 +313,7 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
 
 
 def _cone_suite(name, n, seed, target, redundant_target, relation_kind):
-    n = n or 6
+    n = _size(n, 6, 2)
     report = SuiteReport(name, n, seed)
     if target in ("HIBI", "SSYT"):
         lat = semistandard_lattice(n)
@@ -369,7 +395,7 @@ def suite_pbw_cone(n, seed):
 @_timed
 def suite_convex(n, seed):
     """Facet pullbacks: every facet either contains the toric subcone or meets a facet of it."""
-    n = n or 6
+    n = _size(n, 6, 2)
     report = SuiteReport("convex", n, seed)
     for target in ("SSYT", "PBW"):
         hrep = cones.cone_hrep(target, n=n)
@@ -377,7 +403,7 @@ def suite_convex(n, seed):
             iq = hrep.inequalities[fid]
             try:
                 res = cones.classify_facet_vs_subcone(target, fid, n)
-            except AssertionError as exc:
+            except InvariantError as exc:
                 report.record(False, ("pullback", target, iq.provenance, str(exc)))
                 continue
             if iq.provenance[0] == "diamond":
@@ -410,15 +436,14 @@ def suite_convex(n, seed):
 @_timed
 def suite_counts(n, seed):
     """Enumerated facet counts against the closed formulas for 3..n."""
-    n = n or 9
+    n = _size(n, 10, 3)
     report = SuiteReport("counts", n, seed)
     for m in range(3, n + 1):
         try:
             fc = cones.facet_count(m)
-        except AssertionError as exc:
+        except InvariantError as exc:
             report.record(False, ("facet count", m, str(exc)))
             continue
-        # facet_count asserts the closed forms too, but its asserts vanish under -O
         report.record(fc.pbw_total == fc.ssyt_total == fc.diamond + fc.special
                       and fc.diamond == cones._closed_form(m, m * m - m - 2)
                       and fc.ssyt_total == cones._closed_form(m, m * m + m - 4),
@@ -429,7 +454,7 @@ def suite_counts(n, seed):
 @_timed
 def suite_asl(n, seed):
     """Standard monomials span and are independent in every small multidegree."""
-    n = n or 4
+    n = _size(n, 4, 2)
     report = SuiteReport("asl", n, seed)
     lams = _multidegrees(n, 3)
     for kind in ("M", "N"):

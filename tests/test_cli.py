@@ -204,6 +204,16 @@ GOLDEN_STDOUT = {
         "edb26aba630eb42c750c0c98759fcf83f33b6923365652f89d34724dfec1d5cb",
     "facets --n 7":
         "466bc35feaa34ac3e5574543434d023eef9ec85044d2625a10c001ac36219747",
+    "pairs --kind M --n 6":
+        "8fb2f9e6496354ca9614b8f0410eb2b8deb8935f7fff39d932e46ae9933ef899",
+    "pairs --kind N --n 6":
+        "a94a1fcda814cc44e5ec1ab4ec6c9cb40614f042dfba8940c3c111bfc9604e0b",
+    "lattice --kind N --n 5":
+        "bc40124772b6009de719ed969159aaed42b7c1966575593bdc6bc4e36fc04f14",
+    "verify --suite tau --n 6":
+        "4329e080f3fc0e721a1b03aa7ce8fd8fbbb61dc1fde1548ce6ab2edc608a0695",
+    "verify --suite convex --n 5":
+        "d590d8bf55447b7e7318a8b0037deb07f08879d7e9af93e731477da06188798c",
 }
 
 
@@ -212,6 +222,23 @@ def test_golden_stdout(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+class TestVerifySizes:
+    """Only an omitted ``--n`` means the default; sizes without checks are usage errors."""
+
+    @pytest.mark.parametrize("suite", ["counts", "tau", "minkowski"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sizes_without_checks_are_usage_errors(self, capsys, suite, n):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: n must be at least")
+
+    @pytest.mark.parametrize("suite, default", [("counts", 10), ("tau", 7)])
+    def test_omitted_size_is_the_default(self, capsys, suite, default):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0 and json.loads(out)["n"] == default
+        assert run(capsys, "verify", "--suite", suite, "--n", str(default))[1] == out
 
 
 class TestParserReuse:

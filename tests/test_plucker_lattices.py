@@ -1,21 +1,26 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plueckerfan import plucker_lattices, verify
-from plueckerfan.order_core import CapacityError
+from plueckerfan.order_core import CapacityError, OrderIdeal, Poset, PosetError
 from plueckerfan.plucker_lattices import (
     ComparablePairError,
     PluckerLattice,
     all_columns,
     column_grade,
+    column_join,
+    column_meet,
     is_pbw_column,
     ji_cells,
     ji_column,
+    lazy_lattice,
     m_cell_ideal,
     pbw_arrange,
+    pbw_cell_ideal,
     pbw_lattice,
     pbw_to_ssyt,
     pbw_two_column_leq,
@@ -364,3 +369,78 @@ def test_counts_suite_builds_each_column_once(monkeypatch):
     assert report.ok
     assert set(calls) == {(c, m) for m in range(3, 10) for c in ji_cells(m)}
     assert max(calls.values()) == 1
+
+
+# -- the cell-ideal masks against the column formulas ---------------------------
+
+def reference_operations(kind, n):
+    """leq, meet, join, grade and cell ideal of one kind, from the column formulas alone."""
+    if kind == "M":
+        return (semistandard_leq, column_meet, column_join,
+                lambda a: column_grade(a, n), lambda a: m_cell_ideal(a, n))
+    columns = [pbw_arrange(c) for c in all_columns(n)]
+    by_ideal = {pbw_cell_ideal(a, n): a for a in columns}
+    ideal = {a: i for i, a in by_ideal.items()}
+    return (lambda a, b: pbw_two_column_leq(b, a),
+            lambda a, b: by_ideal[ideal[a] & ideal[b]],
+            lambda a, b: by_ideal[ideal[a] | ideal[b]],
+            lambda a: len(ideal[a]), ideal.__getitem__)
+
+
+@pytest.mark.parametrize("kind", ["M", "N"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_mask_operations_match_column_formulas(kind, n):
+    lat = PluckerLattice(kind, n)
+    leq, meet, join, grade, cell_ideal = reference_operations(kind, n)
+    for a in lat.elements:
+        assert lat.grade(a) == grade(a)
+        assert lat.cell_ideal(a) == cell_ideal(a)
+        ideal = lat.iota(a)
+        assert set(ideal.members()) == cell_ideal(a)
+        assert lat.from_ideal(ideal) == a
+        assert lat.element_of_cell_ideal(cell_ideal(a)) == a
+        for b in lat.elements:
+            assert lat.leq(a, b) == leq(a, b), (a, b)
+            assert lat.comparable(a, b) == (leq(a, b) or leq(b, a)), (a, b)
+            assert lat.meet(a, b) == meet(a, b), (a, b)
+            assert lat.join(a, b) == join(a, b), (a, b)
+
+
+@pytest.mark.parametrize("kind", ["M", "N"])
+def test_mask_conversions_reject_non_ideals(kind):
+    for lat in (PluckerLattice(kind, 5), lazy_lattice(kind, 5)):
+        with pytest.raises(ValueError):
+            lat.element_of_cell_ideal({(2, 4)})   # (1, 4) and (2, 3) are missing
+        with pytest.raises(ValueError):
+            lat.element_of_cell_ideal({(9, 9)})
+        with pytest.raises(ValueError):
+            lat.leq((6,), lat.minimum)
+        foreign = Poset.from_leq(ji_cells(5), plucker_lattices.cell_leq)
+        with pytest.raises(PosetError):
+            lat.from_ideal(OrderIdeal(foreign, 0))
+
+
+def test_minimum_and_maximum():
+    for n in (2, 3, 6):
+        assert semistandard_lattice(n).minimum == tuple(range(1, n))
+        assert semistandard_lattice(n).maximum == (n,)
+        assert pbw_lattice(n).minimum == (1,)
+        assert pbw_lattice(n).maximum == pbw_arrange(tuple(range(1, n - 1)) + (n,))
+
+
+@pytest.mark.parametrize("kind", ["M", "N"])
+@pytest.mark.parametrize("n", [11, 12])
+def test_largest_lattices_agree_with_lazy(kind, n):
+    full = PluckerLattice(kind, n)
+    lazy = lazy_lattice(kind, n)
+    assert len(full.elements) == len(set(full.elements)) == 2 ** n - 2
+    rng = random.Random(n)
+    for _ in range(200):
+        a, b = rng.sample(full.elements, 2)
+        assert full.grade(a) == lazy.grade(a)
+        assert full.cell_ideal(a) == lazy.cell_ideal(a)
+        assert full.leq(a, b) == lazy.leq(a, b)
+        assert full.meet(a, b) == lazy.meet(a, b)
+        assert full.join(a, b) == lazy.join(a, b)
+        if not full.comparable(a, b):
+            assert full.classify_pair(a, b) == lazy.classify_pair(a, b)

@@ -323,10 +323,65 @@ COUNTS_WITH_A_PAIR_DROPPED = (
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_counts_suite_finds_wrong_counts(flags):
-    # facet_count checks the closed forms with asserts, which vanish under -O
+    # facet_count's closed-form checks raise InvariantError, which stays live under -O
     src = Path(verify.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, *flags, "-c", COUNTS_WITH_A_PAIR_DROPPED],
                           capture_output=True, text=True, timeout=120,
                           env={"PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["4", "4"]
+
+
+# a special pair's lower factor replaced by the meet: the cell-ideal cross-check
+# of the tuple formulas must fail, and its InvariantError must reach the report
+COUNTS_WITH_A_WRONG_SPECIAL_FACTOR = (
+    "from plueckerfan import verify\n"
+    "from plueckerfan.plucker_lattices import PluckerLattice\n"
+    "real = PluckerLattice._check_special_ideals\n"
+    "PluckerLattice._check_special_ideals = (\n"
+    "    lambda self, a, b, meet, join, p1, q1: real(self, a, b, meet, join, meet, q1))\n"
+    "report = verify.run_suite('counts', n=6)\n"
+    "print(report.checks, len(report.failures))\n")
+
+# the (s, s+1) submodularity binomial also answers for (s, s+2), so some facet
+# pullbacks match two binomials
+CONVEX_WITH_A_DOUBLED_BINOMIAL = (
+    "from plueckerfan import cones, verify\n"
+    "real = cones.k_facet_form\n"
+    "cones.k_facet_form = lambda n, s, t: real(n, s, s + 1 if t == s + 2 else t)\n"
+    "report = verify.run_suite('convex', n=5)\n"
+    "print(report.checks, len(report.failures))\n")
+
+
+def _run_script(flags, script):
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_counts_suite_finds_a_wrong_special_factor(flags):
+    assert _run_script(flags, COUNTS_WITH_A_WRONG_SPECIAL_FACTOR) == ["4", "4"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_convex_suite_finds_ambiguous_pullbacks(flags):
+    assert _run_script(flags, CONVEX_WITH_A_DOUBLED_BINOMIAL) == ["62", "11"]
+
+
+# -- the tau suite checks the column rules, not the shared masks ------------------
+
+def test_tau_suite_finds_a_broken_pbw_rule(monkeypatch):
+    def anywhere(alpha, beta):
+        # the witness for beta_r may sit in any slot of alpha, not only from r on
+        return len(alpha) >= len(beta) and all(
+            b <= len(beta) or any(a >= b for a in alpha) for b in beta)
+
+    assert verify.run_suite("tau", n=5).ok
+    monkeypatch.setattr(verify, "pbw_two_column_leq", anywhere)
+    report = verify.run_suite("tau", n=5)
+    assert len(report.failures) == 55
+    assert all(f[0] == "order" for f in report.failures)
