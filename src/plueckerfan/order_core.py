@@ -279,6 +279,11 @@ class OrderIdeal:
     poset: Poset
     bits: int
 
+    def __post_init__(self):
+        if self.bits >> len(self.poset):
+            raise PosetError(f"bits {self.bits:#x} are not a subset of the poset's "
+                             f"{len(self.poset)} elements")
+
     @classmethod
     def from_members(cls, poset, members):
         mask = poset.mask_of(members)

@@ -14,6 +14,13 @@ membership, the standard-basis rank check and the standard-expansion solve)
 read products of top-justified minors from one minor table per random matrix.
 A table computes a minor on first use and keeps it; the tables of a seed's
 matrices are kept behind a small bounded cache and shared between calls.
+
+The rank check and the solve share one forward elimination over the oracle
+prime, with early exit at full rank; the solve back-substitutes over its
+pivots.  The rank check works one torus-weight block at a time (the ideal is
+homogeneous for ``wt_vector``), and ``weyl_dimension`` gives the size of each
+multidegree component as a third, independent count.  Modular inverses are
+taken in one step, ``pow(x, -1, p)``.
 """
 
 from __future__ import annotations
@@ -26,13 +33,13 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .chain_order import k_set, odot_elements
-from .order_core import CapacityError
+from .order_core import CapacityError, check
 from .plucker_lattices import ComparablePairError, pbw_arrange
 
 ORACLE_PRIME = (1 << 62) - 57  # 62-bit prime
 SYMBOLIC_DEGREE_LIMIT = 3
 SYMBOLIC_N_LIMIT = 6
-RANK_N_LIMIT = 5
+RANK_N_LIMIT = 6
 
 
 class ShapeError(ValueError):
@@ -468,7 +475,7 @@ def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
             sub[i], sub[pivot] = sub[pivot], sub[i]
             det = -det
         det = det * sub[i][i] % p
-        inv = pow(sub[i][i], p - 2, p)
+        inv = pow(sub[i][i], -1, p)
         for r in range(i + 1, k):
             factor = sub[r][i] * inv % p
             if factor:
@@ -534,7 +541,7 @@ def _terms_mod_p(poly, p=ORACLE_PRIME):
         c = Fraction(coeff)
         if c.denominator % p == 0:
             raise ZeroDivisionError("coefficient denominator divisible by the field characteristic")
-        terms.append((mono, c.numerator * pow(c.denominator, p - 2, p) % p))
+        terms.append((mono, c.numerator * pow(c.denominator, -1, p) % p))
     return terms
 
 
@@ -603,7 +610,8 @@ def ideal_membership(poly, n, mode="probabilistic", trials=20, seed=0):
     total_degree = sum(deg_vector(next(iter(poly)), n)[k] * (k + 1) for k in range(n - 1))
     if mode == "symbolic":
         if sum(deg_vector(next(iter(poly)), n)) > SYMBOLIC_DEGREE_LIMIT or n > SYMBOLIC_N_LIMIT:
-            raise CapacityError("symbolic oracle limited to cubics with n <= 6")
+            raise CapacityError("symbolic oracle limited to total degree <= "
+                                f"{SYMBOLIC_DEGREE_LIMIT} with n <= {SYMBOLIC_N_LIMIT}")
         return MembershipVerdict(not symbolic_pi_expand(poly, n), "symbolic")
     terms = _terms_mod_p(poly)
     member = all(_evaluate(terms, table) == 0 for table in _seed_minor_tables(n, seed, trials))
@@ -614,7 +622,8 @@ def ideal_membership(poly, n, mode="probabilistic", trials=20, seed=0):
 def apply_index_permutation(poly, perm):
     """Relabel all column indices through a permutation of 1..n and re-canonicalize."""
     image = sorted(perm.values()) if isinstance(perm, dict) else sorted(perm)
-    assert image == list(range(1, len(image) + 1)), "not a permutation of 1..n"
+    if image != list(range(1, len(image) + 1)):
+        raise ValueError(f"not a permutation of 1..n: {perm!r}")
     lookup = perm if isinstance(perm, dict) else {i + 1: v for i, v in enumerate(perm)}
     out = {}
     for mono, coeff in poly.items():
@@ -630,31 +639,36 @@ def apply_index_permutation(poly, perm):
 
 # -- rank / solve over the oracle prime ------------------------------------
 
-def _row_reduce(rows, p=ORACLE_PRIME):
-    """In-place row echelon; returns pivot column list."""
-    pivots = []
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+def _eliminate(rows, p=ORACLE_PRIME):
+    """Forward elimination of a stream of rows over GF(p); returns (pivots, basis).
+
+    Entries are field elements in [0, p).  Each row is reduced against the
+    pivot rows kept so far, in the order they were found, and kept, scaled to
+    a leading 1, when a nonzero entry is left; pivot row i is zero before its
+    pivot column ``pivots[i]`` and at every earlier pivot column.  The rows
+    are read lazily and reading stops at full rank (one pivot per column).
+    """
+    pivots, basis = [], []
+    for row in rows:
+        row = list(row)
+        for col, prow in zip(pivots, basis):
+            f = row[col]
+            if f:
+                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], prow[col:])]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
+        inv = pow(row[lead], -1, p)
+        basis.append([x * inv % p for x in row])
+        pivots.append(lead)
+        if len(pivots) == len(row):
             break
-    return pivots
+    return pivots, basis
 
 
 def rank_mod_p(rows, p=ORACLE_PRIME):
-    return len(_row_reduce([list(r) for r in rows], p))
+    """Rank over GF(p) of an iterable of rows with entries in [0, p)."""
+    return len(_eliminate(rows, p)[0])
 
 
 def monomials_of_degree(lat, lam):
@@ -678,26 +692,53 @@ def is_standard_monomial(lat, mono):
     return all(lat.comparable(x, y) for x, y in combinations(elems, 2))
 
 
+def weyl_dimension(lam):
+    """dim V_mu of GL_n, n = len(lam) + 1, for the shape mu with lam[k-1] columns of length k.
+
+    The Weyl dimension formula prod_{i<j} (mu_i - mu_j + j - i) / (j - i),
+    where mu_i = lam[i-1] + ... + lam[n-2] is the length of row i.
+    """
+    n = len(lam) + 1
+    mu = [sum(lam[i:]) for i in range(n)]
+    num = den = 1
+    for i, j in combinations(range(n), 2):
+        num *= mu[i] - mu[j] + j - i
+        den *= j - i
+    return num // den
+
+
 def standard_basis_check(lat, lam, seeds=(0, 1, 2)):
-    """Compare the standard-monomial count against the evaluation rank of all monomials."""
+    """The number of standard monomials of degree lam, checked against evaluation ranks.
+
+    The Pluecker ideal is homogeneous for the torus weight (``wt_vector``), so
+    the degree-lam monomials split into weight blocks whose ranks add up.  At
+    every seed each block is ranked on its first ``len(block) + 10`` seeded
+    minor tables.  Returns the count of standard monomials when every block's
+    count equals that block's rank at every seed, and 0 otherwise.
+    """
     if sum(lam) > SYMBOLIC_DEGREE_LIMIT or lat.n > RANK_N_LIMIT:
-        raise CapacityError("rank oracle limited to total degree <= 3, n <= 5")
-    monos = monomials_of_degree(lat, lam)
-    if not monos:
-        return True
-    n_standard = sum(1 for m in monos if is_standard_monomial(lat, m))
-    ranks = set()
-    for seed in seeds:
-        tables = _seed_minor_tables(lat.n, seed, len(monos) + 10)
-        ranks.add(rank_mod_p([[_monomial_value(m, t) for m in monos] for t in tables]))
-    return len(ranks) == 1 and ranks.pop() == n_standard
+        raise CapacityError("rank oracle limited to total degree <= "
+                            f"{SYMBOLIC_DEGREE_LIMIT} with n <= {RANK_N_LIMIT}")
+    blocks = {}
+    for m in monomials_of_degree(lat, lam):
+        blocks.setdefault(wt_vector(m, lat.n), []).append(m)
+    total = 0
+    for block in blocks.values():
+        n_standard = sum(1 for m in block if is_standard_monomial(lat, m))
+        for seed in seeds:
+            tables = _seed_minor_tables(lat.n, seed, len(block) + 10)
+            if rank_mod_p([_monomial_value(m, t) for m in block] for t in tables) != n_standard:
+                return 0
+        total += n_standard
+    return total
 
 
 def standard_expansion_mod_p(lat, a, b, seed=0):
     """Solve for X_a X_b as a combination of same-bidegree standard monomials over GF(p).
 
     Returns the unique coefficient map (canonical monomial -> field element);
-    raises if the evaluation system is inconsistent or underdetermined.
+    raises ``InvariantError`` if the evaluation system is inconsistent or
+    underdetermined.
     """
     p = ORACLE_PRIME
     sa, ca = _column_sign(lat, a)
@@ -705,19 +746,21 @@ def standard_expansion_mod_p(lat, a, b, seed=0):
     target = monomial((ca, cb))
     candidates = _bidegree_monomials(lat.n, target)
     standard = [m for m in candidates if m != target and is_standard_monomial(lat, m)]
-    aug = [[_monomial_value(m, t) for m in standard + [target]]
-           for t in _seed_minor_tables(lat.n, seed, len(standard) + 8)]
-    pivots = _row_reduce(aug, p)
-    assert len(aug[0]) - 1 not in pivots, "evaluation system is inconsistent"
-    assert len(pivots) == len(standard), "standard monomials must be independent"
+    pivots, basis = _eliminate(
+        [_monomial_value(m, t) for m in standard + [target]]
+        for t in _seed_minor_tables(lat.n, seed, len(standard) + 8))
+    check(len(standard) not in pivots, "evaluation system is inconsistent")
+    check(len(pivots) == len(standard), "standard monomials must be independent")
+    # every standard column is a pivot; pivot row i is zero at the pivots before it
     solution = {}
-    for i, col in enumerate(pivots):
-        if aug[i][-1]:
-            solution[standard[col]] = aug[i][-1]
+    for i in reversed(range(len(pivots))):
+        row = basis[i]
+        solution[pivots[i]] = (row[-1] - sum(row[c] * solution[c] for c in pivots[i + 1:])) % p
     # orient like a straightening relation normalized in lattice labels
     out = {target: (sa * sb) % p}
-    for mono, c in solution.items():
-        out[mono] = -c * sa * sb % p
+    for col, c in sorted(solution.items()):
+        if c:
+            out[standard[col]] = -c * sa * sb % p
     return out
 
 

@@ -453,14 +453,19 @@ def suite_counts(n, seed):
 
 @_timed
 def suite_asl(n, seed):
-    """Standard monomials span and are independent in every small multidegree."""
-    n = _size(n, 4, 2)
+    """Standard monomials span and are independent in every small multidegree.
+
+    Per (kind, lam): the standard count equals the evaluation rank of every
+    weight block at every seed, and the Weyl dimension of the degree-lam component.
+    """
+    n = _size(n, 5, 2)
     report = SuiteReport("asl", n, seed)
     lams = _multidegrees(n, 3)
     for kind in ("M", "N"):
         lat = semistandard_lattice(n) if kind == "M" else pbw_lattice(n)
         for lam in lams:
-            report.record(straightening.standard_basis_check(lat, lam),
+            report.record(straightening.standard_basis_check(lat, lam)
+                          == straightening.weyl_dimension(lam),
                           ("standard basis", kind, lam))
     return report
 

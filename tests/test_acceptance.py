@@ -18,6 +18,7 @@ from plueckerfan.straightening import (
     straighten_pair,
     theta_exponent,
     theta_to_psi,
+    weyl_dimension,
 )
 
 EXAMPLE_GR24 = {
@@ -170,15 +171,16 @@ def test_criterion_09_convex_geometry():
 
 def test_criterion_10_standard_basis():
     failures = []
-    for n in (3, 4):
+    for n in (3, 4, 5):
         lams = verify._multidegrees(n, 3)
         for lat in (semistandard_lattice(n), pbw_lattice(n)):
             for lam in lams:
-                if not standard_basis_check(lat, lam):
+                if standard_basis_check(lat, lam) != weyl_dimension(lam):
                     failures.append((lat.kind, n, lam))
     _report(10, not failures,
-            "standard monomials match evaluation ranks for every multidegree "
-            f"of total degree <= 3 at n=3,4{'; bad: ' + repr(failures[:3]) if failures else ''}")
+            "standard monomials match evaluation ranks per weight block and the Weyl "
+            "dimension for every multidegree of total degree <= 3 at n=3..5"
+            f"{'; bad: ' + repr(failures[:3]) if failures else ''}")
 
 
 def test_criterion_11_generalized_hibi_kernel():

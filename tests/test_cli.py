@@ -188,6 +188,8 @@ GOLDEN_STDOUT = {
         "bc05b8ce7c56be5275f43b478795782f01ff3d139bb36b688aaa967abaf6ca7b",
     "verify --suite asl --n 3":
         "91a8199c35155a41730f0314ecf61f73f51a7b414eacd25ef1fe59153a07d991",
+    "verify --suite asl --n 4":
+        "58b1edd5c03f94160d7a3d953af9fdbad6d0f21139ce1cde62186b8c85d72b1c",
     "verify --suite ehrhart --n 4":
         "8be651710217bc08c4fad92dff5f7c8be78d78ebac9789a42330a8235849886c",
     "verify --suite minkowski --n 4":
@@ -234,7 +236,7 @@ class TestVerifySizes:
         assert code == 2 and out == ""
         assert err.startswith("error: n must be at least")
 
-    @pytest.mark.parametrize("suite, default", [("counts", 10), ("tau", 7)])
+    @pytest.mark.parametrize("suite, default", [("counts", 10), ("tau", 7), ("asl", 5)])
     def test_omitted_size_is_the_default(self, capsys, suite, default):
         code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0 and json.loads(out)["n"] == default

@@ -108,6 +108,13 @@ class TestOrderIdeals:
         with pytest.raises(PosetError):
             OrderIdeal.from_members(p, ["c1"])
 
+    def test_bits_past_the_poset_rejected(self):
+        p = chain(2)
+        assert len(OrderIdeal(p, 0b11)) == 2
+        for bits in (0b100, 1 << 40, -1):
+            with pytest.raises(PosetError):
+                OrderIdeal(p, bits)
+
 
 class TestLatticeOfIdeals:
     def test_empty_poset(self):

@@ -420,6 +420,16 @@ def test_mask_conversions_reject_non_ideals(kind):
             lat.from_ideal(OrderIdeal(foreign, 0))
 
 
+@pytest.mark.parametrize("kind", ["M", "N"])
+def test_ideal_bits_past_the_poset_rejected(kind):
+    for lat in (PluckerLattice(kind, 5), lazy_lattice(kind, 5)):
+        for bits in (1 << 40, 1 << len(lat.ji_poset), -1):
+            with pytest.raises(PosetError, match="not a subset"):
+                lat.from_ideal(OrderIdeal(lat.ji_poset, bits))
+        top = (1 << len(lat.ji_poset)) - 1
+        assert lat.from_ideal(OrderIdeal(lat.ji_poset, top)) == lat.maximum
+
+
 def test_minimum_and_maximum():
     for n in (2, 3, 6):
         assert semistandard_lattice(n).minimum == tuple(range(1, n))

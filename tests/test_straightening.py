@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from plueckerfan.plucker_lattices import (
     pbw_lattice,
     semistandard_lattice,
 )
+from plueckerfan import straightening, verify
 from plueckerfan.order_core import CapacityError
 from plueckerfan.straightening import (
     ORACLE_PRIME,
@@ -36,6 +39,7 @@ from plueckerfan.straightening import (
     plucker_eval,
     psi_exponent,
     random_matrix,
+    rank_mod_p,
     shuffle_relation,
     standard_basis_check,
     standard_expansion_mod_p,
@@ -44,7 +48,9 @@ from plueckerfan.straightening import (
     symbolic_pi_expand,
     theta_exponent,
     theta_to_psi,
+    weyl_dimension,
     wt_vector,
+    _monomial_value,
     _seed_draws,
     _seed_minor_tables,
     _shuffle_sums,
@@ -322,6 +328,11 @@ class TestIndexPermutation:
     def test_identity(self):
         assert apply_index_permutation(EXAMPLE_GR24, (1, 2, 3, 4)) == EXAMPLE_GR24
 
+    @pytest.mark.parametrize("perm", [(1, 1, 3, 4), (2, 3, 4, 5), {1: 2, 2: 2}])
+    def test_non_permutation_rejected(self, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            apply_index_permutation(EXAMPLE_GR24, perm)
+
     def test_transposition_preserves_membership(self):
         swapped = apply_index_permutation(EXAMPLE_GR24, (2, 1, 3, 4))
         assert ideal_membership(swapped, 4).member
@@ -436,10 +447,190 @@ class TestStandardBasis:
         with pytest.raises(CapacityError):
             standard_basis_check(lat, (4, 0, 0))
 
+    def test_rank_limit_is_six(self):
+        assert standard_basis_check(pbw_lattice(6), (0, 0, 0, 0, 1)) == 6
+        with pytest.raises(CapacityError, match="n <= 6"):
+            standard_basis_check(semistandard_lattice(7), (1, 0, 0, 0, 0, 0))
+
     def test_monomial_enumeration_counts(self):
         lat = semistandard_lattice(4)
         assert len(monomials_of_degree(lat, (2, 0, 0))) == 10
         assert len(monomials_of_degree(lat, (1, 1, 0))) == 24
+
+    def test_returns_the_standard_count(self):
+        # 8 = dim of the adjoint representation of GL_3
+        assert standard_basis_check(semistandard_lattice(3), (1, 1)) == 8
+        assert standard_basis_check(pbw_lattice(3), (1, 1)) == 8
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_weyl_dimension_matches_hook_content(self, n):
+        for lam in verify._multidegrees(n, 3):
+            assert weyl_dimension(lam) == hook_content_dimension(lam, n), lam
+
+    def test_weyl_dimension_examples(self):
+        assert weyl_dimension((1,)) == 2
+        assert weyl_dimension((2, 0)) == 6          # Sym^2 of C^3
+        assert weyl_dimension((0, 1, 0)) == 6       # Lambda^2 of C^4
+        assert weyl_dimension((0, 0, 0)) == 1
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_full_matrix_reference(self, kind, n):
+        lat = semistandard_lattice(n) if kind == "M" else pbw_lattice(n)
+        for lam in verify._multidegrees(n, 3):
+            assert bool(standard_basis_check(lat, lam)) == reference_standard_basis_check(lat, lam)
+
+    def test_broken_rule_fails_like_the_reference(self, monkeypatch):
+        monkeypatch.setattr(straightening, "is_standard_monomial",
+                            standard_rule_with_one_bad_pair())
+        verdicts = {}
+        for lat in (semistandard_lattice(3), pbw_lattice(3)):
+            for lam in verify._multidegrees(3, 3):
+                new = bool(standard_basis_check(lat, lam))
+                assert new == reference_standard_basis_check(lat, lam), (lat.kind, lam)
+                verdicts[lat.kind, lam] = new
+        assert not all(verdicts.values()) and any(verdicts.values())
+
+
+class TestRankModP:
+    """The forward elimination against the Gauss-Jordan reduction it replaced."""
+
+    @staticmethod
+    def random_rows(rng, rows, cols, rank, p):
+        """rows x cols matrix of rank at most ``rank``: a product of random factors."""
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+        return [[sum(row[i] * right[i][j] for i in range(rank)) % p for j in range(cols)]
+                for row in left]
+
+    @pytest.mark.parametrize("p", [ORACLE_PRIME, 7, 2])
+    def test_matches_the_reference(self, p):
+        rng = random.Random(p)
+        for _ in range(200):
+            rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
+            matrix = self.random_rows(rng, rows, cols, rng.randrange(0, 12), p)
+            if rng.random() < 0.3:
+                matrix.append(list(matrix[0]))     # a repeated row
+            if rng.random() < 0.3:
+                matrix.insert(0, [0] * cols)       # a zero row first
+            expected = reference_rank(matrix, p)
+            assert rank_mod_p(matrix, p) == expected
+            assert rank_mod_p(iter(matrix), p) == expected
+
+    def test_rank_deficient_examples(self):
+        rng = random.Random(3)
+        for rank in range(6):
+            matrix = self.random_rows(rng, 9, 7, rank, ORACLE_PRIME)
+            assert rank_mod_p(matrix) == reference_rank(matrix) == rank
+        assert rank_mod_p([]) == 0
+        assert rank_mod_p([[0, 0], [0, 0]]) == 0
+
+    def test_stops_reading_rows_at_full_rank(self):
+        read = []
+
+        def rows():
+            for i in range(10):
+                read.append(i)
+                yield [1 if j == i else 0 for j in range(3)]
+
+        assert rank_mod_p(rows()) == 3
+        assert read == [0, 1, 2]
+
+    def test_leaves_its_input_unchanged(self):
+        matrix = [[2, 4], [1, 3], [5, 5]]
+        rank_mod_p(matrix, 7)
+        assert matrix == [[2, 4], [1, 3], [5, 5]]
+
+
+# -- the full-matrix rank check, kept as the reference of the weight-block one --
+
+def _reference_row_reduce(rows, p=ORACLE_PRIME):
+    """In-place Gauss-Jordan reduction; returns the pivot column list."""
+    pivots = []
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return pivots
+
+
+def reference_rank(rows, p=ORACLE_PRIME):
+    return len(_reference_row_reduce([list(r) for r in rows], p))
+
+
+def reference_standard_basis_check(lat, lam, seeds=(0, 1, 2)):
+    """One rank over all degree-lam monomials at once, on len(monos) + 10 tables per seed."""
+    monos = monomials_of_degree(lat, lam)
+    n_standard = sum(1 for m in monos if straightening.is_standard_monomial(lat, m))
+    ranks = set()
+    for seed in seeds:
+        tables = _seed_minor_tables(lat.n, seed, len(monos) + 10)
+        ranks.add(reference_rank([[_monomial_value(m, t) for m in monos] for t in tables]))
+    return ranks == {n_standard}
+
+
+def hook_content_dimension(lam, n):
+    """dim V_mu by the hook-content formula, prod over cells (n + content) / hook."""
+    mu = [sum(lam[i:]) for i in range(n - 1)]
+    cols = [sum(1 for r in mu if r > j) for j in range(mu[0])] if mu and mu[0] else []
+    num = den = 1
+    for i, row in enumerate(mu):
+        for j in range(row):
+            num *= n + j - i
+            den *= (row - j - 1) + (cols[j] - i - 1) + 1
+    return num // den
+
+
+def standard_rule_with_one_bad_pair():
+    """``is_standard_monomial``, but each lattice's first incomparable pair counts as comparable."""
+    bad = {}
+
+    def broken(lat, mono):
+        key = (lat.kind, lat.n)
+        if key not in bad:
+            bad[key] = set(lat.incomparable_pairs()[0])
+        elems = [lat.element_of_key(c) for c in mono]
+        return all(lat.comparable(x, y) or {x, y} == bad[key]
+                   for x, y in itertools.combinations(elems, 2))
+
+    return broken
+
+
+# a standard monomial of X14 X23 = X13 X24 - X12 X34 dropped from the candidates:
+# the evaluation system has no solution, under python -O too
+EXPANSION_WITHOUT_ONE_MONOMIAL = (
+    "from plueckerfan import straightening\n"
+    "from plueckerfan.order_core import InvariantError\n"
+    "from plueckerfan.plucker_lattices import semistandard_lattice\n"
+    "real = straightening.is_standard_monomial\n"
+    "straightening.is_standard_monomial = lambda lat, m: m != ((1, 3), (2, 4)) and real(lat, m)\n"
+    "try:\n"
+    "    straightening.standard_expansion_mod_p(semistandard_lattice(4), (1, 4), (2, 3))\n"
+    "except InvariantError as exc:\n"
+    "    print('InvariantError:', exc)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_expansion_without_a_standard_monomial_raises(flags):
+    src = Path(straightening.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *flags, "-c", EXPANSION_WITHOUT_ONE_MONOMIAL],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "InvariantError: evaluation system is inconsistent\n"
 
 
 class TestShuffleCore:

@@ -385,3 +385,53 @@ def test_tau_suite_finds_a_broken_pbw_rule(monkeypatch):
     report = verify.run_suite("tau", n=5)
     assert len(report.failures) == 55
     assert all(f[0] == "order" for f in report.failures)
+
+
+# -- the asl suite: weight-block ranks and the Weyl dimension, also under -O --------
+
+# one incomparable pair of each lattice taken as comparable: the standard count
+# of every block holding a monomial with that pair exceeds the block's rank
+ASL_WITH_A_BROKEN_STANDARD_RULE = (
+    "from itertools import combinations\n"
+    "from plueckerfan import straightening, verify\n"
+    "def broken(lat, mono):\n"
+    "    bad = set(lat.incomparable_pairs()[0])\n"
+    "    elems = [lat.element_of_key(c) for c in mono]\n"
+    "    return all(lat.comparable(x, y) or {x, y} == bad for x, y in combinations(elems, 2))\n"
+    "straightening.is_standard_monomial = broken\n"
+    "report = verify.run_suite('asl', n=3)\n"
+    "print(report.checks, len(report.failures))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_asl_suite_finds_a_broken_standard_rule(flags):
+    assert _run_script(flags, ASL_WITH_A_BROKEN_STANDARD_RULE) == ["18", "6"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_asl_beyond_the_rank_limit_is_a_capacity_error(flags):
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *flags, "-m", "plueckerfan", "verify", "--suite", "asl",
+                           "--n", "7"],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("capacity: rank oracle limited to total degree <= "
+                           f"{straightening.SYMBOLIC_DEGREE_LIMIT} with n <= "
+                           f"{straightening.RANK_N_LIMIT}\n")
+
+
+def test_asl_suite_counts_against_the_weyl_dimension(monkeypatch):
+    # dropping a whole weight block leaves every block rank equal to its count;
+    # only the Weyl dimension sees the missing monomials
+    real = straightening.monomials_of_degree
+
+    def without_first_block(lat, lam):
+        monos = real(lat, lam)
+        first = straightening.wt_vector(monos[0], lat.n)
+        return [m for m in monos if straightening.wt_vector(m, lat.n) != first]
+
+    assert verify.run_suite("asl", n=3).ok
+    monkeypatch.setattr(straightening, "monomials_of_degree", without_first_block)
+    report = verify.run_suite("asl", n=3)
+    assert (report.checks, len(report.failures)) == (18, 18)
