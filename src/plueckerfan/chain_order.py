@@ -24,6 +24,7 @@ from .order_core import (
     OrderIdeal,
     PosetError,
     _bits,
+    check,
     enumerate_order_ideals,
 )
 
@@ -259,21 +260,29 @@ def odot_ideals(part, ideal1, ideal2):
     for ideal in (ideal1, ideal2):
         if not poset.is_down_closed(ideal.bits):
             raise PosetError("input is not an order ideal")
-    k1 = _k_mask(part, ideal1.bits)
-    k2 = _k_mask(part, ideal2.bits)
-    ku = _k_mask(part, ideal1.bits | ideal2.bits)
-    assert ku & ~(k1 | k2) == 0 and (k1 & k2) & ~ku == 0, \
-        "K-set sandwich violated; indicator difference is not 0/1"
+    return OrderIdeal(poset, _odot_mask(part, ideal1.bits, ideal2.bits))
+
+
+def _odot_mask(part, bits1, bits2):
+    """``odot_ideals`` on two masks that are order ideals of ``part.poset``."""
+    k1 = _k_mask(part, bits1)
+    k2 = _k_mask(part, bits2)
+    ku = _k_mask(part, bits1 | bits2)
+    check(ku & ~(k1 | k2) == 0 and (k1 & k2) & ~ku == 0,
+          "K-set sandwich violated; indicator difference is not 0/1")
     d_mask = (k1 & k2) | ((k1 | k2) & ~ku)
-    result = OrderIdeal(poset, poset.down_closure(d_mask))
-    assert _k_mask(part, result.bits) == d_mask, "K of the minimal ideal must recover D"
+    result = part.poset.down_closure(d_mask)
+    check(_k_mask(part, result) == d_mask, "K of the minimal ideal must recover D")
     return result
 
 
 def odot_elements(lattice, part, a, b):
-    """The ideal product transported to lattice elements through the Birkhoff map."""
-    j = odot_ideals(part, lattice.iota(a), lattice.iota(b))
-    return lattice.from_ideal(j)
+    """The ideal product transported to lattice elements through the Birkhoff map.
+
+    Birkhoff images are order ideals by construction, so no closure test runs.
+    """
+    bits = _odot_mask(part, lattice.iota(a).bits, lattice.iota(b).bits)
+    return lattice.from_ideal(OrderIdeal(part.poset, bits))
 
 
 def dilation_points(part, t):

@@ -105,9 +105,8 @@ def cmd_straighten(args):
 
 
 def _cone(args):
-    if args.target in ("HIBI", "HIBI_REDUNDANT", "GENHIBI", "GENHIBI_REDUNDANT"):
-        return cones.cone_hrep(args.target, lattice=PluckerLattice(args.kind, args.n))
-    return cones.cone_hrep(args.target, n=args.n)
+    # the Hibi targets read the --kind lattice, the others build theirs from n
+    return cones.cone_hrep(args.target, n=args.n, lattice=PluckerLattice(args.kind, args.n))
 
 
 def cmd_cone(args):

@@ -8,6 +8,9 @@ dicts keyed by canonical column tuples (or lattice element ids for generic
 lattices).  ``contains_many`` and ``lead_is_initial_many`` are the batched
 twins of ``contains`` and ``initial_form`` over many weight vectors at once;
 the scalar forms are the reference they are tested against.
+
+The semistandard (PBW) cone is the Hibi cone of M(n) (the generalized Hibi
+cone of N(n)) plus one row per special pair, from one diamond-row builder.
 """
 
 from __future__ import annotations
@@ -18,13 +21,7 @@ from functools import lru_cache
 
 from .chain_order import odot_elements
 from .order_core import check
-from .plucker_lattices import (
-    PluckerLattice,
-    pbw_arrange,
-    pbw_lattice,
-    pbw_to_ssyt,
-    semistandard_lattice,
-)
+from .plucker_lattices import PluckerLattice, pbw_lattice, pbw_to_ssyt, semistandard_lattice
 from .straightening import straighten_pair, straightening_terms
 
 STRICT = "<"
@@ -199,23 +196,12 @@ def cone_hrep(target, *, n=None, lattice=None, partition=None):
     if target in ("HIBI", "HIBI_REDUNDANT", "GENHIBI", "GENHIBI_REDUNDANT"):
         if lattice is None:
             raise ValueError(f"target {target} needs a lattice")
-        key = lattice.weight_key
         part = None
         if target.startswith("GENHIBI"):
             part = partition if partition is not None else getattr(lattice, "partition", None)
             if part is None:
                 raise ValueError("GENHIBI needs a partition over the join-irreducibles")
-            lower = lambda a, b: odot_elements(lattice, part, a, b)
-        else:
-            lower = lattice.meet
-        pairs = (lattice.diamond_pairs() if target in ("HIBI", "GENHIBI")
-                 else _incomparable_pairs(lattice))
-        ineqs = tuple(
-            LinearInequality(
-                _pair_form(a, b, lower(a, b), lattice.join(a, b), key),
-                STRICT, ("diamond" if target in ("HIBI", "GENHIBI") else "incomparable", a, b))
-            for a, b in pairs)
-        return ConeHRep(target, f"{target}({_lattice_label(lattice)})", ineqs, lattice, part)
+        return _hibi_hrep(target, lattice, part)
     if n is None:
         raise ValueError(f"target {target} needs n")
     if target in ("SSYT", "PBW"):
@@ -225,44 +211,46 @@ def cone_hrep(target, *, n=None, lattice=None, partition=None):
     return _expansion_hrep(target, n, equalities=True)
 
 
-def _lattice_label(lattice):
-    if isinstance(lattice, PluckerLattice):
-        return f"{lattice.kind}({lattice.n})"
-    return f"lattice[{len(lattice.elements)}]"
+def _hibi_hrep(target, lattice, part):
+    """Rows X_a X_b > X_join X_lower, lower the meet or the ideal product over ``part``.
 
-
-def _incomparable_pairs(lattice):
-    if hasattr(lattice, "incomparable_pairs"):
-        return lattice.incomparable_pairs()
-    els = lattice.elements
-    return [(a, b) for i, a in enumerate(els) for b in els[i + 1:]
-            if not (lattice.leq(a, b) or lattice.leq(b, a))]
+    One row per diamond pair, or per incomparable pair for a redundant target.
+    """
+    lower = lattice.meet if part is None else lambda a, b: odot_elements(lattice, part, a, b)
+    if target.endswith("_REDUNDANT"):
+        tag, pairs = "incomparable", lattice.incomparable_pairs()
+    else:
+        tag, pairs = "diamond", lattice.diamond_pairs()
+    key = lattice.weight_key
+    ineqs = tuple(
+        LinearInequality(_pair_form(a, b, lower(a, b), lattice.join(a, b), key), STRICT,
+                         (tag, a, b))
+        for a, b in pairs)
+    label = (f"{lattice.kind}({lattice.n})" if isinstance(lattice, PluckerLattice)
+             else f"lattice[{len(lattice.elements)}]")
+    return ConeHRep(target, f"{target}({label})", ineqs, lattice, part)
 
 
 @lru_cache(maxsize=None)
 def _minimal_plucker_hrep(target, n):
+    """The Hibi rows of M(n) (SSYT) or generalized Hibi rows of N(n) (PBW), plus special rows."""
     lat = semistandard_lattice(n) if target == "SSYT" else pbw_lattice(n)
-    key = lat.weight_key
+    hibi = _hibi_hrep(target, lat, None if target == "SSYT" else lat.partition)
     ineqs = []
-    for a, b in lat.diamond_pairs():
+    for row in hibi.inequalities:
+        ineqs.append(row)
+        _, a, b = row.provenance
         cls = lat.classify_pair(a, b)
-        lower = cls.meet if target == "SSYT" else cls.below
-        ineqs.append(LinearInequality(
-            _pair_form(a, b, lower, cls.join, key), STRICT, ("diamond", a, b)))
-        if cls.verdict == "diamond_special":
-            if target == "SSYT":
-                lo, hi = cls.below, cls.above
-            else:
-                lo, hi = cls.companion, cls.above
+        if cls.verdict == "diamond_special":  # right after its diamond row
+            lower = cls.below if target == "SSYT" else cls.companion  # the PBW one is the meet
             ineqs.append(LinearInequality(
-                _pair_form(a, b, lo, hi, key), STRICT, ("special", a, b)))
-    return ConeHRep(target, f"{target}({n})", tuple(ineqs), lat)
+                _pair_form(a, b, lower, cls.above, lat.weight_key), STRICT, ("special", a, b)))
+    return ConeHRep(target, f"{target}({n})", tuple(ineqs), lat, hibi.partition)
 
 
 @lru_cache(maxsize=None)
 def _expansion_hrep(target, n, equalities):
-    kind = "M" if target in ("SSYT_REDUNDANT", "TORIC_GT") else "N"
-    lat = semistandard_lattice(n) if kind == "M" else pbw_lattice(n)
+    lat = PluckerLattice("M" if target in ("SSYT_REDUNDANT", "TORIC_GT") else "N", n)
     key = lat.weight_key
     ineqs = []
     for a, b in lat.incomparable_pairs():
@@ -308,14 +296,10 @@ def facet_witness(hrep, facet_id):
     ineq = hrep.inequality(facet_id)
     lat = hrep.lattice
     kind, a, b = ineq.provenance
-    if hrep.target in ("HIBI", "SSYT") and kind == "diamond":
+    if kind == "diamond" and hrep.partition is None:
         return _square_witness(lat, a, b)
-    if hrep.target in ("GENHIBI", "PBW") and kind == "diamond":
-        if hrep.target == "GENHIBI":
-            below = odot_elements(lat, hrep.partition, a, b)
-        else:
-            below = lat.classify_pair(a, b).below
-        return _power_witness(lat, a, b, below)
+    if kind == "diamond":
+        return _power_witness(lat, a, b, odot_elements(lat, hrep.partition, a, b))
     if hrep.target == "SSYT" and kind == "special":
         return _ladder_witness(lat, a, b)
     if hrep.target == "PBW" and kind == "special":
@@ -355,7 +339,7 @@ def _power_witness(lattice, a, b, below):
 def _ladder_witness(mlat, a, b):
     """Six-level assignment around a special pair of the semistandard lattice."""
     cls = mlat.classify_pair(a, b)
-    assert cls.verdict == "diamond_special"
+    check(cls.verdict == "diamond_special", "the ladder witness needs a special pair")
     a, b = cls.pair
     join, below, above = cls.join, cls.below, cls.above
     m = mlat.grade(a)
@@ -500,7 +484,8 @@ def in_K(n, xi):
 
 def k_facet_form(n, s, t):
     """The submodularity facet binomial of the parameter cone, diagonal reduced out."""
-    assert 1 <= s < t <= n - 1
+    if not 1 <= s < t <= n - 1:
+        raise ValueError(f"need 1 <= s < t <= n - 1, got s = {s}, t = {t}, n = {n}")
     form = {}
     for cell, coeff in (((s, t), 1), ((s + 1, t + 1), 1), ((s, t + 1), -1), ((s + 1, t), -1)):
         if cell[0] != cell[1]:
@@ -529,9 +514,9 @@ def classify_facet_vs_subcone(target, facet_id, n):
     lat = hrep.lattice
     zcoeff = {}
     ccoeff = {}
+    sign = 1 if target == "SSYT" else -1  # sigma adds the cells of a column, rho subtracts them
     for key, coeff in ineq.form:
-        alpha = key if target == "SSYT" else pbw_arrange(key)
-        sign = 1 if target == "SSYT" else -1
+        alpha = lat.element_of_key(key)
         for j, v in enumerate(alpha):
             cell = (j + 1, v)
             zcoeff[cell] = zcoeff.get(cell, 0) + sign * coeff

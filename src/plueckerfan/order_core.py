@@ -461,6 +461,12 @@ class DistributiveLattice:
     def diamond_pairs(self):
         return diamond_pairs(self)
 
+    def incomparable_pairs(self):
+        """Unordered incomparable pairs (a, b), a before b in the canonical order."""
+        up, els = self.poset.up, self.elements
+        return [(els[i], els[j]) for i in range(len(els)) for j in range(i + 1, len(els))
+                if not (up[i] >> j & 1 or up[j] >> i & 1)]
+
     def weight_key(self, a):
         return a
 

@@ -13,6 +13,8 @@ only kind-specific part of the lattice operations, and the lattice
 isomorphism goes through them.  The column formulas (``semistandard_leq``,
 ``column_meet``/``column_join``, ``pbw_two_column_leq``, ``m_cell_ideal``,
 ``pbw_cell_ideal``) are the references the masks are tested against.
+``PluckerLattice.signed_key``/``element_of_key`` are the one codec between an
+element and its Pluecker variable (``canonicalize`` and ``pbw_arrange``).
 """
 
 from __future__ import annotations
@@ -80,11 +82,30 @@ def is_pbw_column(alpha, n):
     return all(x > y for x, y in zip(big_positions, big_positions[1:]))
 
 
+def canonicalize(indices, n=None):
+    """Sort an index tuple, tracking the permutation sign; repeats give zero (None)."""
+    indices = tuple(indices)
+    if n is not None and any(not 1 <= i <= n for i in indices):
+        raise ValueError(f"index out of range in {indices}")
+    if len(set(indices)) != len(indices):
+        return None
+    sign = 1
+    arr = list(indices)
+    for i in range(len(arr)):  # insertion sort; tuples are short
+        j = i
+        while j > 0 and arr[j - 1] > arr[j]:
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            sign = -sign
+            j -= 1
+    return sign, tuple(arr)
+
+
 def pbw_arrange(values):
     """The unique PBW-valid arrangement of a set of distinct entries."""
     vals = sorted(values)
     k = len(vals)
-    assert len(set(vals)) == k, "entries must be distinct"
+    if len(set(vals)) != k:
+        raise ValueError(f"entries must be distinct, got {vals}")
     out = [0] * k
     big = [v for v in vals if v > k]
     for v in vals:
@@ -257,11 +278,12 @@ class PluckerLattice:
     Every operation works on one representation of an element: the bitmask
     of its cell ideal over ``ji_poset``.  The order is mask inclusion, meet
     and join are intersection and union, and the grade is the number of
-    cells.  The materialized form (the default) enumerates all 2^n - 2
-    elements, keeps an element -> mask and a mask -> element table, and is
-    capped at n = 12; ``lazy_lattice`` skips the enumeration and converts
-    between columns and masks on every call, so pair-local operations
-    (classification, meets, the ideal product) work at any n.
+    cells.  ``signed_key``/``element_of_key`` name an element's Pluecker
+    variable.  The materialized form (the default) enumerates all 2^n - 2
+    elements, keeps element -> mask, mask -> element, element -> signed key
+    and key -> element tables, and is capped at n = 12; ``lazy_lattice``
+    skips the enumeration and converts on every call, so pair-local
+    operations (classification, meets, the ideal product) work at any n.
     """
 
     def __init__(self, kind, n, materialize=True):
@@ -274,12 +296,17 @@ class PluckerLattice:
         self.kind = kind
         self.n = n
         self.materialized = materialize
-        self._column_mask = m_column_mask if kind == "M" else pbw_column_mask
-        self._column_of_mask = m_column_of_mask if kind == "M" else pbw_column_of_mask
+        self._column_mask, self._column_of_mask, self._arrange = (
+            (m_column_mask, m_column_of_mask, tuple) if kind == "M"  # an M element is its own key
+            else (pbw_column_mask, pbw_column_of_mask, pbw_arrange))
+        self._signed_keys, self._elements_by_key = {}, {}  # filled when materialized
         if not materialize:
             self.elements = self._mask_of = self._element_of = None
             return
-        columns = all_columns(n) if kind == "M" else [pbw_arrange(c) for c in all_columns(n)]
+        keys = all_columns(n)
+        columns = [self._arrange(c) for c in keys]
+        self._elements_by_key.update(zip(keys, columns))
+        self._signed_keys.update((c, canonicalize(c)) for c in columns)
         self._mask_of = masks = {c: self._column_mask(c, n) for c in columns}
         self._element_of = {m: e for e, m in masks.items()}
         check(len(self._element_of) == len(masks),
@@ -298,21 +325,17 @@ class PluckerLattice:
     def __repr__(self):
         return f"PluckerLattice(kind={self.kind!r}, n={self.n})"
 
-    def _is_element(self, el):
+    def __contains__(self, el):
         if self._mask_of is not None:
             return el in self._mask_of
         if not isinstance(el, tuple) or not 1 <= len(el) <= self.n - 1:
             return False
-        if self.kind == "M":
-            return (all(1 <= v <= self.n for v in el)
-                    and all(x < y for x, y in zip(el, el[1:])))
-        return is_pbw_column(el, self.n)
-
-    def __contains__(self, el):
-        return self._is_element(el)
+        # distinct entries in range, arranged as the element of their key
+        return (len(set(el)) == len(el) and all(1 <= v <= self.n for v in el)
+                and self._arrange(tuple(sorted(el))) == el)
 
     def check_element(self, el):
-        if not self._is_element(el):
+        if el not in self:
             raise ValueError(f"{el!r} is not an element of {self!r}")
         return el
 
@@ -433,12 +456,23 @@ class PluckerLattice:
     def odot(self, a, b):
         return chain_order.odot_elements(self, self.partition, a, b)
 
+    def meet_or_product(self, a, b):
+        """The lower factor heading the straightening law of a, b: the meet (M), a . b (N)."""
+        return self.meet(a, b) if self.kind == "M" else self.odot(a, b)
+
+    # -- the Pluecker-variable codec -----------------------------------
+
+    def signed_key(self, el):
+        """``(sign, key)`` with X_el = sign * X_key, ``key`` the increasing column of el."""
+        return self._signed_keys.get(el) or canonicalize(el)
+
     def weight_key(self, a):
         """Canonical Pluecker-variable key shared by both lattices."""
-        return a if self.kind == "M" else tuple(sorted(a))
+        return self.signed_key(a)[1]
 
     def element_of_key(self, key):
-        return key if self.kind == "M" else pbw_arrange(key)
+        """The element whose Pluecker variable has the canonical key ``key``."""
+        return self._elements_by_key.get(key) or self._arrange(key)
 
     def to_distributive_lattice(self):
         poset = Poset.from_leq(self.elements, self.leq)
@@ -556,11 +590,13 @@ def lazy_lattice(kind, n):
 
 def ssyt_to_pbw(mlat, a):
     """The lattice isomorphism from kind M to kind N: the PBW column of the same cell ideal."""
-    assert mlat.kind == "M"
+    if mlat.kind != "M":
+        raise ValueError(f"ssyt_to_pbw maps from a kind-M lattice, got {mlat!r}")
     return pbw_column_of_mask(mlat._mask(a), mlat.n)
 
 
 def pbw_to_ssyt(nlat, alpha):
     """Inverse isomorphism: the kind-M column of the same cell ideal."""
-    assert nlat.kind == "N"
+    if nlat.kind != "N":
+        raise ValueError(f"pbw_to_ssyt maps from a kind-N lattice, got {nlat!r}")
     return m_column_of_mask(nlat._mask(alpha), nlat.n)

@@ -8,6 +8,12 @@ worklist straightening against either lattice order, Hibi and generalized
 Hibi binomials with their monomial-map exponents, and two independent
 ideal-membership oracles built on minor evaluation.
 
+Lattice elements and canonical columns meet only in the lattice's codec
+(``signed_key``, ``element_of_key``; ``canonicalize`` lives beside it in
+``plucker_lattices``), and ``is_standard_monomial`` is the one standardness
+rule.  The pivot is the only rule of straightening that depends on the
+lattice kind: the first slot where the semistandard or the PBW order fails.
+
 One shuffle core, summing over cosets rather than permutations, serves both
 ``shuffle_relation`` and straightening.  The evaluation oracles (probabilistic
 membership, the standard-basis rank check and the standard-expansion solve)
@@ -30,11 +36,11 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, starmap
 
 from .chain_order import k_set, odot_elements
-from .order_core import CapacityError, check
-from .plucker_lattices import ComparablePairError, pbw_arrange
+from .order_core import CapacityError, InvariantError, check
+from .plucker_lattices import ComparablePairError, canonicalize
 
 ORACLE_PRIME = (1 << 62) - 57  # 62-bit prime
 SYMBOLIC_DEGREE_LIMIT = 3
@@ -46,25 +52,7 @@ class ShapeError(ValueError):
     pass
 
 
-# -- canonical columns and monomials --------------------------------------
-
-def canonicalize(indices, n=None):
-    """Sort an index tuple, tracking the permutation sign; repeats give zero (None)."""
-    indices = tuple(indices)
-    if n is not None and any(not 1 <= i <= n for i in indices):
-        raise ValueError(f"index out of range in {indices}")
-    if len(set(indices)) != len(indices):
-        return None
-    sign = 1
-    arr = list(indices)
-    for i in range(len(arr)):  # insertion sort; tuples are short
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(arr)
-
+# -- canonical monomials ----------------------------------------------------
 
 def monomial(columns):
     """Canonical monomial: columns sorted by (length descending, entries)."""
@@ -103,7 +91,7 @@ def poly_scale(poly, factor):
 def assert_bihomogeneous(poly, n):
     degs = {deg_vector(m, n) for m in poly}
     wts = {wt_vector(m, n) for m in poly}
-    assert len(degs) <= 1 and len(wts) <= 1, "relation is not deg/wt homogeneous"
+    check(len(degs) <= 1 and len(wts) <= 1, "relation is not deg/wt homogeneous")
 
 
 def relation_json_obj(poly):
@@ -230,47 +218,32 @@ def append_columns(poly, extra, n=None):
 
 # -- straightening -------------------------------------------------------
 
-def _column_sign(lat, element):
-    if lat.kind == "M":
-        return 1, element
-    s, col = canonicalize(element)
-    return s, col
-
-
-def _is_standard(lat, first, second):
-    a = lat.element_of_key(first)
-    b = lat.element_of_key(second)
-    return lat.comparable(a, b)
-
-
 def _pivot_m(first, second):
+    """First slot r (1-based) where the semistandard order fails: first[r] > second[r]."""
     for r in range(len(second)):
         if first[r] > second[r]:
             return r + 1
     return None
 
 
-def _pivot_n(first, second):
-    alpha = pbw_arrange(first)
-    beta = pbw_arrange(second)
-    k, l = len(alpha), len(beta)
-    for r in range(l):
+def _pivot_n(alpha, beta):
+    """First slot r (1-based) where the PBW order fails: beta[r] exceeds all of alpha[r:]."""
+    for r in range(len(beta)):
         if beta[r] > max(alpha[r:]):
-            return alpha, beta, r + 1
+            return r + 1
     return None
 
 
-def _slot_shuffle(arr_first, arr_second, r):
-    """Shuffle relation keyed by produced slot pairs, normalized to 1 on the pivot slot.
+def _slot_shuffle(alpha, beta, r, pair):
+    """Shuffle relation keyed by produced slot pairs, normalized to 1 on ``pair``.
 
-    ``arr_first``/``arr_second`` are the arranged tuples the shuffle acts on
-    (plain columns for the semistandard order, PBW arrangements otherwise);
-    keys are pairs of canonical columns in production order.
+    ``alpha``/``beta`` are the lattice elements the shuffle acts on and
+    ``pair`` their canonical keys; keys are pairs of canonical columns in
+    production order.
     """
-    raw = _shuffle_sums(arr_first, arr_second, r)
-    base = (canonicalize(arr_first)[1], canonicalize(arr_second)[1])
-    lead = raw.get(base)
-    assert lead, "pivot monomial must survive the shuffle"
+    raw = _shuffle_sums(alpha, beta, r)
+    lead = raw.get(pair)
+    check(lead, "pivot monomial must survive the shuffle")
     return {key: Fraction(c, lead) for key, c in raw.items()}
 
 
@@ -285,38 +258,34 @@ def straighten_pair(lat, a, b):
     lat.check_element(a), lat.check_element(b)
     if lat.comparable(a, b):
         raise ComparablePairError(f"{a!r} and {b!r} are comparable; nothing to straighten")
-    sa, ca = _column_sign(lat, a)
-    sb, cb = _column_sign(lat, b)
+    sa, ca = lat.signed_key(a)
+    sb, cb = lat.signed_key(b)
+    pivot = _pivot_m if lat.kind == "M" else _pivot_n
     first, second = (ca, cb) if (-len(ca), ca) <= (-len(cb), cb) else (cb, ca)
     work = {(first, second): Fraction(sa * sb)}
     standard_part = {}
     guard = 0
     while work:
         guard += 1
-        assert guard < 200000, "straightening did not terminate"
-        (fst, snd), coeff = min(work.items())
-        del work[(fst, snd)]
-        if _is_standard(lat, fst, snd):
-            poly_add_term(standard_part, monomial((fst, snd)), coeff)
+        if guard >= 200000:  # inline: the loop pays no call for its guard
+            raise InvariantError("straightening did not terminate")
+        pair, coeff = min(work.items())
+        del work[pair]
+        if is_standard_monomial(lat, pair):
+            poly_add_term(standard_part, monomial(pair), coeff)
             continue
-        if lat.kind == "M":
-            r = _pivot_m(fst, snd)
-            assert r is not None, "non-standard pair must have a violated position"
-            rel = _slot_shuffle(fst, snd, r)
-        else:
-            piv = _pivot_n(fst, snd)
-            assert piv is not None, "non-standard pair must have a violated position"
-            alpha, beta, r = piv
-            rel = _slot_shuffle(alpha, beta, r)
-        for key, c2 in rel.items():
-            if key == (fst, snd):
-                continue
-            poly_add_term(work, key, -coeff * c2)
+        alpha, beta = lat.element_of_key(pair[0]), lat.element_of_key(pair[1])
+        r = pivot(alpha, beta)
+        check(r is not None, "non-standard pair must have a violated position")
+        for key, c2 in _slot_shuffle(alpha, beta, r, pair).items():
+            if key != pair:
+                poly_add_term(work, key, -coeff * c2)
     # work + standard_part stayed congruent to X_a X_b throughout
     result = {monomial((ca, cb)): Fraction(sa * sb)}
     for mono, coeff in standard_part.items():
         poly_add_term(result, mono, -coeff)
-    assert result.get(monomial((ca, cb))) == sa * sb
+    check(result.get(monomial((ca, cb))) == sa * sb,
+          "straightening must keep the coefficient of X_a X_b")
     assert_bihomogeneous(result, lat.n)
     return result
 
@@ -327,21 +296,15 @@ def straightening_terms(lat, rel, a, b):
     Rows are the standard monomials with their sign-corrected coefficients
     c_i, ordered with the (meet-or-product, join) row first when present.
     """
-    sa, ca = _column_sign(lat, a)
-    sb, cb = _column_sign(lat, b)
-    lead = monomial((ca, cb))
+    lead = monomial((lat.weight_key(a), lat.weight_key(b)))
     rows = []
     for mono, coeff in rel.items():
         if mono == lead:
             continue
-        f1, f2 = mono
-        e1 = f1 if lat.kind == "M" else pbw_arrange(f1)
-        e2 = f2 if lat.kind == "M" else pbw_arrange(f2)
-        s1 = 1 if lat.kind == "M" else canonicalize(e1)[0]
-        s2 = 1 if lat.kind == "M" else canonicalize(e2)[0]
+        e1, e2 = (lat.element_of_key(f) for f in mono)
         lo, hi = (e1, e2) if lat.leq(e1, e2) else (e2, e1)
-        rows.append((lo, hi, -coeff * s1 * s2))
-    head = lat.odot(a, b) if lat.kind == "N" else lat.meet(a, b)
+        rows.append((lo, hi, -coeff * lat.signed_key(e1)[0] * lat.signed_key(e2)[0]))
+    head = lat.meet_or_product(a, b)
     top = lat.join(a, b)
     rows.sort(key=lambda row: (0 if (row[0], row[1]) == (head, top) else 1,
                                lat.grade(row[0]), row[0], row[1]))
@@ -366,8 +329,8 @@ def hibi_generator(lattice, a, b, part=None):
         theta_b = theta_exponent(lattice, part, (b,))
         theta_lo = theta_exponent(lattice, part, (lower,))
         theta_hi = theta_exponent(lattice, part, (lattice.join(a, b),))
-        assert _merge_exponents(theta_a, theta_b) == _merge_exponents(theta_lo, theta_hi), \
-            "binomial must lie in the kernel of the monomial map"
+        check(_merge_exponents(theta_a, theta_b) == _merge_exponents(theta_lo, theta_hi),
+              "binomial must lie in the kernel of the monomial map")
     poly = {}
     poly_add_term(poly, tuple(sorted((a, b))), Fraction(1))
     poly_add_term(poly, tuple(sorted((lower, lattice.join(a, b)))), Fraction(-1))
@@ -688,8 +651,8 @@ def monomials_of_degree(lat, lam):
 
 
 def is_standard_monomial(lat, mono):
-    elems = [lat.element_of_key(c) for c in mono]
-    return all(lat.comparable(x, y) for x, y in combinations(elems, 2))
+    """The monomial's factors, read as lattice elements, form a chain."""
+    return all(starmap(lat.comparable, combinations(map(lat.element_of_key, mono), 2)))
 
 
 def weyl_dimension(lam):
@@ -741,8 +704,8 @@ def standard_expansion_mod_p(lat, a, b, seed=0):
     underdetermined.
     """
     p = ORACLE_PRIME
-    sa, ca = _column_sign(lat, a)
-    sb, cb = _column_sign(lat, b)
+    sa, ca = lat.signed_key(a)
+    sb, cb = lat.signed_key(b)
     target = monomial((ca, cb))
     candidates = _bidegree_monomials(lat.n, target)
     standard = [m for m in candidates if m != target and is_standard_monomial(lat, m)]

@@ -27,6 +27,7 @@ from .chain_order import (
 )
 from .order_core import CapacityError, InvariantError, Poset
 from .plucker_lattices import (
+    PluckerLattice,
     lazy_lattice,
     pbw_lattice,
     pbw_to_ssyt,
@@ -102,7 +103,7 @@ def _timed(fn):
 # -- straightening suites ----------------------------------------------------
 
 def _straightening_suite(name, kind, n, seed, trials=20):
-    lat = semistandard_lattice(n) if kind == "M" else pbw_lattice(n)
+    lat = PluckerLattice(kind, n)
     report = SuiteReport(name, n, seed)
     bound = Fraction(0)
     observed_m = {}
@@ -110,7 +111,7 @@ def _straightening_suite(name, kind, n, seed, trials=20):
         rel = straightening.straighten_pair(lat, a, b)
         rows = straightening.straightening_terms(lat, rel, a, b)
         observed_m[len(rows) - 1] = observed_m.get(len(rows) - 1, 0) + 1
-        head = lat.odot(a, b) if kind == "N" else lat.meet(a, b)
+        head = lat.meet_or_product(a, b)
         top, meet = lat.join(a, b), lat.meet(a, b)
         lo0, hi0, c0 = rows[0]
         report.record((lo0, hi0) == (head, top) and c0 == 1,
@@ -312,19 +313,16 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     return points, rejected
 
 
-def _cone_suite(name, n, seed, target, redundant_target, relation_kind):
+def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
+    """Soundness, initial forms (straightening ``relations`` or Hibi binomials) and witnesses."""
     n = _size(n, 6, 2)
     report = SuiteReport(name, n, seed)
-    if target in ("HIBI", "SSYT"):
-        lat = semistandard_lattice(n)
-    else:
-        lat = pbw_lattice(n)
-    kwargs = {"n": n} if target in ("SSYT", "PBW") else {"lattice": lat}
-    minimal = cones.cone_hrep(target, **kwargs)
-    redundant = cones.cone_hrep(redundant_target, **kwargs)
-    if target in ("HIBI", "SSYT"):
+    lat = PluckerLattice(kind, n)
+    minimal = cones.cone_hrep(target, n=n, lattice=lat)
+    redundant = cones.cone_hrep(redundant_target, n=n, lattice=lat)
+    if minimal.partition is None:
         center = cones.interior_witness(lat)
-    else:
+    else:  # the generalized cones
         center = cones.generalized_interior_witness(lat)
     report.record(cones.contains(minimal, center), ("interior witness", target, n))
     points, rejected = sample_cone_points(minimal, center, CONE_SAMPLES, seed)
@@ -332,12 +330,12 @@ def _cone_suite(name, n, seed, target, redundant_target, relation_kind):
     key = lat.weight_key
     # (kind, a, b, polynomial) whose initial form must be the monomial of (a, b) alone
     polys = []
-    if relation_kind:
+    if relations:
         polys += [("initial form", a, b, straightening.straighten_pair(lat, a, b))
                   for a, b in lat.incomparable_pairs()]
-    if target in ("HIBI", "GENHIBI"):
+    else:  # the Hibi binomials, generalized over the cone's partition if it has one
         for a, b in lat.incomparable_pairs():
-            gen = straightening.hibi_generator(lat, a, b, None if target == "HIBI" else lat.partition)
+            gen = straightening.hibi_generator(lat, a, b, minimal.partition)
             polys.append(("initial binomial", a, b,
                           {straightening.monomial(tuple(map(key, m))): c for m, c in gen.items()}))
     # every check runs over all samples at once; a failure's reproducer is
@@ -371,25 +369,25 @@ def _cone_suite(name, n, seed, target, redundant_target, relation_kind):
 @_timed
 def suite_hibi_cone(n, seed):
     """Hibi cone: sampled soundness against the redundant description plus witnesses."""
-    return _cone_suite("hibi-cone", n, seed, "HIBI", "HIBI_REDUNDANT", None)
+    return _cone_suite("hibi-cone", n, seed, "M", "HIBI", "HIBI_REDUNDANT", False)
 
 
 @_timed
 def suite_genhibi_cone(n, seed):
     """Generalized Hibi cone over the PBW lattice with its diagonal partition."""
-    return _cone_suite("genhibi-cone", n, seed, "GENHIBI", "GENHIBI_REDUNDANT", None)
+    return _cone_suite("genhibi-cone", n, seed, "N", "GENHIBI", "GENHIBI_REDUNDANT", False)
 
 
 @_timed
 def suite_ssyt_cone(n, seed):
     """Semistandard maximal cone: soundness, initial forms and facet witnesses."""
-    return _cone_suite("ssyt-cone", n, seed, "SSYT", "SSYT_REDUNDANT", "M")
+    return _cone_suite("ssyt-cone", n, seed, "M", "SSYT", "SSYT_REDUNDANT", True)
 
 
 @_timed
 def suite_pbw_cone(n, seed):
     """PBW maximal cone: soundness, initial forms and facet witnesses."""
-    return _cone_suite("pbw-cone", n, seed, "PBW", "PBW_REDUNDANT", "N")
+    return _cone_suite("pbw-cone", n, seed, "N", "PBW", "PBW_REDUNDANT", True)
 
 
 @_timed
@@ -462,7 +460,7 @@ def suite_asl(n, seed):
     report = SuiteReport("asl", n, seed)
     lams = _multidegrees(n, 3)
     for kind in ("M", "N"):
-        lat = semistandard_lattice(n) if kind == "M" else pbw_lattice(n)
+        lat = PluckerLattice(kind, n)
         for lam in lams:
             report.record(straightening.standard_basis_check(lat, lam)
                           == straightening.weyl_dimension(lam),

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from plueckerfan import cones, verify
 from plueckerfan.cones import cone_hrep, facet_count, facet_witness
+from plueckerfan.order_core import InvariantError
 from plueckerfan.plucker_lattices import pbw_lattice, semistandard_lattice
 from plueckerfan.straightening import (
     ORACLE_PRIME,
@@ -158,7 +159,7 @@ def test_criterion_09_convex_geometry():
                 kind = hrep.inequality(fid).provenance[0]
                 try:
                     res = cones.classify_facet_vs_subcone(target, fid, n)
-                except AssertionError as exc:
+                except InvariantError as exc:
                     failures.append((target, n, fid, str(exc)))
                     continue
                 expect = "contains_subcone" if kind == "diamond" else "meets_in_facet"

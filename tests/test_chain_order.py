@@ -24,7 +24,14 @@ from plueckerfan.chain_order import (
     zeta_prime,
     zeta_prime_matrix,
 )
-from plueckerfan.order_core import OrderIdeal, Poset, _bits, enumerate_order_ideals
+from plueckerfan.order_core import (
+    InvariantError,
+    OrderIdeal,
+    Poset,
+    PosetError,
+    _bits,
+    enumerate_order_ideals,
+)
 from plueckerfan.plucker_lattices import lazy_lattice, pbw_lattice
 from plueckerfan import verify
 
@@ -339,6 +346,39 @@ class TestOdot:
                         d = set(k_set(part, prod))
                         assert d <= set(k_set(part, j1 & j2))
                         assert prod.bits & ~(j1.bits & j2.bits) == 0
+
+
+    def test_rejects_non_ideals(self):
+        p = two_chain()
+        part = ChainOrderPartition.order_polytope(p)
+        upper = OrderIdeal(p, p.mask_of(["q"]))
+        with pytest.raises(PosetError, match="not an order ideal"):
+            odot_ideals(part, upper, OrderIdeal.from_members(p, ["p"]))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_lattice_products_skip_the_closure_test(self, monkeypatch, n):
+        nlat = pbw_lattice(n)
+        expect = {(a, b): odot_ideals(nlat.partition, nlat.iota(a), nlat.iota(b))
+                  for a, b in nlat.incomparable_pairs()}
+        scans = []
+        real = Poset.is_down_closed
+        monkeypatch.setattr(Poset, "is_down_closed",
+                            lambda self, mask: scans.append(mask) or real(self, mask))
+        for (a, b), ideal in expect.items():
+            assert nlat.iota(nlat.odot(a, b)) == ideal
+        assert scans == []
+
+    @pytest.mark.parametrize("broken_k, message", [
+        (lambda part, bits: bits.bit_count(), "K-set sandwich violated"),
+        (lambda part, bits: bits << 1, "K of the minimal ideal must recover D"),
+    ], ids=["count", "shifted"])
+    def test_broken_k_sets_raise_invariant_errors(self, monkeypatch, broken_k, message):
+        from plueckerfan import chain_order
+        nlat = pbw_lattice(4)
+        a, b = nlat.diamond_pairs()[0]
+        monkeypatch.setattr(chain_order, "_k_mask", broken_k)
+        with pytest.raises(InvariantError, match=message):
+            nlat.odot(a, b)
 
 
 class TestDilationPoints:

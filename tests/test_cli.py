@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import shlex
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -216,12 +217,22 @@ GOLDEN_STDOUT = {
         "4329e080f3fc0e721a1b03aa7ce8fd8fbbb61dc1fde1548ce6ab2edc608a0695",
     "verify --suite convex --n 5":
         "d590d8bf55447b7e7318a8b0037deb07f08879d7e9af93e731477da06188798c",
+    "cone --target SSYT --n 5":
+        "5a272f31081fce988c96624bcbd651abcf6b6d8fde2b272358c47acfe9b26639",
+    "cone --target PBW --n 5":
+        "a02f0d1157cf0320c95c2b87b2f84c0451e1438fcc62622a625b0547d4b82e02",
+    "cone --target HIBI --kind N --n 4":
+        "c126e2f279cd9d426a45b4ec073bc0214ccd45e364990b4993d3443cc1bc166d",
+    "cone --target GENHIBI --kind N --n 4":
+        "136e449c88576a22b7d481930d71ed75602abe0b7d042e3a1fb05376a857f91b",
+    'straighten --kind N --n 5 --pair "1,2,5 1,5,3,4" --oracle probabilistic':
+        "5dd993b415db6aba6f6d6e61e608b9bb4ac377469d2ce4957d977cdb5e9ce882",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
 def test_golden_stdout(capsys, command):
-    code, out, _ = run(capsys, *command.split())
+    code, out, _ = run(capsys, *shlex.split(command))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 

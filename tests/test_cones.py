@@ -8,8 +8,11 @@ from plueckerfan.cones import (
     ALL_TARGETS,
     ConeHRep,
     LinearInequality,
+    STRICT,
     XiPoint,
     _exact_columns,
+    _pair_form,
+    _power_witness,
     classify_facet_vs_subcone,
     cone_hrep,
     contains,
@@ -314,6 +317,15 @@ class TestGenericLattices:
                     assert all(iq.holds_nonstrict(v)
                                for j, iq in enumerate(h.inequalities) if j != fid)
 
+    def test_incomparable_pairs_match_the_order(self):
+        for lat in self._random_lattices():
+            els = lat.elements
+            expect = [(a, b) for i, a in enumerate(els) for b in els[i + 1:]
+                      if not (lat.leq(a, b) or lat.leq(b, a))]
+            assert lat.incomparable_pairs() == expect
+            assert [iq.provenance[1:] for iq in cone_hrep("HIBI_REDUNDANT", lattice=lat)
+                    .inequalities] == expect
+
     def test_generic_route_matches_cell_route(self):
         # rebuild the PBW lattice generically through its Birkhoff data and
         # compare the generalized Hibi descriptions inequality by inequality
@@ -475,3 +487,57 @@ class TestBatchedTwins:
                    {**dict.fromkeys(keys, 0), keys[0]: 1}]
             assert [contains(h, w) for w in pts] == expect
             assert contains_many(h, keys, weight_matrix(pts, keys)).tolist() == expect
+
+
+# -- SSYT / PBW as the Hibi / generalized Hibi rows plus the special rows ----------
+
+def reference_minimal_rows(target, n):
+    """The minimal rows from the pair classification alone.
+
+    Diamond rows take the meet (SSYT) or the ideal product (PBW); each special
+    row follows its pair's diamond row.
+    """
+    lat = semistandard_lattice(n) if target == "SSYT" else pbw_lattice(n)
+    key = lat.weight_key
+    rows = []
+    for a, b in lat.diamond_pairs():
+        cls = lat.classify_pair(a, b)
+        lower = cls.meet if target == "SSYT" else cls.below
+        rows.append((_pair_form(a, b, lower, cls.join, key), STRICT, ("diamond", a, b)))
+        if cls.verdict == "diamond_special":
+            lo = cls.below if target == "SSYT" else cls.companion
+            rows.append((_pair_form(a, b, lo, cls.above, key), STRICT, ("special", a, b)))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("target, hibi_target, lattice", [
+    ("SSYT", "HIBI", semistandard_lattice), ("PBW", "GENHIBI", pbw_lattice)])
+def test_minimal_cone_is_the_hibi_rows_plus_special_rows(target, hibi_target, lattice, n):
+    minimal = cone_hrep(target, n=n)
+    rows = [(iq.form, iq.relation, iq.provenance) for iq in minimal.inequalities]
+    assert rows == reference_minimal_rows(target, n)
+    hibi = cone_hrep(hibi_target, lattice=lattice(n))
+    assert [row for row in rows if row[2][0] == "diamond"] == [
+        (iq.form, iq.relation, iq.provenance) for iq in hibi.inequalities]
+    for i, (_, _, prov) in enumerate(rows):
+        if prov[0] == "special":
+            assert rows[i - 1][2] == ("diamond",) + prov[1:]
+    assert (minimal.partition is None) == (target == "SSYT")
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_power_witness_uses_the_classified_product(n):
+    hrep = cone_hrep("PBW", n=n)
+    lat = hrep.lattice
+    for fid in hrep.facet_ids():
+        kind, a, b = hrep.inequality(fid).provenance
+        if kind == "diamond":
+            below = lat.classify_pair(a, b).below
+            assert facet_witness(hrep, fid) == _power_witness(lat, a, b, below)
+
+
+def test_k_facet_form_rejects_out_of_range_cells():
+    from plueckerfan.cones import k_facet_form
+    with pytest.raises(ValueError, match="1 <= s < t <= n - 1"):
+        k_facet_form(4, 2, 2)

@@ -11,6 +11,7 @@ from plueckerfan.plucker_lattices import (
     ComparablePairError,
     PluckerLattice,
     all_columns,
+    canonicalize,
     column_grade,
     column_join,
     column_meet,
@@ -335,6 +336,15 @@ class TestLazyLattice:
         for a, b in full.incomparable_pairs():
             assert full.classify_pair(a, b) == lazy.classify_pair(a, b)
 
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    def test_membership_matches_materialized(self, kind):
+        # every tuple of length <= n over 0..n+1, repeats included
+        for n in range(2, 6):
+            lazy, full = lazy_lattice(kind, n), set(PluckerLattice(kind, n).elements)
+            for k in range(n + 1):
+                for t in itertools.product(range(n + 2), repeat=k):
+                    assert (t in lazy) == (t in full), t
+
     def test_rejects_foreign_tuples(self):
         from plueckerfan.plucker_lattices import lazy_lattice
         with pytest.raises(ValueError):
@@ -454,3 +464,50 @@ def test_largest_lattices_agree_with_lazy(kind, n):
         assert full.join(a, b) == lazy.join(a, b)
         if not full.comparable(a, b):
             assert full.classify_pair(a, b) == lazy.classify_pair(a, b)
+
+
+# -- the Pluecker-variable codec against the per-kind formulas it replaced -------
+
+def reference_codec(kind, el):
+    """(sign, key) of an element and the element of that key, by the per-kind formulas."""
+    if kind == "M":
+        return (1, el), el
+    sign, key = canonicalize(el)
+    return (sign, key), pbw_arrange(key)
+
+
+@pytest.mark.parametrize("kind", ["M", "N"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_codec_tables_match_the_column_formulas(kind, n):
+    lat = PluckerLattice(kind, n)
+    assert len(lat._signed_keys) == len(lat._elements_by_key) == 2 ** n - 2
+    for el in lat.elements:
+        signed, back = reference_codec(kind, el)
+        assert lat.signed_key(el) == signed
+        assert lat.weight_key(el) == signed[1] == tuple(sorted(el))
+        assert lat.element_of_key(signed[1]) == back == el
+
+
+@pytest.mark.parametrize("kind", ["M", "N"])
+def test_lazy_codec_matches_the_column_formulas(kind):
+    lat = lazy_lattice(kind, 20)
+    assert lat._signed_keys == lat._elements_by_key == {}
+    rng = random.Random(20)
+    for _ in range(300):
+        key = tuple(sorted(rng.sample(range(1, 21), rng.randint(1, 19))))
+        el = key if kind == "M" else pbw_arrange(key)
+        assert el in lat
+        signed, back = reference_codec(kind, el)
+        assert lat.signed_key(el) == signed
+        assert lat.element_of_key(key) == back == el
+
+
+def test_pbw_arrange_rejects_repeated_entries():
+    with pytest.raises(ValueError, match="distinct"):
+        pbw_arrange((2, 2, 3))
+
+
+@pytest.mark.parametrize("convert, kind", [(ssyt_to_pbw, "N"), (pbw_to_ssyt, "M")])
+def test_isomorphism_rejects_the_other_kind(convert, kind):
+    with pytest.raises(ValueError, match="maps from a kind"):
+        convert(PluckerLattice(kind, 4), (1, 2))

@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run from the repository root."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,20 @@ def test_script_runs(argv, header):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_stdout_digests_lists_digest_and_exit_code(tmp_path):
+    commands = tmp_path / "commands.txt"
+    commands.write_text('# one run and one usage error\nfacets --n 3\n\n'
+                        'straighten --kind M --n 4 --pair "1,2 1,3"\n')
+    proc = subprocess.run([sys.executable, "scripts/stdout_digests.py", str(commands)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    facets = subprocess.run([sys.executable, "-m", "plueckerfan", "facets", "--n", "3"],
+                            cwd=ROOT, capture_output=True, timeout=120,
+                            env={"PYTHONPATH": str(ROOT / "src")}).stdout
+    empty = hashlib.sha256(b"").hexdigest()
+    assert proc.stdout.splitlines() == [
+        f"{hashlib.sha256(facets).hexdigest()} 0 facets --n 3",
+        f'{empty} 2 straighten --kind M --n 4 --pair "1,2 1,3"',
+    ]

@@ -633,6 +633,41 @@ def test_expansion_without_a_standard_monomial_raises(flags):
     assert proc.stdout == "InvariantError: evaluation system is inconsistent\n"
 
 
+# the semistandard pivot rule with ties counted as violations: at a tied slot the
+# shuffle can annihilate the pair itself, and straightening must say so under -O too
+STRAIGHTEN_WITH_A_BROKEN_PIVOT = (
+    "from collections import Counter\n"
+    "from plueckerfan import straightening\n"
+    "from plueckerfan.order_core import InvariantError\n"
+    "from plueckerfan.plucker_lattices import semistandard_lattice\n"
+    "straightening._pivot_m = lambda first, second: next(\n"
+    "    (r + 1 for r in range(len(second)) if first[r] >= second[r]), None)\n"
+    "lat = semistandard_lattice(5)\n"
+    "seen = Counter()\n"
+    "for a, b in lat.incomparable_pairs():\n"
+    "    try:\n"
+    "        straightening.straighten_pair(lat, a, b)\n"
+    "        seen['ok'] += 1\n"
+    "    except InvariantError as exc:\n"
+    "        seen[str(exc)] += 1\n"
+    "print(sorted(seen.items()))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_straightening_with_a_broken_pivot_raises(flags):
+    src = Path(straightening.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *flags, "-c", STRAIGHTEN_WITH_A_BROKEN_PIVOT],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[('ok', 54), ('pivot monomial must survive the shuffle', 12)]\n"
+
+
+def test_canonicalize_is_the_lattice_codec_one():
+    from plueckerfan import plucker_lattices
+    assert straightening.canonicalize is plucker_lattices.canonicalize
+
+
 class TestShuffleCore:
     """The coset-sum shuffle core against the permutation form it replaces."""
 
