@@ -5,6 +5,9 @@ the order polytope (U_c empty) and the chain polytope (U_o empty).  This
 module builds its inequality description, the piecewise-linear transfer maps
 between the order polytope and Pi, the induced K-sets and ideal product, and
 the lattice points of dilations together with their Minkowski decompositions.
+``dilation_table`` gives the points of a dilation as sorted integer rows,
+``dilation_points`` the same points as dicts, and ``points_to_json`` renders
+rows as the JSON of ``point_to_json_obj`` maps without building them.
 
 ``zeta_matrix``, ``zeta_prime_matrix`` and ``k_matrix`` are batched int64
 forms of ``zeta``, ``zeta_prime`` and ``k_set`` over points-by-elements numpy
@@ -15,8 +18,10 @@ reference the batched forms are tested against.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .order_core import (
     CapacityError,
@@ -178,7 +183,7 @@ def interpolating_hrep(poset, part):
             row[q] -= 1
             rows.append((tuple(row), 0))
             labels.append(("headed", poset.elements[q], poset.ids_of(mask)))
-    assert len(set(rows)) == len(rows), "duplicate inequalities"
+    check(len(set(rows)) == len(rows), "duplicate inequalities")
     return PolytopeHRep(poset, tuple(rows), tuple(labels))
 
 
@@ -285,12 +290,13 @@ def odot_elements(lattice, part, a, b):
     return lattice.from_ideal(OrderIdeal(part.poset, bits))
 
 
-def dilation_points(part, t):
-    """Integer points of the t-dilation, one per weakly decreasing chain of t order ideals.
+def dilation_table(part, t):
+    """Integer points of the t-dilation as sorted rows, coordinates in ``poset.elements`` order.
 
-    A chain's point is the sum of the K-vectors of its ideals.  The chains are
-    grown as index arrays into the K-vector matrix of the ideals, one level at
-    a time, and every point is checked against the inequalities at once.
+    There is one point per weakly decreasing chain of t order ideals: the sum
+    of the K-vectors of its ideals.  The chains are grown as index arrays into
+    the K-vector matrix of the ideals, one level at a time, and every point is
+    checked against the inequalities at once.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -310,10 +316,16 @@ def dilation_points(part, t):
             # entry (c, j): ideal j lies inside the last ideal of chain c
             chain, last = np.nonzero((bits & ~bits[last, None]) == 0)
             points = points[chain] + K[last]
-    assert (points @ A.T <= t * b).all(), "chain point escapes the dilated polytope"
+    check(bool((points @ A.T <= t * b).all()), "chain point escapes the dilated polytope")
     rows = sorted(points.tolist())
-    assert all(x != y for x, y in zip(rows, rows[1:])), "distinct ideal chains must give distinct points"
-    return [_as_point(poset, row) for row in rows]
+    check(all(x != y for x, y in zip(rows, rows[1:])),
+          "distinct ideal chains must give distinct points")
+    return rows
+
+
+def dilation_points(part, t):
+    """``dilation_table`` as points: one ``{element: coordinate}`` dict per row."""
+    return [_as_point(part.poset, row) for row in dilation_table(part, t)]
 
 
 def minkowski_decompose(part, point, t):
@@ -337,13 +349,13 @@ def minkowski_decompose(part, point, t):
         for j in range(n):
             if level[j] >= i:
                 mask |= 1 << j
-        assert poset.is_down_closed(mask), "level set of the transfer image must be an ideal"
+        check(poset.is_down_closed(mask), "level set of the transfer image must be an ideal")
         kmask = _k_mask(part, mask)
         piece = tuple(1 if kmask >> j & 1 else 0 for j in range(n))
-        assert hrep.contains(piece, 1)
+        check(hrep.contains(piece, 1), "every piece must lie in the polytope")
         parts.append(_as_point(poset, piece))
         total = [x + y for x, y in zip(total, piece)]
-    assert tuple(total) == vec, "decomposition must sum to the input point"
+    check(tuple(total) == vec, "decomposition must sum to the input point")
     return parts
 
 
@@ -351,6 +363,26 @@ def point_to_json_obj(point):
     # str(v) == str(Fraction(v)) for an int; bools still go through Fraction
     return {str(k): str(v) if type(v) is int else str(Fraction(v))
             for k, v in sorted(point.items(), key=lambda kv: str(kv[0]))}
+
+
+def points_to_json(poset, rows):
+    """JSON text of integer points given as rows over ``poset.elements``.
+
+    Byte for byte ``json.dumps([point_to_json_obj(p) for p in points], indent=2,
+    sort_keys=True)``, where ``points`` are the rows as dicts, without building
+    them: one row template lists the keys in ``str`` order, each encoded once,
+    and writes every coordinate with ``%d``.  Elements with the same ``str``
+    keep the last one's coordinate, as ``point_to_json_obj`` does.
+    """
+    last = {str(e): i for i, e in enumerate(poset.elements)}
+    keys = sorted(last)
+    order = [last[k] for k in keys]
+    fields = ",\n".join(f'    {json.dumps(k).replace("%", "%%")}: "%d"' for k in keys)
+    template = "  {\n" + fields + "\n  }" if keys else "  {}"
+    # one key: itemgetter gives the bare coordinate, which % takes as its only value
+    pick = itemgetter(*order) if order else lambda row: ()
+    body = ",\n".join(map(template.__mod__, map(pick, rows)))
+    return "[\n" + body + "\n]" if rows else "[]"
 
 
 def point_from_json_obj(obj, poset):

@@ -21,10 +21,15 @@ USAGE_ERROR = 2
 CAPACITY_ERROR = 3
 
 
-def _emit(obj, args):
-    text = json.dumps(obj, indent=2, sort_keys=True) if args.format == "json" else obj
-    if not isinstance(text, str):
-        text = str(text)
+def _emit(obj, args, json_text=None):
+    """Print ``obj`` or write it to ``--out``: as indented JSON, or as ``str(obj)`` for text.
+
+    ``json_text``, when given, is the JSON of ``obj`` already rendered.
+    """
+    if args.format == "json":
+        text = json.dumps(obj, indent=2, sort_keys=True) if json_text is None else json_text
+    else:
+        text = str(obj)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -154,16 +159,26 @@ def cmd_polytope(args):
         _emit(chain_order.interpolating_hrep(poset, part).to_json_obj(), args)
         return 0
     if args.action == "points":
-        pts = chain_order.dilation_points(part, args.t)
-        _emit([chain_order.point_to_json_obj(p) for p in pts], args)
+        _emit_points(poset, chain_order.dilation_table(part, args.t), args)
         return 0
     if args.point is None:
         raise ValueError("decompose needs --point FILE")
     with open(args.point) as fh:
         point = chain_order.point_from_json_obj(json.load(fh), poset)
     pieces = chain_order.minkowski_decompose(part, point, args.t)
-    _emit([chain_order.point_to_json_obj(p) for p in pieces], args)
+    _emit_points(poset, [[p[e] for e in poset.elements] for p in pieces], args)
     return 0
+
+
+def _emit_points(poset, rows, args):
+    """Emit integer points, given as rows over ``poset.elements``, as ``point_to_json_obj`` maps.
+
+    The JSON is rendered straight from the rows; the text form prints the maps.
+    """
+    if args.format == "json":
+        _emit(None, args, json_text=chain_order.points_to_json(poset, rows))
+    else:
+        _emit([chain_order.point_to_json_obj(dict(zip(poset.elements, row))) for row in rows], args)
 
 
 def cmd_verify(args):

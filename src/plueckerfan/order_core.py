@@ -300,16 +300,20 @@ class OrderIdeal:
     def __len__(self):
         return popcount(self.bits)
 
+    def _same_poset(self, other):
+        if self.poset is not other.poset:
+            raise PosetError("the two ideals live on different posets")
+
     def __or__(self, other):
-        assert self.poset is other.poset
+        self._same_poset(other)
         return OrderIdeal(self.poset, self.bits | other.bits)
 
     def __and__(self, other):
-        assert self.poset is other.poset
+        self._same_poset(other)
         return OrderIdeal(self.poset, self.bits & other.bits)
 
     def __le__(self, other):
-        assert self.poset is other.poset
+        self._same_poset(other)
         return self.bits & ~other.bits == 0
 
     def __lt__(self, other):

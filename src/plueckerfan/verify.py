@@ -6,6 +6,8 @@ the checks and the brute-force box oracle ``integer_points`` live here; the
 lattice-point checks use the batched int64 transfer maps of ``chain_order``,
 which stay exact for the small bounded coordinates involved, and the cone
 suites check all their samples at once through the batched twins in ``cones``.
+A run of ``ehrhart`` or ``minkowski`` builds each box of side t+1 once per
+poset size and t, and drops it when the run ends.
 """
 
 from __future__ import annotations
@@ -212,20 +214,32 @@ def partitions_of(poset, seed):
     return [ChainOrderPartition.from_masks(poset, mask) for mask in sorted(masks)]
 
 
-def integer_points(A, b, t):
-    """Brute-force integer points of the t-dilation of {x : A x <= b}, as an array of rows."""
-    size = A.shape[1]
-    grid = np.indices((t + 1,) * size).reshape(size, -1).T.astype(np.int64)
-    keep = (grid @ A.T <= t * b).all(axis=1)
-    return grid[keep]
+def box_points(size, t):
+    """The integer points of the box [0, t]^size, as an array of rows."""
+    return np.indices((t + 1,) * size).reshape(size, -1).T.astype(np.int64)
 
 
-def _ehrhart_combo(report, part, label, arrays, order_arrays, reference, t, check_decomposition):
+def integer_points(A, b, t, box):
+    """Brute-force integer points of the t-dilation of {x : A x <= b}, as an array of rows.
+
+    ``box`` is ``box_points(A.shape[1], t)``, which a suite run builds once per
+    size and t.  Only the rows with a positive coefficient or a negative bound
+    are tested: every other row holds on the whole box, whose coordinates are
+    nonnegative.
+    """
+    binding = (A > 0).any(axis=1) | (b < 0)
+    keep = (box @ A[binding].T <= t * b[binding]).all(axis=1)
+    return box[keep]
+
+
+def _ehrhart_combo(report, part, label, arrays, order_arrays, reference, t, box,
+                   check_decomposition):
     """Checks of one partition at one t against the order polytope's points ``reference``.
 
-    ``label`` is ``part.to_json_obj()``, the partition's part of every reproducer.
+    ``label`` is ``part.to_json_obj()``, the partition's part of every reproducer,
+    and ``box`` is ``box_points(len(part.poset), t)``.
     """
-    points = integer_points(*arrays, t)
+    points = integer_points(*arrays, t, box)
     report.record(len(points) == len(reference),
                   ("point count", part.poset.elements, label, t, len(points), len(reference)))
     if len(part.poset) == 0 or t == 0:
@@ -263,15 +277,19 @@ def _ehrhart_like(name, n, seed, check_decomposition):
         raise CapacityError(
             f"suite {name} enumerates boxes of side t+1; poset size capped at {EHRHART_MAX_ELEMENTS}")
     report = SuiteReport(name, n, seed)
+    boxes = {}  # size -> the boxes of t = 0..EHRHART_MAX_T, kept for this run only
     for label, idx, poset in ehrhart_posets(n, seed):
+        if len(poset) not in boxes:
+            boxes[len(poset)] = [box_points(len(poset), t) for t in range(EHRHART_MAX_T + 1)]
+        box = boxes[len(poset)]
         order_arrays = interpolating_hrep(
             poset, ChainOrderPartition.order_polytope(poset)).arrays()
-        references = [integer_points(*order_arrays, t) for t in range(EHRHART_MAX_T + 1)]
+        references = [integer_points(*order_arrays, t, box[t]) for t in range(EHRHART_MAX_T + 1)]
         for part in partitions_of(poset, seed + idx):
             arrays = interpolating_hrep(poset, part).arrays()
             label = part.to_json_obj()
             for t, reference in enumerate(references):
-                _ehrhart_combo(report, part, label, arrays, order_arrays, reference, t,
+                _ehrhart_combo(report, part, label, arrays, order_arrays, reference, t, box[t],
                                check_decomposition)
     return report
 
@@ -294,7 +312,8 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     """Seeded integer points inside the cone: scaled center plus boxed noise.
 
     Rejection-samples against the exact H-representation; the rejection count
-    is reported alongside the samples.
+    is reported alongside the samples.  Raises ``CapacityError`` when 100
+    attempts per requested sample do not fill the count.
     """
     rng = random.Random(seed)
     keys = sorted(center, key=cones._key_name)
@@ -304,7 +323,8 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     while len(points) < count:
         attempts += 1
         if attempts >= 100 * count:
-            raise RuntimeError("rejection sampling is not converging")
+            raise CapacityError(f"rejection sampling is not converging: {len(points)} of "
+                                f"{count} samples accepted after {attempts} attempts")
         w = {k: scale * center[k] + rng.randint(-spread, spread) for k in keys}
         if cones.contains(hrep, w):
             points.append(w)

@@ -1,6 +1,10 @@
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from plueckerfan.chain_order import (
     _as_point,
     _k_mask,
     dilation_points,
+    dilation_table,
     interpolating_hrep,
     k_matrix,
     k_set,
@@ -19,6 +24,7 @@ from plueckerfan.chain_order import (
     odot_ideals,
     point_from_json_obj,
     point_to_json_obj,
+    points_to_json,
     zeta,
     zeta_matrix,
     zeta_prime,
@@ -572,3 +578,88 @@ def test_point_json_round_trip():
     p = two_chain()
     x = {"p": Fraction(1, 3), "q": Fraction(-2, 5)}
     assert point_from_json_obj(point_to_json_obj(x), p) == x
+
+
+# -- points rendered as JSON straight from the rows ------------------------------
+
+def reference_points_json(points):
+    return json.dumps([point_to_json_obj(p) for p in points], indent=2, sort_keys=True)
+
+
+class TestPointsToJson:
+    """The row template renders exactly what the dicts give through ``json.dumps``."""
+
+    @staticmethod
+    def assert_same(part, t):
+        rows = dilation_table(part, t)
+        points = [dict(zip(part.poset.elements, row)) for row in rows]  # as dilation_points
+        assert points_to_json(part.poset, rows) == reference_points_json(points)
+
+    def test_grid_n4_every_partition(self):
+        poset = grid_poset(4)
+        for part in all_partitions(poset):
+            for t in range(4):
+                self.assert_same(part, t)
+
+    def test_random_posets(self):
+        rng = random.Random(57)
+        posets = [Poset.from_covers([], []), Poset.from_covers(["x"], [])] + [
+            verify.random_poset(rng, max_size=6) for _ in range(30)]
+        assert {len(p) for p in posets} == {0, 1, 2, 3, 4, 5, 6}
+        for poset in posets:
+            for part in sampled_partitions(poset, 8, rng.getrandbits(32)):
+                for t in range(4):
+                    self.assert_same(part, t)
+
+    @pytest.mark.parametrize("names", [
+        ['a"b', "c\\d", "é", "100%", "%d", "tab\t", "☃"],
+        [1, "1", "2", 2],
+        ["1", 1],
+        [(1, 2), "(1, 2)", None, "None"],
+    ], ids=["escapes", "same-str", "same-str-reversed", "tuples"])
+    def test_names(self, names):
+        poset = Poset.from_covers(names, [(names[0], names[1])])
+        for part in sampled_partitions(poset, 12, len(names)):
+            for t in range(3):
+                self.assert_same(part, t)
+
+    def test_decomposition_pieces(self):
+        poset = grid_poset(3)
+        for part in all_partitions(poset):
+            for point in dilation_points(part, 3):
+                pieces = minkowski_decompose(part, point, 3)
+                rows = [[p[e] for e in poset.elements] for p in pieces]
+                assert points_to_json(poset, rows) == reference_points_json(pieces)
+
+    def test_no_rows(self):
+        assert points_to_json(two_chain(), []) == reference_points_json([]) == "[]"
+
+
+# -- the point checks stay live under python -O ---------------------------------
+
+K_MASK_WITHOUT_ORDER_PART = (
+    "from plueckerfan import chain_order\n"
+    "from plueckerfan.chain_order import ChainOrderPartition\n"
+    "from plueckerfan.order_core import InvariantError, Poset\n"
+    "chain_order._k_mask = lambda part, bits: part.poset.maximal_of(bits) & part.chain_mask\n"
+    "poset = Poset.from_covers(['p', 'q', 'r'], [('p', 'q')])\n"
+    "part = ChainOrderPartition.from_sets(poset, ['p', 'r'], ['q'])\n"
+    "for call in (lambda: chain_order.dilation_points(part, 2),\n"
+    "             lambda: chain_order.minkowski_decompose(part, {'p': 1, 'q': 0, 'r': 2}, 2)):\n"
+    "    try:\n"
+    "        call()\n"
+    "        print('no error')\n"
+    "    except InvariantError as exc:\n"
+    "        print('InvariantError:', exc)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_broken_k_sets_raise_under_both_modes(flags):
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *flags, "-c", K_MASK_WITHOUT_ORDER_PART],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "InvariantError: chain point escapes the dilated polytope",
+        "InvariantError: decomposition must sum to the input point"]

@@ -309,3 +309,145 @@ class TestParserReuse:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda argv: cli.build_parser().parse_args(argv), argvs))
         assert got == expected
+
+
+# -- the chain-order points of the join-irreducible grid of the n=4 lattice ------
+
+def write_grid(tmp_path, n=4):
+    """The grid poset file and the partition file of every order mask over it.
+
+    Cells (i, j), 1 <= i < n, max(i, 2) <= j <= n, named ``c{i}{j}``; (i, j) is
+    covered by (i, j + 1) and (i + 1, j).
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(max(i, 2), n + 1)]
+    name = {c: f"c{c[0]}{c[1]}" for c in cells}
+    covers = [[name[(i, j)], name[up]] for i, j in cells
+              for up in ((i, j + 1), (i + 1, j)) if up in name]
+    elements = [name[c] for c in cells]
+    poset = tmp_path / "grid.json"
+    poset.write_text(json.dumps({"elements": elements, "covers": covers}))
+    partitions = []
+    for mask in range(1 << len(elements)):
+        path = tmp_path / f"part{mask:03d}.json"
+        path.write_text(json.dumps({
+            "order": [e for i, e in enumerate(elements) if mask >> i & 1],
+            "chain": [e for i, e in enumerate(elements) if not mask >> i & 1]}))
+        partitions.append(path)
+    return poset, partitions
+
+
+# SHA-256 of the concatenated stdout of one command per partition of the grid,
+# taken from the code that built every point as a dict before printing it
+GRID_GOLDEN = {
+    "decompose --t 3":
+        "e5b850b15f0999f9c64f42017b73a5006914009b5581aae50bf3d30e6deae21b",
+    "decompose --t 3 --format text":
+        "3c7e1e00fe1acd8d39fcadf7d095d8cad53e536715ca216c4dbb48cc5931d488",
+    "points --t 2":
+        "2ccd444dfbb695dc648ea849703c446f0efe9f46677143a9cd74f73ca8a7aee2",
+    "points --t 2 --format text":
+        "34d1d1afbcbca8aeaf16ccab68a3152cb877173248f6ede6628d76402a6c0ac5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_GOLDEN))
+def test_grid_golden_stdout(capsys, tmp_path, command):
+    """``decompose`` splits the middle point of each partition's 3-dilation."""
+    from plueckerfan.chain_order import ChainOrderPartition, dilation_points, point_to_json_obj
+    from plueckerfan.order_core import Poset
+
+    poset_file, partitions = write_grid(tmp_path)
+    poset = Poset.from_json(poset_file.read_text())
+    action, *flags = shlex.split(command)
+    digest = hashlib.sha256()
+    for part_file in partitions:
+        argv = ["polytope", "--poset", str(poset_file), "--partition", str(part_file),
+                "--action", action, *flags]
+        if action == "decompose":
+            obj = json.loads(part_file.read_text())
+            part = ChainOrderPartition.from_sets(poset, obj["order"], obj["chain"])
+            points = dilation_points(part, 3)
+            point_file = tmp_path / "point.json"
+            point_file.write_text(json.dumps(point_to_json_obj(points[len(points) // 2])))
+            argv += ["--point", str(point_file)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == GRID_GOLDEN[command]
+
+
+def reference_points_json(points):
+    """The dict-then-``json.dumps`` rendering that the row template must reproduce."""
+    from plueckerfan.chain_order import point_to_json_obj
+    return json.dumps([point_to_json_obj(p) for p in points], indent=2, sort_keys=True)
+
+
+class TestPointsJson:
+    """``polytope`` JSON rendered from the point rows equals the dict path byte for byte."""
+
+    POSETS = {
+        "escapes": {"elements": ['a"b', "c\\d", "é", "100%", "n\nl", "☃", "z"],
+                    "covers": [['a"b', "é"], ["c\\d", "100%"], ["é", "☃"]]},
+        "same str": {"elements": [1, "1", "2", 2, 0], "covers": [[1, "2"], ["1", 2]]},
+        "empty": {"elements": [], "covers": []},
+        "one": {"elements": ["x"], "covers": []},
+    }
+
+    @staticmethod
+    def files(tmp_path, obj):
+        from plueckerfan.chain_order import ChainOrderPartition
+        from plueckerfan.order_core import Poset
+        poset_file = tmp_path / "poset.json"
+        poset_file.write_text(json.dumps(obj))
+        poset = Poset.from_json(poset_file.read_text())
+        part_file = tmp_path / "part.json"
+        chain = poset.elements[::2]
+        order = [e for e in poset.elements if e not in chain]
+        part_file.write_text(json.dumps({"order": order, "chain": list(chain)}))
+        return poset_file, part_file, ChainOrderPartition.from_sets(poset, order, chain)
+
+    @pytest.mark.parametrize("name", sorted(POSETS))
+    def test_points_and_decompose(self, capsys, tmp_path, name):
+        from plueckerfan.chain_order import (
+            dilation_points, minkowski_decompose, point_to_json_obj)
+        poset_file, part_file, part = self.files(tmp_path, self.POSETS[name])
+        for t in range(4):
+            points = dilation_points(part, t)
+            code, out, _ = run(capsys, "polytope", "--poset", str(poset_file), "--partition",
+                               str(part_file), "--t", str(t), "--action", "points")
+            assert code == 0 and out == reference_points_json(points) + "\n"
+            if t == 0 or len(set(map(str, part.poset.elements))) < len(part.poset):
+                continue  # a point file cannot name two elements with the same str
+            point_file = tmp_path / "point.json"
+            point_file.write_text(json.dumps(point_to_json_obj(points[-1])))
+            code, out, _ = run(capsys, "polytope", "--poset", str(poset_file), "--partition",
+                               str(part_file), "--t", str(t), "--action", "decompose",
+                               "--point", str(point_file))
+            pieces = minkowski_decompose(part, points[-1], t)
+            assert code == 0 and out == reference_points_json(pieces) + "\n"
+
+    def test_same_str_keeps_the_last_element(self, capsys, tmp_path):
+        poset_file, part_file, part = self.files(tmp_path, {"elements": ["1", 1], "covers": []})
+        code, out, _ = run(capsys, "polytope", "--poset", str(poset_file), "--t", "1",
+                           "--action", "points")
+        assert code == 0
+        assert json.loads(out) == [{"1": "0"}, {"1": "1"}, {"1": "0"}, {"1": "1"}]
+
+    def test_out_file(self, capsys, tmp_path):
+        from plueckerfan.chain_order import ChainOrderPartition, dilation_points
+        poset_file, _, part = self.files(tmp_path, self.POSETS["escapes"])
+        path = tmp_path / "points.json"
+        code, out, _ = run(capsys, "polytope", "--poset", str(poset_file), "--t", "2",
+                           "--action", "points", "--out", str(path))
+        expected = dilation_points(ChainOrderPartition.order_polytope(part.poset), 2)
+        assert code == 0 and out == ""
+        assert path.read_text(encoding="utf-8") == reference_points_json(expected) + "\n"
+
+
+def test_sampler_that_does_not_converge_is_a_capacity_error(capsys, monkeypatch):
+    from plueckerfan import verify
+    monkeypatch.setattr(verify.cones, "contains", lambda hrep, w: False)
+    code, out, err = run(capsys, "verify", "--suite", "ssyt-cone", "--n", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity: rejection sampling is not converging")
+    assert len(err.splitlines()) == 1

@@ -115,6 +115,14 @@ class TestOrderIdeals:
             with pytest.raises(PosetError):
                 OrderIdeal(p, bits)
 
+    def test_operators_reject_ideals_of_another_poset(self):
+        # an equal but distinct poset is another poset: positions may not line up
+        a, b = OrderIdeal(chain(2), 0b1), OrderIdeal(chain(2), 0b11)
+        for op in (lambda x, y: x | y, lambda x, y: x & y, lambda x, y: x <= y):
+            with pytest.raises(PosetError, match="different posets"):
+                op(a, b)
+        assert (a | a, a & a, a <= a) == (a, a, True)
+
 
 class TestLatticeOfIdeals:
     def test_empty_poset(self):

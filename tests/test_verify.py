@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plueckerfan import cones, straightening, verify
@@ -106,7 +107,7 @@ def test_sampler_raises_when_nothing_is_accepted():
     lat = semistandard_lattice(3)
     hrep = cones.cone_hrep("HIBI", lattice=lat)
     zero = dict.fromkeys(cones.interior_witness(lat), 0)
-    with pytest.raises(RuntimeError, match="not converging"):
+    with pytest.raises(CapacityError, match="not converging"):
         verify.sample_cone_points(hrep, zero, 5, seed=0, spread=0)
 
 
@@ -123,7 +124,7 @@ def test_sampler_raises_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           timeout=60, env={"PYTHONPATH": str(src)})
     assert proc.returncode == 1
-    assert "RuntimeError: rejection sampling is not converging" in proc.stderr
+    assert "CapacityError: rejection sampling is not converging" in proc.stderr
 
 
 # -- the per-sample cone suite loop, kept as the reference of the batched one ----
@@ -308,6 +309,34 @@ def test_ehrhart_failures_are_unchanged(monkeypatch, case):
     failures = verify.run_suite(suite, n=n, seed=seed).to_json_obj()["failures"]
     digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
     assert (len(failures), digest) == EHRHART_FAILURES[case]
+
+
+# -- the box oracle ------------------------------------------------------------
+
+def reference_integer_points(A, b, t):
+    """The box oracle that builds its box on every call and tests every row."""
+    size = A.shape[1]
+    grid = np.indices((t + 1,) * size).reshape(size, -1).T.astype(np.int64)
+    keep = (grid @ A.T <= t * b).all(axis=1)
+    return grid[keep]
+
+
+def test_shared_box_with_skipped_rows_matches_the_full_box():
+    import random
+    rng = random.Random(61)
+    boxes = {}
+    checked = 0
+    for _ in range(40):
+        poset = verify.random_poset(rng, max_size=6)
+        for part in verify.partitions_of(poset, rng.getrandbits(32))[:6]:
+            A, b = interpolating_hrep(poset, part).arrays()
+            for t in range(verify.EHRHART_MAX_T + 1):
+                box = boxes.setdefault((len(poset), t), verify.box_points(len(poset), t))
+                got = verify.integer_points(A, b, t, box)
+                expected = reference_integer_points(A, b, t)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+                checked += 1
+    assert checked > 500 and len(boxes) >= 20
 
 
 # -- the counts suite under python -O -------------------------------------------
