@@ -255,8 +255,7 @@ def k_set(part, ideal):
 
 
 def _k_mask(part, bits):
-    poset = part.poset
-    return (bits & part.order_mask) | (poset.maximal_of(bits) & part.chain_mask)
+    return (bits & part.order_mask) | part.poset.maximal_of(bits, part.chain_mask)
 
 
 def odot_ideals(part, ideal1, ideal2):

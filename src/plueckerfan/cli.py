@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification failure (capped at 125 for ``verify``),
-2 usage errors, 3 capacity guards.  All output is deterministic given the
-flags and seed.
+2 usage errors, 3 capacity guards, 4 a broken internal invariant
+(``order_core.InvariantError``: a bug, not a failed check; stdout stays empty
+and one ``invariant: ...`` line goes to stderr).  All output is deterministic
+given the flags and seed.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import sys
 
 from . import chain_order, cones, straightening, verify
 from .chain_order import ChainOrderPartition
-from .order_core import CapacityError, Poset, PosetError
+from .order_core import CapacityError, InvariantError, Poset, PosetError
 from .plucker_lattices import ComparablePairError, PluckerLattice
 
 USAGE_ERROR = 2
 CAPACITY_ERROR = 3
+INVARIANT_ERROR = 4
 
 
 def _emit(obj, args, json_text=None):
@@ -269,6 +272,9 @@ def main(argv=None):
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return CAPACITY_ERROR
+    except InvariantError as exc:
+        print(f"invariant: {exc}", file=sys.stderr)
+        return INVARIANT_ERROR
     except (ComparablePairError, PosetError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

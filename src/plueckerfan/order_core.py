@@ -251,9 +251,13 @@ class Poset:
             rest = (rest ^ low) & ~out  # what is already below needs no scan of its own
         return out
 
-    def maximal_of(self, mask):
-        """Bitmask of elements of ``mask`` with no strictly larger element in ``mask``."""
-        up, out, rest = self.up, 0, mask
+    def maximal_of(self, mask, among=None):
+        """Bitmask of elements of ``mask`` with no strictly larger element in ``mask``.
+
+        ``among``, when given, limits the scan to the elements of ``mask & among``.
+        """
+        up, out = self.up, 0
+        rest = mask if among is None else mask & among
         while rest:
             low = rest & -rest
             if up[low.bit_length() - 1] & mask & ~low == 0:

@@ -7,7 +7,10 @@ lattice-point checks use the batched int64 transfer maps of ``chain_order``,
 which stay exact for the small bounded coordinates involved, and the cone
 suites check all their samples at once through the batched twins in ``cones``.
 A run of ``ehrhart`` or ``minkowski`` builds each box of side t+1 once per
-poset size and t, and drops it when the run ends.
+poset size and t, and drops it when the run ends.  numpy is imported on first
+use, by the box, the transfer checks and the cone suites, so the exact suites
+(``strlaws``, ``pbwstrlaws``, ``tau``, ``convex``, ``counts``, ``asl``) never
+load it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import cones, straightening
 from .chain_order import (
@@ -216,6 +217,7 @@ def partitions_of(poset, seed):
 
 def box_points(size, t):
     """The integer points of the box [0, t]^size, as an array of rows."""
+    import numpy as np  # on first use, so the exact suites never load it
     return np.indices((t + 1,) * size).reshape(size, -1).T.astype(np.int64)
 
 
@@ -239,6 +241,7 @@ def _ehrhart_combo(report, part, label, arrays, order_arrays, reference, t, box,
     ``label`` is ``part.to_json_obj()``, the partition's part of every reproducer,
     and ``box`` is ``box_points(len(part.poset), t)``.
     """
+    import numpy as np
     points = integer_points(*arrays, t, box)
     report.record(len(points) == len(reference),
                   ("point count", part.poset.elements, label, t, len(points), len(reference)))
@@ -312,29 +315,40 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     """Seeded integer points inside the cone: scaled center plus boxed noise.
 
     Rejection-samples against the exact H-representation; the rejection count
-    is reported alongside the samples.  Raises ``CapacityError`` when 100
-    attempts per requested sample do not fill the count.
+    is reported alongside the samples.  Candidates are drawn in blocks of at
+    most the number still needed, and each block is tested at once by
+    ``cones.contains_many`` on a samples-by-keys matrix built from the noise;
+    the draws, and so the samples, are those of testing one candidate at a
+    time.  Raises ``CapacityError`` when 100 attempts per requested sample do
+    not fill the count.
     """
+    import numpy as np
     rng = random.Random(seed)
     keys = sorted(center, key=cones._key_name)
+    base = [scale * center[k] for k in keys]
+    fits = all(type(v) is int and abs(v) + spread < cones._INT64_LIMIT for v in base)
+    base_row = np.array(base, dtype=np.int64 if fits else object)
+    width = len(keys)
+    budget = 100 * count - 1  # the draws before the attempt that gives up
     points = []
-    rejected = 0
-    attempts = 0
+    drawn = 0
     while len(points) < count:
-        attempts += 1
-        if attempts >= 100 * count:
+        size = min(count - len(points), budget - drawn)
+        if size <= 0:
             raise CapacityError(f"rejection sampling is not converging: {len(points)} of "
-                                f"{count} samples accepted after {attempts} attempts")
-        w = {k: scale * center[k] + rng.randint(-spread, spread) for k in keys}
-        if cones.contains(hrep, w):
-            points.append(w)
-        else:
-            rejected += 1
-    return points, rejected
+                                f"{count} samples accepted after {drawn + 1} attempts")
+        noise = (rng.randint(-spread, spread) for _ in range(size * width))
+        W = np.fromiter(noise, dtype=base_row.dtype, count=size * width).reshape(size, width)
+        W += base_row
+        drawn += size
+        for i in np.flatnonzero(cones.contains_many(hrep, keys, W)).tolist():
+            points.append(dict(zip(keys, W[i].tolist())))
+    return points, drawn - len(points)
 
 
 def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
     """Soundness, initial forms (straightening ``relations`` or Hibi binomials) and witnesses."""
+    import numpy as np
     n = _size(n, 6, 2)
     report = SuiteReport(name, n, seed)
     lat = PluckerLattice(kind, n)

@@ -310,6 +310,37 @@ class TestKSets:
                     assert support == set(k_set(part, ideal))
 
 
+class TestKMaskMatchesReference:
+    """Scanning only the chain part of an ideal finds the K-set of the whole-ideal scan."""
+
+    @staticmethod
+    def assert_same(poset, parts):
+        ideals = [ideal.bits for ideal in enumerate_order_ideals(poset)]
+        for part in parts:
+            for bits in ideals:
+                expect = (bits & part.order_mask) | (poset.maximal_of(bits) & part.chain_mask)
+                assert _k_mask(part, bits) == expect, (part.to_json_obj(), bits)
+        return len(parts) * len(ideals)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_grid_every_partition(self, n):
+        poset = grid_poset(n)
+        assert self.assert_same(poset, all_partitions(poset)) == 2 ** len(poset) * (2 ** n - 2)
+
+    def test_grid_n6_sampled_partitions(self):
+        # 2**19 partitions are too many; the order and chain parts and 4000 seeded ones
+        poset = grid_poset(6)
+        parts = sampled_partitions(poset, 4000, seed=6) + [
+            ChainOrderPartition.order_polytope(poset), ChainOrderPartition.chain_polytope(poset)]
+        assert self.assert_same(poset, parts) > 3900 * 62
+
+    def test_random_posets_every_partition(self):
+        rng = random.Random(47)
+        cases = sum(self.assert_same(poset, all_partitions(poset))
+                    for poset in (verify.random_poset(rng, max_size=8) for _ in range(40)))
+        assert cases > 10000
+
+
 class TestOdot:
     def test_subset_absorbs(self):
         p = two_chain()

@@ -2,8 +2,12 @@ import argparse
 import hashlib
 import json
 import shlex
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plueckerfan import cli, cones
@@ -446,8 +450,91 @@ class TestPointsJson:
 
 def test_sampler_that_does_not_converge_is_a_capacity_error(capsys, monkeypatch):
     from plueckerfan import verify
-    monkeypatch.setattr(verify.cones, "contains", lambda hrep, w: False)
+    monkeypatch.setattr(verify.cones, "contains_many",
+                        lambda hrep, keys, W: np.zeros(len(W), dtype=bool))
     code, out, err = run(capsys, "verify", "--suite", "ssyt-cone", "--n", "3")
     assert (code, out) == (3, "")
     assert err.startswith("capacity: rejection sampling is not converging")
     assert len(err.splitlines()) == 1
+
+
+# -- a broken invariant is exit code 4, not a failed verification ---------------
+
+def broken_pivot(first, second):
+    """The semistandard pivot with ties counted as violations: some shuffles lose the pivot."""
+    return next((r + 1 for r in range(len(second)) if first[r] >= second[r]), None)
+
+
+@pytest.mark.parametrize("command", ["verify --suite strlaws --n 4",
+                                     'straighten --kind M --n 4 --pair "1,2 1,3,4"'])
+def test_broken_invariant_is_exit_code_4(capsys, monkeypatch, command):
+    from plueckerfan import straightening
+    monkeypatch.setattr(straightening, "_pivot_m", broken_pivot)
+    code, out, err = run(capsys, *shlex.split(command))
+    assert (code, out) == (cli.INVARIANT_ERROR, "")
+    assert err == "invariant: pivot monomial must survive the shuffle\n"
+
+
+STRAIGHTEN_WITH_A_BROKEN_PIVOT = (
+    "import sys\n"
+    "from plueckerfan import cli, straightening\n"
+    "straightening._pivot_m = lambda first, second: next(\n"
+    "    (r + 1 for r in range(len(second)) if first[r] >= second[r]), None)\n"
+    "sys.exit(cli.main(['straighten', '--n', '4', '--pair', '1,2 1,3,4']))\n")
+
+
+def run_script(flags, script, *args):
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *flags, "-c", script, *args], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": str(src)})
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_broken_invariant_is_exit_code_4_under_python_O(flags):
+    proc = run_script(flags, STRAIGHTEN_WITH_A_BROKEN_PIVOT)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "invariant: pivot monomial must survive the shuffle\n"
+
+
+# -- the exact commands never load numpy ----------------------------------------
+
+NUMPY_FREE = [
+    "lattice --kind N --n 4",
+    "pairs --kind M --n 4",
+    'straighten --n 4 --pair "1,4 2,3" --oracle probabilistic',
+    "cone --target SSYT --n 4",
+    "cone --target PBW_REDUNDANT --n 4",
+    "cone --target GENHIBI --kind N --n 4",
+    "check-point --target SSYT --n 3 --weights {weights}",
+    "facets --n 5",
+    "polytope --poset {poset} --action hrep",
+    "verify --suite strlaws --n 4",
+    "verify --suite pbwstrlaws --n 4",
+    "verify --suite asl --n 3",
+    "verify --suite counts --n 5",
+    "verify --suite tau --n 4",
+    "verify --suite convex --n 4",
+]
+ARRAY_PATH = ["verify --suite ssyt-cone --n 3", "polytope --poset {poset} --t 2 --action points"]
+
+# runs each group of command lines through cli.main in one process and prints,
+# per group, the exit codes and whether numpy has been imported by then
+RUN_GROUPS = (
+    "import contextlib, io, json, shlex, sys\n"
+    "from plueckerfan import cli\n"
+    "for group in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        codes = [cli.main(shlex.split(line)) for line in group]\n"
+    "    print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    files = {"poset": tmp_path / "poset.json", "weights": tmp_path / "w.json"}
+    files["poset"].write_text(json.dumps({"elements": ["a", "b", "c"], "covers": [["a", "b"]]}))
+    files["weights"].write_text(json.dumps(
+        cones.weights_to_json_obj(cones.interior_witness(semistandard_lattice(3)))))
+    groups = [[line.format(**files) for line in group] for group in (NUMPY_FREE, ARRAY_PATH)]
+    proc = run_script([], RUN_GROUPS, json.dumps(groups))
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        [[0] * len(NUMPY_FREE), False], [[0] * len(ARRAY_PATH), True]]

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,74 @@ def test_sampler_raises_under_python_O():
                           timeout=60, env={"PYTHONPATH": str(src)})
     assert proc.returncode == 1
     assert "CapacityError: rejection sampling is not converging" in proc.stderr
+
+
+# -- the one-candidate-at-a-time sampler, kept as the reference of the batched one --
+
+def reference_sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
+    rng = random.Random(seed)
+    keys = sorted(center, key=cones._key_name)
+    points = []
+    rejected = 0
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts >= 100 * count:
+            raise CapacityError(f"rejection sampling is not converging: {len(points)} of "
+                                f"{count} samples accepted after {attempts} attempts")
+        w = {k: scale * center[k] + rng.randint(-spread, spread) for k in keys}
+        if cones.contains(hrep, w):
+            points.append(w)
+        else:
+            rejected += 1
+    return points, rejected
+
+
+def sampler_outcome(sampler, *args):
+    try:
+        return sampler(*args)
+    except CapacityError as exc:
+        return str(exc)
+
+
+def minimal_cone(target, n):
+    lat = verify.PluckerLattice("M" if target in ("HIBI", "SSYT") else "N", n)
+    hrep = cones.cone_hrep(target, n=n, lattice=lat)
+    if hrep.partition is None:
+        return hrep, cones.interior_witness(lat)
+    return hrep, cones.generalized_interior_witness(lat)
+
+
+@pytest.mark.parametrize("target", ["HIBI", "GENHIBI", "SSYT", "PBW"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_batched_sampler_draws_the_reference_samples(target, n):
+    hrep, center = minimal_cone(target, n)
+    for seed in range(3):
+        got = verify.sample_cone_points(hrep, center, verify.CONE_SAMPLES, seed)
+        assert got == reference_sample_cone_points(hrep, center, verify.CONE_SAMPLES, seed)
+
+
+@pytest.mark.parametrize("lift", [lambda v: v << 60, lambda v: Fraction(v, 3)],
+                         ids=["past-int64", "fractions"])
+def test_batched_sampler_on_exact_values(lift):
+    # weights past int64 or not integers take the object-array path
+    hrep, center = minimal_cone("SSYT", 4)
+    lifted = {k: lift(v) for k, v in center.items()}
+    got = verify.sample_cone_points(hrep, lifted, 200, seed=1)
+    assert got == reference_sample_cone_points(hrep, lifted, 200, seed=1)
+    assert len(got[0]) == 200
+
+
+@pytest.mark.parametrize("n, count, spread", [(3, 5, 0), (4, 20, 5), (3, 20, 5)])
+def test_batched_sampler_on_the_zero_centre_gives_up_like_the_reference(n, count, spread):
+    # no noise: every draw is the apex and is rejected; at n=4 the budget runs
+    # out with 10 of 20 accepted (seed 0), part way through a block; n=3 fills
+    hrep, center = minimal_cone("HIBI", n)
+    zero = dict.fromkeys(center, 0)
+    for seed in range(3):
+        args = (hrep, zero, count, seed, 16, spread)
+        got = sampler_outcome(verify.sample_cone_points, *args)
+        assert got == sampler_outcome(reference_sample_cone_points, *args)
 
 
 # -- the per-sample cone suite loop, kept as the reference of the batched one ----
