@@ -9,11 +9,14 @@ the lattice points of dilations together with their Minkowski decompositions.
 ``dilation_points`` the same points as dicts, and ``points_to_json`` renders
 rows as the JSON of ``point_to_json_obj`` maps without building them.
 
-``zeta_matrix``, ``zeta_prime_matrix`` and ``k_matrix`` are batched int64
-forms of ``zeta``, ``zeta_prime`` and ``k_set`` over points-by-elements numpy
-arrays, and ``PolytopeHRep.arrays`` gives an inequality system as int64
-arrays; the scalar forms work exactly on ``Fraction`` coordinates and are the
-reference the batched forms are tested against.
+``zeta_matrix``, ``zeta_prime_matrix`` and ``k_matrix`` are the batched
+forms of ``zeta``, ``zeta_prime`` and ``k_set``.  They map a stack of
+partitions of one poset at once: a partitions-by-points-by-elements numpy
+array, with ``chain_matrix`` marking each partition's chain elements, so one
+partition is the one-element stack.  ``PolytopeHRep.arrays`` gives an
+inequality system as int64 arrays.  The scalar forms work exactly on
+``Fraction`` coordinates and are the reference the batched forms are tested
+against.
 """
 
 from __future__ import annotations
@@ -217,31 +220,59 @@ def zeta_prime(part, point):
     return _as_point(poset, out)
 
 
-def zeta_matrix(part, X):
-    """``zeta`` on every row of a points-by-elements int64 array."""
-    lt = part.poset.strict_order_matrix
+def chain_matrix(poset, parts):
+    """The chain elements of partitions of ``poset``, as a partitions-by-elements bool array."""
+    import numpy as np  # on first use, see PolytopeHRep.arrays
+    if any(part.poset is not poset for part in parts):
+        raise PosetError("partition does not belong to this poset")
+    n = len(poset)
+    rows = [[part.chain_mask >> i & 1 for i in range(n)] for part in parts]
+    return np.array(rows, dtype=bool).reshape(len(parts), n)
+
+
+def zeta_matrix(poset, chain, X):
+    """``zeta`` of a stack of partitions: block p of the result maps every row of ``X[p]``.
+
+    ``chain`` is ``chain_matrix(poset, parts)`` and ``X`` a partitions-by-points-
+    by-elements array.
+    """
+    import numpy as np
     out = X.copy()
-    for i in _bits(part.chain_mask):
-        if lt[i].any():
-            out[:, i] = X[:, i] - X[:, lt[i]].max(axis=1)
+    for i in range(len(poset)):
+        strict_up = list(_bits(poset.up[i] & ~(1 << i)))
+        if strict_up:
+            above = X[..., strict_up[0]]  # the largest coordinate strictly above i
+            for j in strict_up[1:]:
+                above = np.maximum(above, X[..., j])
+            out[..., i] -= chain[:, i, None] * above
     return out
 
 
-def zeta_prime_matrix(part, X):
-    """``zeta_prime`` on every row of a points-by-elements int64 array."""
-    lt = part.poset.strict_order_matrix
+def zeta_prime_matrix(poset, chain, X):
+    """``zeta_prime`` of a stack of partitions, laid out as for ``zeta_matrix``."""
+    import numpy as np
     best = X.copy()
-    for i in reversed(range(len(part.poset))):  # canonical order is a linear extension
-        if part.chain_mask >> i & 1 and lt[i].any():
-            best[:, i] += best[:, lt[i]].max(axis=1).clip(min=0)
+    for i in reversed(range(len(poset))):  # canonical order is a linear extension
+        strict_up = poset.up[i] & ~(1 << i)
+        if strict_up:
+            tail = np.zeros_like(best[..., i])
+            for j in _bits(strict_up):
+                np.maximum(tail, best[..., j], out=tail)
+            tail *= chain[:, i, None]
+            best[..., i] += tail
     return best
 
 
-def k_matrix(part, J):
-    """K-set indicators of every row of a points-by-elements 0/1 int64 ideal array."""
-    above_in_j = J @ part.poset.strict_order_matrix.T  # entry (x, p): elements of J_x above p
-    above_in_j[:, list(_bits(part.order_mask))] = 0  # order elements of J_x all count
-    return ((J > 0) & (above_in_j == 0)).astype(J.dtype)
+def k_matrix(poset, chain, J):
+    """K-set indicators of a stack of 0/1 ideal arrays, laid out as for ``zeta_matrix``.
+
+    For float64 ``J`` the count of ideal elements above each element is a BLAS
+    product, exact since every count is at most the poset size.
+    """
+    # entry (p, x, q): the elements of J_x strictly above q
+    above_in_j = J @ poset.strict_order_matrix.T.astype(J.dtype)
+    # order elements of J_x all count, chain elements only when nothing of J_x lies above
+    return ((J > 0) & (~chain[:, None, :] | (above_in_j == 0))).astype(J.dtype)
 
 
 def k_set(part, ideal):
@@ -370,8 +401,9 @@ def points_to_json(poset, rows):
     Byte for byte ``json.dumps([point_to_json_obj(p) for p in points], indent=2,
     sort_keys=True)``, where ``points`` are the rows as dicts, without building
     them: one row template lists the keys in ``str`` order, each encoded once,
-    and writes every coordinate with ``%d``.  Elements with the same ``str``
-    keep the last one's coordinate, as ``point_to_json_obj`` does.
+    and writes every coordinate with ``%d``.  Elements with the same ``str``,
+    which ``Poset.from_covers`` rejects, keep the last one's coordinate, as
+    ``point_to_json_obj`` does.
     """
     last = {str(e): i for i, e in enumerate(poset.elements)}
     keys = sorted(last)

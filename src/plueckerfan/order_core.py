@@ -78,11 +78,21 @@ class Poset:
 
     @classmethod
     def from_covers(cls, elements, covers):
-        """Build from cover edges (lo, hi); edges are validated acyclic."""
+        """Build from cover edges (lo, hi); edges are validated acyclic.
+
+        Points and inequalities name an element by its ``str``, so two
+        elements with the same ``str`` are rejected.
+        """
         elements = list(elements)
         pos = {e: i for i, e in enumerate(elements)}
         if len(pos) != len(elements):
             raise PosetError("duplicate element ids")
+        by_name = {}
+        for e in elements:
+            if str(e) in by_name:
+                raise PosetError(
+                    f"elements {by_name[str(e)]!r} and {e!r} have the same name {str(e)!r}")
+            by_name[str(e)] = e
         n = len(elements)
         adj = [0] * n
         for lo, hi in covers:

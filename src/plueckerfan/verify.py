@@ -2,15 +2,19 @@
 
 Each suite runs a block of exact checks with a fixed seed and returns a
 ``SuiteReport``; a failure record always carries a minimal reproducer.  Only
-the checks and the brute-force box oracle ``integer_points`` live here; the
-lattice-point checks use the batched int64 transfer maps of ``chain_order``,
-which stay exact for the small bounded coordinates involved, and the cone
-suites check all their samples at once through the batched twins in ``cones``.
-A run of ``ehrhart`` or ``minkowski`` builds each box of side t+1 once per
-poset size and t, and drops it when the run ends.  numpy is imported on first
-use, by the box, the transfer checks and the cone suites, so the exact suites
-(``strlaws``, ``pbwstrlaws``, ``tau``, ``convex``, ``counts``, ``asl``) never
-load it.
+the checks and the brute-force box oracle ``integer_points`` live here.
+
+``ehrhart`` and ``minkowski`` check all the partitions of a poset together:
+for each t, stacks of partitions go through the stacked transfer maps of
+``chain_order`` at once, and the inequality products run in float64 (BLAS),
+exact for the small bounded coordinates involved.  The records keep the order
+of checking one partition at one t at a time.  A run builds each box of side
+t+1 once per poset size and t, and drops it when the run ends.  The cone
+suites check all their samples at once through the batched twins in
+``cones``, on the samples-by-keys matrix the sampler returns.  numpy is
+imported on first use, by the box, the transfer checks and the cone suites,
+so the exact suites (``strlaws``, ``pbwstrlaws``, ``tau``, ``convex``,
+``counts``, ``asl``) never load it.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ from fractions import Fraction
 from . import cones, straightening
 from .chain_order import (
     ChainOrderPartition,
+    chain_matrix,
     interpolating_hrep,
     k_matrix,
     zeta_matrix,
     zeta_prime_matrix,
 )
-from .order_core import CapacityError, InvariantError, Poset
+from .order_core import CapacityError, InvariantError, Poset, check
 from .plucker_lattices import (
     PluckerLattice,
     lazy_lattice,
@@ -45,6 +50,7 @@ EHRHART_MAX_T = 3
 RANDOM_POSETS = 50
 PARTITION_SAMPLES = 20
 CONE_SAMPLES = 1000
+TRANSFER_BATCH_POINTS = 512
 
 
 @dataclass
@@ -216,62 +222,150 @@ def partitions_of(poset, seed):
 
 
 def box_points(size, t):
-    """The integer points of the box [0, t]^size, as an array of rows."""
+    """The integer points of the box [0, t]^size, one float64 column per point."""
     import numpy as np  # on first use, so the exact suites never load it
-    return np.indices((t + 1,) * size).reshape(size, -1).T.astype(np.int64)
+    return np.indices((t + 1,) * size, dtype=np.float64).reshape(size, -1)
 
 
 def integer_points(A, b, t, box):
-    """Brute-force integer points of the t-dilation of {x : A x <= b}, as an array of rows.
+    """Brute-force integer points of the t-dilation of {x : A x <= b}, as an int64 array of rows.
 
     ``box`` is ``box_points(A.shape[1], t)``, which a suite run builds once per
     size and t.  Only the rows with a positive coefficient or a negative bound
     are tested: every other row holds on the whole box, whose coordinates are
-    nonnegative.
-    """
-    binding = (A > 0).any(axis=1) | (b < 0)
-    keep = (box @ A[binding].T <= t * b[binding]).all(axis=1)
-    return box[keep]
-
-
-def _ehrhart_combo(report, part, label, arrays, order_arrays, reference, t, box,
-                   check_decomposition):
-    """Checks of one partition at one t against the order polytope's points ``reference``.
-
-    ``label`` is ``part.to_json_obj()``, the partition's part of every reproducer,
-    and ``box`` is ``box_points(len(part.poset), t)``.
+    nonnegative.  The product runs in float64, exact for coordinates at most
+    t and integer rows of small norm, and each point's test reduces over the
+    leading axis, which numpy vectorizes across points.
     """
     import numpy as np
-    points = integer_points(*arrays, t, box)
-    report.record(len(points) == len(reference),
-                  ("point count", part.poset.elements, label, t, len(points), len(reference)))
-    if len(part.poset) == 0 or t == 0:
-        return
-    # transfer round trips
-    Y = zeta_prime_matrix(part, points)
-    back = zeta_matrix(part, Y)
-    report.record(bool((back == points).all()), ("zeta o zeta_prime", label, t))
-    Z = zeta_matrix(part, reference)
-    forward = zeta_prime_matrix(part, Z)
-    report.record(bool((forward == reference).all()), ("zeta_prime o zeta", label, t))
-    # zeta maps the order dilation into the chain-order dilation and back
-    A, b = arrays
-    report.record(bool((Z @ A.T <= t * b).all()), ("zeta image", label, t))
-    Ao, bo = order_arrays
-    report.record(bool((Y @ Ao.T <= t * bo).all()), ("zeta_prime image", label, t))
-    if not check_decomposition:
-        return
-    lt = part.poset.strict_order_matrix
-    total = np.zeros_like(points)
-    for i in range(1, t + 1):
-        J = (Y >= i).astype(np.int64)
-        # (J @ lt.T)[x, q] counts elements of J_x strictly above q
-        not_down_closed = ((J == 0) & ((J @ lt.T) > 0)).any()
-        report.record(not bool(not_down_closed), ("level sets are ideals", label, t, i))
-        piece = k_matrix(part, J)
-        report.record(bool((piece @ A.T <= b).all()), ("piece membership", label, t, i))
-        total += piece
-    report.record(bool((total == points).all()), ("decomposition sum", label, t))
+    binding = (A > 0).any(axis=1) | (b < 0)
+    keep = (A[binding].astype(np.float64) @ box <= t * b[binding, None]).all(axis=0)
+    return box[:, keep].T.astype(np.int64, order="C")
+
+
+def _check_names(t, check_decomposition):
+    """Name and extra reproducer fields of each transfer check at one t > 0, in record order."""
+    names = [("zeta o zeta_prime",), ("zeta_prime o zeta",), ("zeta image",),
+             ("zeta_prime image",)]
+    if check_decomposition:
+        for i in range(1, t + 1):
+            names += [("level sets are ideals", i), ("piece membership", i)]
+        names.append(("decomposition sum",))
+    return names
+
+
+def _transfer_checks(poset, chain, At, b, order_at, order_b, X, pad, reference, t,
+                     check_decomposition):
+    """The transfer checks of a stack of partitions at one t > 0, as a bool array.
+
+    ``X`` holds each partition's points, zero-padded to one length; ``pad`` is
+    None when no row is padding, else the partitions-by-points mask of the
+    padding rows, which pass every check.  ``At`` and ``b`` are the partitions'
+    inequality systems, transposed and padded with zero rows (0 <= 0), and
+    ``order_at``, ``order_b`` the order polytope's; ``reference`` holds the
+    order polytope's points, shared by all partitions.  The result has a row
+    per partition and a column per check, in ``_check_names`` order.
+
+    The inequality products run in float64, where numpy uses BLAS.  They are
+    exact: the rows come from ``interpolating_hrep``, with entries in
+    {-1, 0, 1}, so no partial sum exceeds the poset size times the largest
+    coordinate, which is checked to stay below 2**53.
+    """
+    import numpy as np
+    if pad is not None:
+        pad = pad[:, :, None]
+
+    def each(ok):  # per partition: every entry of every non-padding row holds
+        return (ok if pad is None else ok | pad).all(axis=(-2, -1))
+
+    R = np.broadcast_to(reference, (len(X),) + reference.shape)
+    Y = zeta_prime_matrix(poset, chain, X)
+    Z = zeta_matrix(poset, chain, R)
+    check(len(poset) * max(np.abs(Y).max(initial=0), np.abs(Z).max(initial=0)) < 2 ** 53,
+          "coordinates too large for exact float64 products")
+    outcomes = [each(zeta_matrix(poset, chain, Y) == X),
+                (zeta_prime_matrix(poset, chain, Z) == R).all(axis=(1, 2)),
+                # zeta maps the order dilation into the chain-order dilation and back
+                (Z.astype(np.float64) @ At <= t * b).all(axis=(1, 2))]
+    del Z, R  # the reference side is done: keep it out of the decomposition's peak memory
+    Y = Y.astype(np.float64)
+    outcomes.append(each(Y @ order_at <= t * order_b))
+    if check_decomposition:
+        lt = poset.strict_order_matrix.astype(np.float64)
+        total = np.zeros_like(Y)
+        for i in range(1, t + 1):
+            J = (Y >= i).astype(np.float64)
+            # (J @ lt.T)[p, x, q] counts elements of J_x strictly above q
+            outcomes.append(each((J > 0) | (J @ lt.T == 0)))
+            piece = k_matrix(poset, chain, J)
+            outcomes.append(each(piece @ At <= b))
+            total += piece
+        outcomes.append(each(total == X))
+    return np.stack(outcomes, axis=1)
+
+
+def _stacked(points, size):
+    """The point arrays of some partitions as one zero-padded stack, and its padding mask.
+
+    The mask is None when every partition has the same number of points.
+    """
+    import numpy as np
+    lengths = [len(x) for x in points]
+    if min(lengths) == max(lengths):
+        return np.stack(points), None
+    X = np.zeros((len(points), max(lengths), size), dtype=np.int64)
+    for p, x in enumerate(points):
+        X[p, :len(x)] = x
+    return X, np.arange(max(lengths)) >= np.array(lengths)[:, None]
+
+
+def _check_poset(report, poset, parts, box, check_decomposition):
+    """Records the point counts and transfer checks of ``parts`` at every t, partition by partition.
+
+    For each t the partitions are checked in stacks of about
+    ``TRANSFER_BATCH_POINTS`` reference points; the records keep the order of
+    checking one partition at a time, t by t.
+    """
+    import numpy as np
+    size = len(poset)
+    order_A, order_b = interpolating_hrep(
+        poset, ChainOrderPartition.order_polytope(poset)).arrays()
+    systems = [interpolating_hrep(poset, part).arrays() for part in parts]
+    chain = chain_matrix(poset, parts)
+    rows = max(len(bp) for _, bp in systems)
+    At = np.zeros((len(parts), size, rows))
+    b = np.zeros((len(parts), 1, rows))
+    for p, (A, bp) in enumerate(systems):
+        At[p, :, :len(bp)] = A.T
+        b[p, 0, :len(bp)] = bp
+    order_at = order_A.T.astype(np.float64)
+    # per t: the order polytope's point count, and each partition's point count and outcomes
+    expected, counts, outcomes = [], [], []
+    for t in range(EHRHART_MAX_T + 1):
+        reference = integer_points(order_A, order_b, t, box[t])
+        expected.append(len(reference))
+        counts.append([])
+        outcomes.append([])
+        step = max(1, TRANSFER_BATCH_POINTS // len(reference))
+        for lo in range(0, len(parts), step):
+            points = [integer_points(A, bp, t, box[t]) for A, bp in systems[lo:lo + step]]
+            counts[t] += map(len, points)
+            if size and t:
+                outcomes[t] += _transfer_checks(
+                    poset, chain[lo:lo + step], At[lo:lo + step], b[lo:lo + step], order_at,
+                    order_b, *_stacked(points, size), reference, t, check_decomposition).tolist()
+    names = [_check_names(t, check_decomposition) for t in range(EHRHART_MAX_T + 1)]
+    for p, part in enumerate(parts):
+        label = part.to_json_obj()
+        for t in range(EHRHART_MAX_T + 1):
+            got = counts[t][p]
+            report.record(got == expected[t],
+                          ("point count", poset.elements, label, t, got, expected[t]))
+            if outcomes[t]:
+                report.checks += len(names[t])
+                report.failures += [(head, label, t, *extra)
+                                    for ok, (head, *extra) in zip(outcomes[t][p], names[t])
+                                    if not ok]
 
 
 def _ehrhart_like(name, n, seed, check_decomposition):
@@ -284,16 +378,8 @@ def _ehrhart_like(name, n, seed, check_decomposition):
     for label, idx, poset in ehrhart_posets(n, seed):
         if len(poset) not in boxes:
             boxes[len(poset)] = [box_points(len(poset), t) for t in range(EHRHART_MAX_T + 1)]
-        box = boxes[len(poset)]
-        order_arrays = interpolating_hrep(
-            poset, ChainOrderPartition.order_polytope(poset)).arrays()
-        references = [integer_points(*order_arrays, t, box[t]) for t in range(EHRHART_MAX_T + 1)]
-        for part in partitions_of(poset, seed + idx):
-            arrays = interpolating_hrep(poset, part).arrays()
-            label = part.to_json_obj()
-            for t, reference in enumerate(references):
-                _ehrhart_combo(report, part, label, arrays, order_arrays, reference, t, box[t],
-                               check_decomposition)
+        _check_poset(report, poset, partitions_of(poset, seed + idx), boxes[len(poset)],
+                     check_decomposition)
     return report
 
 
@@ -311,16 +397,33 @@ def suite_minkowski(n, seed):
 
 # -- cone suites ----------------------------------------------------------------
 
+def _noise(rng, spread, count):
+    """``count`` draws of ``rng.randint(-spread, spread)``: the same values from the same stream.
+
+    Each draw is CPython's own: ``getrandbits`` of the bit length of the
+    range's width, redrawn while it falls outside the width.
+    """
+    width = 2 * spread + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        yield r - spread
+
+
 def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     """Seeded integer points inside the cone: scaled center plus boxed noise.
 
-    Rejection-samples against the exact H-representation; the rejection count
-    is reported alongside the samples.  Candidates are drawn in blocks of at
-    most the number still needed, and each block is tested at once by
-    ``cones.contains_many`` on a samples-by-keys matrix built from the noise;
-    the draws, and so the samples, are those of testing one candidate at a
-    time.  Raises ``CapacityError`` when 100 attempts per requested sample do
-    not fill the count.
+    Rejection-samples against the exact H-representation and returns
+    ``(W, rejected)``: ``W`` is the samples-by-keys matrix of the accepted
+    points, its columns the keys of ``center`` in ``cones._key_name`` order,
+    and ``rejected`` the number of rejected draws.  Candidates are drawn in
+    blocks of at most the number still needed, and each block is tested at
+    once by ``cones.contains_many``; the draws, and so the samples, are those
+    of testing one candidate at a time.  Raises ``CapacityError`` when 100
+    attempts per requested sample do not fill the count.
     """
     import numpy as np
     rng = random.Random(seed)
@@ -330,20 +433,20 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     base_row = np.array(base, dtype=np.int64 if fits else object)
     width = len(keys)
     budget = 100 * count - 1  # the draws before the attempt that gives up
-    points = []
-    drawn = 0
-    while len(points) < count:
-        size = min(count - len(points), budget - drawn)
+    blocks = []
+    accepted = drawn = 0
+    while accepted < count:
+        size = min(count - accepted, budget - drawn)
         if size <= 0:
-            raise CapacityError(f"rejection sampling is not converging: {len(points)} of "
+            raise CapacityError(f"rejection sampling is not converging: {accepted} of "
                                 f"{count} samples accepted after {drawn + 1} attempts")
-        noise = (rng.randint(-spread, spread) for _ in range(size * width))
+        noise = _noise(rng, spread, size * width)
         W = np.fromiter(noise, dtype=base_row.dtype, count=size * width).reshape(size, width)
         W += base_row
         drawn += size
-        for i in np.flatnonzero(cones.contains_many(hrep, keys, W)).tolist():
-            points.append(dict(zip(keys, W[i].tolist())))
-    return points, drawn - len(points)
+        blocks.append(W[cones.contains_many(hrep, keys, W)])
+        accepted += len(blocks[-1])
+    return np.concatenate(blocks), drawn - accepted
 
 
 def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
@@ -359,8 +462,13 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
     else:  # the generalized cones
         center = cones.generalized_interior_witness(lat)
     report.record(cones.contains(minimal, center), ("interior witness", target, n))
-    points, rejected = sample_cone_points(minimal, center, CONE_SAMPLES, seed)
+    W, rejected = sample_cone_points(minimal, center, CONE_SAMPLES, seed)
     report.notes["rejected_samples"] = rejected
+    keys = sorted(center, key=cones._key_name)  # the sampler's columns
+
+    def point(idx):  # a failing sample's weights, for its reproducer
+        return dict(zip(keys, W[idx].tolist()))
+
     key = lat.weight_key
     # (kind, a, b, polynomial) whose initial form must be the monomial of (a, b) alone
     polys = []
@@ -374,21 +482,19 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
                           {straightening.monomial(tuple(map(key, m))): c for m, c in gen.items()}))
     # every check runs over all samples at once; a failure's reproducer is
     # rebuilt by the scalar path, and failures keep the per-sample order
-    keys = list(center)
-    W = cones.weight_matrix(points, keys)
     failed = []
     for idx in np.flatnonzero(~cones.contains_many(redundant, keys, W)).tolist():
-        bad = [iq.provenance for iq in redundant.inequalities if not iq.holds(points[idx])]
+        bad = [iq.provenance for iq in redundant.inequalities if not iq.holds(point(idx))]
         failed.append((idx, 0, ("redundant description", idx, bad[:3])))
     for slot, (kind, a, b, poly) in enumerate(polys, 1):
         lead = straightening.monomial((key(a), key(b)))
         for idx in np.flatnonzero(~cones.lead_is_initial_many(poly, lead, keys, W)).tolist():
             if kind == "initial form":
-                reproducer = (kind, idx, a, b, sorted(cones.initial_form(poly, points[idx])))
+                reproducer = (kind, idx, a, b, sorted(cones.initial_form(poly, point(idx))))
             else:
                 reproducer = (kind, idx, a, b)
             failed.append((idx, slot, reproducer))
-    report.checks += len(points) * (1 + len(polys))
+    report.checks += len(W) * (1 + len(polys))
     report.failures += [reproducer for _, _, reproducer in sorted(failed, key=lambda f: f[:2])]
     for fid in minimal.facet_ids():
         witness = cones.facet_witness(minimal, fid)

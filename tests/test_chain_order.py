@@ -15,6 +15,7 @@ from plueckerfan.chain_order import (
     _admissible_chains,
     _as_point,
     _k_mask,
+    chain_matrix,
     dilation_points,
     dilation_table,
     interpolating_hrep,
@@ -549,37 +550,62 @@ class TestMinkowski:
 
 
 def batched_cases(rng):
-    """Two grid posets and seeded random posets, each with a sample of partitions."""
+    """Two grid posets and seeded random posets, each with a stack of sampled partitions."""
     posets = [grid_poset(3), grid_poset(4)] + [
         verify.random_poset(rng, max_size=6) for _ in range(10)]
-    return [(poset, part) for poset in posets
-            for part in sampled_partitions(poset, 6, rng.getrandbits(32))]
+    return [(poset, sampled_partitions(poset, 6, rng.getrandbits(32))) for poset in posets]
+
+
+def as_point(poset, row):
+    return dict(zip(poset.elements, (int(v) for v in row)))
 
 
 class TestVectorizedAgreesWithScalar:
+    """Every partition's block of the stacked maps agrees with the scalar maps."""
+
     def test_zeta_matrix(self):
         rng = random.Random(7)
-        for poset, part in batched_cases(rng):
-            pts = np.array([[rng.randint(-3, 3) for _ in poset.elements] for _ in range(9)],
-                           dtype=np.int64)
-            fast_z = zeta_matrix(part, pts)
-            fast_zp = zeta_prime_matrix(part, pts)
-            for row, zrow, zprow in zip(pts, fast_z, fast_zp):
-                x = dict(zip(poset.elements, (int(v) for v in row)))
-                assert zeta(part, x) == dict(zip(poset.elements, (int(v) for v in zrow)))
-                assert zeta_prime(part, x) == dict(zip(poset.elements, (int(v) for v in zprow)))
+        for poset, parts in batched_cases(rng):
+            X = np.array([[[rng.randint(-3, 3) for _ in poset.elements] for _ in range(9)]
+                          for _ in parts], dtype=np.int64)
+            chain = chain_matrix(poset, parts)
+            fast_z = zeta_matrix(poset, chain, X)
+            fast_zp = zeta_prime_matrix(poset, chain, X)
+            assert fast_z.shape == fast_zp.shape == X.shape
+            for part, rows, zrows, zprows in zip(parts, X, fast_z, fast_zp):
+                for row, zrow, zprow in zip(rows, zrows, zprows):
+                    x = as_point(poset, row)
+                    assert zeta(part, x) == as_point(poset, zrow)
+                    assert zeta_prime(part, x) == as_point(poset, zprow)
 
     def test_k_matrix(self):
         rng = random.Random(8)
-        for poset, part in batched_cases(rng):
+        for poset, parts in batched_cases(rng):
             ideals = enumerate_order_ideals(poset)
-            J = np.array([[1 if e in ideal.members() else 0 for e in poset.elements]
-                          for ideal in ideals], dtype=np.int64)
-            K = k_matrix(part, J)
-            for ideal, krow in zip(ideals, K):
-                expect = set(k_set(part, ideal))
-                got = {e for e, v in zip(poset.elements, krow) if v}
-                assert got == expect
+            rows = [[1 if e in ideal.members() else 0 for e in poset.elements] for ideal in ideals]
+            chain = chain_matrix(poset, parts)
+            for dtype in (np.int64, np.float64):  # float64 takes the BLAS product
+                J = np.array(rows, dtype=dtype)[None].repeat(len(parts), axis=0)
+                K = k_matrix(poset, chain, J)
+                assert K.dtype == dtype and K.shape == J.shape
+                for part, block in zip(parts, K):
+                    for ideal, krow in zip(ideals, block):
+                        expect = set(k_set(part, ideal))
+                        got = {e for e, v in zip(poset.elements, krow) if v}
+                        assert got == expect
+
+    def test_one_partition_is_the_one_element_stack(self):
+        poset = grid_poset(4)
+        part = ChainOrderPartition.from_masks(poset, 0b10110)
+        X = np.array([dilation_table(part, 2)], dtype=np.int64)
+        chain = chain_matrix(poset, [part])
+        assert chain.tolist() == [[bool(part.chain_mask >> i & 1) for i in range(len(poset))]]
+        back = zeta_matrix(poset, chain, zeta_prime_matrix(poset, chain, X))
+        assert back.shape == X.shape and (back == X).all()
+
+    def test_chain_matrix_rejects_a_foreign_partition(self):
+        with pytest.raises(PosetError):
+            chain_matrix(two_chain(), [ChainOrderPartition.order_polytope(two_chain())])
 
 
 def test_strict_order_matrix_is_memoised_and_read_only():
@@ -644,15 +670,23 @@ class TestPointsToJson:
 
     @pytest.mark.parametrize("names", [
         ['a"b', "c\\d", "é", "100%", "%d", "tab\t", "☃"],
-        [1, "1", "2", 2],
-        ["1", 1],
-        [(1, 2), "(1, 2)", None, "None"],
-    ], ids=["escapes", "same-str", "same-str-reversed", "tuples"])
+        [(1, 2), "(1, 3)", None, "none"],
+    ], ids=["escapes", "tuples"])
     def test_names(self, names):
         poset = Poset.from_covers(names, [(names[0], names[1])])
         for part in sampled_partitions(poset, 12, len(names)):
             for t in range(3):
                 self.assert_same(part, t)
+
+    @pytest.mark.parametrize("names", [
+        [1, "1", "2", 2],
+        ["1", 1],
+        [(1, 2), "(1, 2)", None, "None"],
+    ], ids=["same-str", "same-str-reversed", "same-str-tuples"])
+    def test_same_str_names_are_rejected(self, names):
+        # one JSON key per element: names with the same str cannot both be points' keys
+        with pytest.raises(PosetError, match="have the same name"):
+            Poset.from_covers(names, [(names[0], names[1])])
 
     def test_decomposition_pieces(self):
         poset = grid_poset(3)

@@ -392,7 +392,6 @@ class TestPointsJson:
     POSETS = {
         "escapes": {"elements": ['a"b', "c\\d", "é", "100%", "n\nl", "☃", "z"],
                     "covers": [['a"b', "é"], ["c\\d", "100%"], ["é", "☃"]]},
-        "same str": {"elements": [1, "1", "2", 2, 0], "covers": [[1, "2"], ["1", 2]]},
         "empty": {"elements": [], "covers": []},
         "one": {"elements": ["x"], "covers": []},
     }
@@ -420,8 +419,8 @@ class TestPointsJson:
             code, out, _ = run(capsys, "polytope", "--poset", str(poset_file), "--partition",
                                str(part_file), "--t", str(t), "--action", "points")
             assert code == 0 and out == reference_points_json(points) + "\n"
-            if t == 0 or len(set(map(str, part.poset.elements))) < len(part.poset):
-                continue  # a point file cannot name two elements with the same str
+            if t == 0:
+                continue
             point_file = tmp_path / "point.json"
             point_file.write_text(json.dumps(point_to_json_obj(points[-1])))
             code, out, _ = run(capsys, "polytope", "--poset", str(poset_file), "--partition",
@@ -430,12 +429,19 @@ class TestPointsJson:
             pieces = minkowski_decompose(part, points[-1], t)
             assert code == 0 and out == reference_points_json(pieces) + "\n"
 
-    def test_same_str_keeps_the_last_element(self, capsys, tmp_path):
-        poset_file, part_file, part = self.files(tmp_path, {"elements": ["1", 1], "covers": []})
-        code, out, _ = run(capsys, "polytope", "--poset", str(poset_file), "--t", "1",
-                           "--action", "points")
-        assert code == 0
-        assert json.loads(out) == [{"1": "0"}, {"1": "1"}, {"1": "0"}, {"1": "1"}]
+    @pytest.mark.parametrize("obj, pair", [
+        ({"elements": ["1", 1], "covers": []}, "'1' and 1"),
+        ({"elements": [1, "1", "2", 2, 0], "covers": [[1, "2"], ["1", 2]]}, "1 and '1'"),
+    ], ids=["two", "five"])
+    @pytest.mark.parametrize("action", ["points", "hrep"])
+    def test_same_str_is_a_usage_error(self, capsys, tmp_path, obj, pair, action):
+        # a point names each element by its str, so such a poset is refused when read
+        poset_file = tmp_path / "poset.json"
+        poset_file.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "polytope", "--poset", str(poset_file), "--t", "1",
+                             "--action", action)
+        assert (code, out) == (2, "")
+        assert err == f"error: elements {pair} have the same name '1'\n"
 
     def test_out_file(self, capsys, tmp_path):
         from plueckerfan.chain_order import ChainOrderPartition, dilation_points

@@ -267,9 +267,11 @@ class TestMinimalImpliesRedundant:
              generalized_interior_witness(N)),
         ]
         for minimal, redundant, center in cases:
-            pts, _ = verify.sample_cone_points(minimal, center, 50, seed=1)
-            for w in pts:
-                assert contains(redundant, w)
+            W, _ = verify.sample_cone_points(minimal, center, 50, seed=1)
+            keys = sorted(center, key=verify.cones._key_name)  # the sampler's columns
+            assert len(W) == 50
+            for row in W.tolist():
+                assert contains(redundant, dict(zip(keys, row)))
 
 
 class TestGenericLattices:

@@ -58,6 +58,12 @@ class TestPoset:
         with pytest.raises(PosetError):
             Poset.from_covers(["a", "a"], [])
 
+    @pytest.mark.parametrize("names", [["1", 1], [1, "1", "2", 2], [(1, 2), "(1, 2)"]])
+    def test_from_covers_rejects_elements_with_the_same_str(self, names):
+        # points and inequalities name elements by str, which could not tell these apart
+        with pytest.raises(PosetError, match="have the same name"):
+            Poset.from_covers(names, [])
+
     def test_json_round_trip(self):
         p = Poset.from_covers(["x", "y", "z"], [("x", "y"), ("x", "z")])
         q = Poset.from_json(p.to_json())

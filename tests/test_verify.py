@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from plueckerfan import cones, straightening, verify
-from plueckerfan.chain_order import ChainOrderPartition, interpolating_hrep
+from plueckerfan.chain_order import ChainOrderPartition, chain_matrix, interpolating_hrep
 from plueckerfan.order_core import (
     CapacityError,
     DistributiveLattice,
@@ -72,9 +72,10 @@ def test_sampler_logs_rejections():
     from plueckerfan.plucker_lattices import semistandard_lattice
     lat = semistandard_lattice(3)
     hrep = cones.cone_hrep("HIBI", lattice=lat)
-    pts, rejected = verify.sample_cone_points(
-        hrep, cones.interior_witness(lat), 40, seed=0, scale=2, spread=6)
-    assert len(pts) == 40 and rejected > 0
+    center = cones.interior_witness(lat)
+    W, rejected = verify.sample_cone_points(hrep, center, 40, seed=0, scale=2, spread=6)
+    pts, _ = as_points((W, rejected), center)
+    assert len(W) == len(pts) == 40 and rejected > 0
     assert all(cones.contains(hrep, w) for w in pts)
 
 
@@ -150,11 +151,19 @@ def reference_sample_cone_points(hrep, center, count, seed, scale=16, spread=12)
     return points, rejected
 
 
+def as_points(sampled, center):
+    """The sampler's ``(W, rejected)`` with W's rows as weight dicts, as the reference returns."""
+    W, rejected = sampled
+    keys = sorted(center, key=cones._key_name)
+    return [dict(zip(keys, row)) for row in W.tolist()], rejected
+
+
 def sampler_outcome(sampler, *args):
     try:
-        return sampler(*args)
+        sampled = sampler(*args)
     except CapacityError as exc:
         return str(exc)
+    return sampled if sampler is reference_sample_cone_points else as_points(sampled, args[1])
 
 
 def minimal_cone(target, n):
@@ -170,7 +179,7 @@ def minimal_cone(target, n):
 def test_batched_sampler_draws_the_reference_samples(target, n):
     hrep, center = minimal_cone(target, n)
     for seed in range(3):
-        got = verify.sample_cone_points(hrep, center, verify.CONE_SAMPLES, seed)
+        got = as_points(verify.sample_cone_points(hrep, center, verify.CONE_SAMPLES, seed), center)
         assert got == reference_sample_cone_points(hrep, center, verify.CONE_SAMPLES, seed)
 
 
@@ -180,7 +189,7 @@ def test_batched_sampler_on_exact_values(lift):
     # weights past int64 or not integers take the object-array path
     hrep, center = minimal_cone("SSYT", 4)
     lifted = {k: lift(v) for k, v in center.items()}
-    got = verify.sample_cone_points(hrep, lifted, 200, seed=1)
+    got = as_points(verify.sample_cone_points(hrep, lifted, 200, seed=1), lifted)
     assert got == reference_sample_cone_points(hrep, lifted, 200, seed=1)
     assert len(got[0]) == 200
 
@@ -213,7 +222,8 @@ def reference_cone_suite(name, n, seed, target, redundant_target, relation_kind)
     else:
         center = cones.generalized_interior_witness(lat)
     report.record(cones.contains(minimal, center), ("interior witness", target, n))
-    points, rejected = verify.sample_cone_points(minimal, center, verify.CONE_SAMPLES, seed)
+    points, rejected = as_points(
+        verify.sample_cone_points(minimal, center, verify.CONE_SAMPLES, seed), center)
     report.notes["rejected_samples"] = rejected
     relations = None
     if relation_kind:
@@ -349,15 +359,112 @@ def test_mixed_failures_keep_the_per_sample_order(broken_redundant, wrong_leads)
     assert samples == sorted(samples) and kinds != sorted(kinds, reverse=True)
 
 
+# -- the per-(partition, t) loop, kept as the reference of the stacked checks -----
+
+def one_block(name, part, X):
+    """The stacked transfer map ``verify.<name>`` on one partition: the one-element stack."""
+    poset = part.poset
+    return getattr(verify, name)(poset, chain_matrix(poset, [part]), X[None])[0]
+
+
+def reference_combo(report, part, label, arrays, order_arrays, reference, t,
+                    check_decomposition):
+    """Checks of one partition at one t, with int64 products and a box built per call."""
+    points = reference_integer_points(*arrays, t)
+    report.record(len(points) == len(reference),
+                  ("point count", part.poset.elements, label, t, len(points), len(reference)))
+    if len(part.poset) == 0 or t == 0:
+        return
+    Y = one_block("zeta_prime_matrix", part, points)
+    back = one_block("zeta_matrix", part, Y)
+    report.record(bool((back == points).all()), ("zeta o zeta_prime", label, t))
+    Z = one_block("zeta_matrix", part, reference)
+    forward = one_block("zeta_prime_matrix", part, Z)
+    report.record(bool((forward == reference).all()), ("zeta_prime o zeta", label, t))
+    A, b = arrays
+    report.record(bool((Z @ A.T <= t * b).all()), ("zeta image", label, t))
+    Ao, bo = order_arrays
+    report.record(bool((Y @ Ao.T <= t * bo).all()), ("zeta_prime image", label, t))
+    if not check_decomposition:
+        return
+    lt = part.poset.strict_order_matrix.astype(np.int64)
+    total = np.zeros_like(points)
+    for i in range(1, t + 1):
+        J = (Y >= i).astype(np.int64)
+        not_down_closed = ((J == 0) & ((J @ lt.T) > 0)).any()
+        report.record(not bool(not_down_closed), ("level sets are ideals", label, t, i))
+        piece = one_block("k_matrix", part, J)
+        report.record(bool((piece @ A.T <= b).all()), ("piece membership", label, t, i))
+        total += piece
+    report.record(bool((total == points).all()), ("decomposition sum", label, t))
+
+
+def reference_ehrhart_like(name, n, seed):
+    report = verify.SuiteReport(name, n, seed)
+    for _, idx, poset in verify.ehrhart_posets(n, seed):
+        order_arrays = verify.interpolating_hrep(
+            poset, ChainOrderPartition.order_polytope(poset)).arrays()
+        references = [reference_integer_points(*order_arrays, t)
+                      for t in range(verify.EHRHART_MAX_T + 1)]
+        for part in verify.partitions_of(poset, seed + idx):
+            arrays = verify.interpolating_hrep(poset, part).arrays()
+            label = part.to_json_obj()
+            for t, reference in enumerate(references):
+                reference_combo(report, part, label, arrays, order_arrays, reference, t,
+                                name == "minkowski")
+    return report
+
+
+def assert_same_ehrhart_report(name, n, seed):
+    got = verify.run_suite(name, n=n, seed=seed)
+    expect = reference_ehrhart_like(name, n, seed)
+    assert (got.checks, got.failures) == (expect.checks, expect.failures)
+    return got
+
+
+@pytest.mark.parametrize("name", ["ehrhart", "minkowski"])
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_checks_match_the_reference(name, n, seed):
+    assert assert_same_ehrhart_report(name, n, seed).ok
+
+
+@pytest.mark.parametrize("name", ["ehrhart", "minkowski"])
+def test_ragged_stacks_match_the_reference(monkeypatch, name):
+    # one partition per poset loses a row of its system, so it has more points
+    # than the partitions stacked with it, which are padded to its length
+    build = verify.interpolating_hrep
+
+    def one_row_short(poset, part):
+        hrep = build(poset, part)
+        if part.order_mask != 1 or len(poset) < 2:
+            return hrep
+        return type(hrep)(poset, hrep.rows[:-1], hrep.labels[:-1])
+
+    monkeypatch.setattr(verify, "interpolating_hrep", one_row_short)
+    report = assert_same_ehrhart_report(name, 4, 0)
+    counts = [f for f in report.failures if f[0] == "point count"]
+    assert counts and len(report.failures) > len(counts)
+
+
+def test_level_sets_as_pieces_fail_like_the_reference(monkeypatch):
+    # pieces that are the level sets themselves, not their K-sets: chain
+    # elements below another element of the level set break the chain rows
+    monkeypatch.setattr(verify, "k_matrix", lambda poset, chain, J: J)
+    report = assert_same_ehrhart_report("minkowski", 4, 0)
+    kinds = {f[0] for f in report.failures}
+    assert kinds == {"piece membership", "decomposition sum"}
+
+
 # -- failure reproducers of the lattice-point suites ----------------------------
 
 def shifted_last_entry(fn):
-    """``fn`` with the last entry of its result raised by one on posets of even size."""
-    def broken(part, X):
-        out = fn(part, X)
-        if out.size and len(part.poset) % 2 == 0:
+    """``fn`` with the last entry of each partition's block raised by one on even-size posets."""
+    def broken(poset, chain, X):
+        out = fn(poset, chain, X)
+        if out.size and len(poset) % 2 == 0:
             out = out.copy()
-            out[-1, -1] += 1
+            out[:, -1, -1] += 1
         return out
     return broken
 
@@ -376,9 +483,11 @@ EHRHART_FAILURES = {
 def test_ehrhart_failures_are_unchanged(monkeypatch, case):
     suite, name, n, seed = case
     monkeypatch.setattr(verify, name, shifted_last_entry(getattr(verify, name)))
-    failures = verify.run_suite(suite, n=n, seed=seed).to_json_obj()["failures"]
-    digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
-    assert (len(failures), digest) == EHRHART_FAILURES[case]
+    for batch in (64, verify.TRANSFER_BATCH_POINTS):  # stacks of a few and of many partitions
+        monkeypatch.setattr(verify, "TRANSFER_BATCH_POINTS", batch)
+        failures = verify.run_suite(suite, n=n, seed=seed).to_json_obj()["failures"]
+        digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
+        assert (len(failures), digest) == EHRHART_FAILURES[case]
 
 
 # -- the box oracle ------------------------------------------------------------
