@@ -118,7 +118,11 @@ def _cone(args):
 
 
 def cmd_cone(args):
-    _emit(_cone(args).to_json_obj(), args)
+    hrep = _cone(args)
+    if args.format == "json":
+        _emit(None, args, json_text=hrep.to_json())
+    else:
+        _emit(hrep.to_json_obj(), args)
     return 0
 
 

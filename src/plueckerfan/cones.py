@@ -11,6 +11,8 @@ the scalar forms are the reference they are tested against.
 
 The semistandard (PBW) cone is the Hibi cone of M(n) (the generalized Hibi
 cone of N(n)) plus one row per special pair, from one diamond-row builder.
+``ConeHRep.to_json`` writes a description's JSON straight from its rows;
+``to_json_obj`` is the dict form it is tested against.
 """
 
 from __future__ import annotations
@@ -96,6 +98,49 @@ class ConeHRep:
             "provenance": [[_key_name(x) for x in ineq.provenance]
                            for ineq in self.inequalities],
         }
+
+    def to_json(self):
+        """JSON text of the description, rendered straight from the inequality rows.
+
+        Byte for byte ``json.dumps(self.to_json_obj(), indent=2, sort_keys=True)``
+        without building the rows as dicts: each key's name is made and
+        JSON-encoded once, a row's terms are sorted by name (two keys of one
+        name keep the last coefficient, as the dict does), and a coefficient
+        is written as ``str(c)`` for an ``int``, else ``str(Fraction(c))``.
+        """
+        import json  # the CLI has loaded it; importing it here keeps it off this module's load
+        encoded = {}
+
+        def name(x):
+            """(name, its JSON encoding) of a key, a provenance entry or a relation."""
+            got = encoded.get(x)
+            if got is None:
+                text = _key_name(x)
+                got = encoded[x] = (text, json.dumps(text))
+            return got
+
+        rows, provenance = [], []
+        for ineq in self.inequalities:
+            terms = {}
+            for key, c in ineq.form:
+                text, enc = name(key)
+                terms[text] = (enc, c)
+            body = ",\n        ".join(
+                f'{enc}: "{str(c) if type(c) is int else str(Fraction(c))}"'
+                for _, (enc, c) in sorted(terms.items()))
+            body = f"{{\n        {body}\n      }}" if terms else "{}"
+            rows.append(f'{{\n      "rel": {name(ineq.relation)[1]},\n      "terms": {body}\n    }}')
+            provenance.append(_json_list([name(x)[1] for x in ineq.provenance], 4))
+        return (f'{{\n  "inequalities": {_json_list(rows, 2)},\n  "label": {json.dumps(self.label)},'
+                f'\n  "provenance": {_json_list(provenance, 2)},\n  "target": {json.dumps(self.target)}\n}}')
+
+
+def _json_list(items, indent):
+    """A JSON list at ``indent`` spaces whose items are rendered for the level below it."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return f"[\n{pad}" + f",\n{pad}".join(items) + "\n" + " " * indent + "]"
 
 
 def _key_name(key):

@@ -1,6 +1,9 @@
 """Exact straightening machinery for Pluecker relations.
 
-Polynomials are sparse maps from canonical monomials to nonzero rationals.
+Polynomials are sparse maps from canonical monomials to nonzero exact
+coefficients: a coefficient is an ``int`` while it is integral, and a
+``Fraction`` only where a division by a shuffle lead is not whole (every
+shuffle lead met for n <= 7 is +-1, so straightening stays in ``int``).
 A monomial is a sorted tuple of canonical columns (strictly increasing index
 tuples); sign normalization absorbs column reorderings into coefficients.
 The module provides the classical exchange and shuffle relation generators,
@@ -24,7 +27,8 @@ matrices are kept behind a small bounded cache and shared between calls.
 The rank check and the solve share one forward elimination over the oracle
 prime, with early exit at full rank; the solve back-substitutes over its
 pivots.  The rank check works one torus-weight block at a time (the ideal is
-homogeneous for ``wt_vector``), and ``weyl_dimension`` gives the size of each
+homogeneous for ``wt_vector``); a block's rank does not depend on the lattice
+kind, so it is taken once for both.  ``weyl_dimension`` gives the size of each
 multidegree component as a third, independent count.  Modular inverses are
 taken in one step, ``pow(x, -1, p)``.
 """
@@ -84,10 +88,6 @@ def poly_add_term(poly, mono, coeff):
         poly.pop(mono, None)
 
 
-def poly_scale(poly, factor):
-    return {m: c * factor for m, c in poly.items()}
-
-
 def assert_bihomogeneous(poly, n):
     degs = {deg_vector(m, n) for m in poly}
     wts = {wt_vector(m, n) for m in poly}
@@ -116,7 +116,7 @@ def exchange_relation(col_a, col_b, r, n=None):
     if n is not None:
         canonicalize(col_a, n), canonicalize(col_b, n)
     poly = {}
-    poly_add_term(poly, monomial((col_a, col_b)), Fraction(1))
+    poly_add_term(poly, monomial((col_a, col_b)), 1)
     br = col_b[r - 1]
     for s in range(k):
         new_a = col_a[:s] + (br,) + col_a[s + 1:]
@@ -124,7 +124,7 @@ def exchange_relation(col_a, col_b, r, n=None):
         ca, cb = canonicalize(new_a), canonicalize(new_b)
         if ca is None or cb is None:
             continue
-        poly_add_term(poly, monomial((ca[1], cb[1])), Fraction(-ca[0] * cb[0]))
+        poly_add_term(poly, monomial((ca[1], cb[1])), -ca[0] * cb[0])
     if n is not None:
         assert_bihomogeneous(poly, n)
     return poly
@@ -154,6 +154,11 @@ def _shuffle_sums(first, second, r):
     return out
 
 
+def _quotient(c, lead):
+    """c / lead exactly: an ``int`` when ``lead`` divides ``c``, else a ``Fraction``."""
+    return c // lead if c % lead == 0 else Fraction(c, lead)
+
+
 def shuffle_relation(col_a, col_b, r, n=None):
     """Alternating shuffle of {B_1..B_r} with {A_r..A_k}, cosets merged.
 
@@ -167,10 +172,10 @@ def shuffle_relation(col_a, col_b, r, n=None):
         raise ShapeError(f"shuffle position {r} out of range")
     poly = {}
     for (ca, cb), c in _shuffle_sums(col_a, col_b, r).items():
-        poly_add_term(poly, monomial((ca, cb)), Fraction(c))
+        poly_add_term(poly, monomial((ca, cb)), c)
     lead = poly.get(monomial((tuple(sorted(col_a)), tuple(sorted(col_b)))))
     if lead:
-        poly = poly_scale(poly, Fraction(1, lead))
+        poly = {m: _quotient(c, lead) for m, c in poly.items()}
     if n is not None:
         assert_bihomogeneous(poly, n)
     return poly
@@ -234,26 +239,28 @@ def _pivot_n(alpha, beta):
     return None
 
 
-def _slot_shuffle(alpha, beta, r, pair):
-    """Shuffle relation keyed by produced slot pairs, normalized to 1 on ``pair``.
+def _slot_shuffle(alpha, beta, r, pair, coeff):
+    """The multiple of a shuffle relation whose ``pair`` term is ``coeff``.
 
     ``alpha``/``beta`` are the lattice elements the shuffle acts on and
     ``pair`` their canonical keys; keys are pairs of canonical columns in
-    production order.
+    production order.  One exact quotient by the lead scales every term.
     """
     raw = _shuffle_sums(alpha, beta, r)
     lead = raw.get(pair)
     check(lead, "pivot monomial must survive the shuffle")
-    return {key: Fraction(c, lead) for key, c in raw.items()}
+    q = _quotient(coeff, lead)
+    return {key: q * c for key, c in raw.items()}
 
 
 def straighten_pair(lat, a, b):
     """The unique relation expressing X_a X_b in standard monomials of the lattice order.
 
     Maintains a worklist of slot-ordered non-standard quadratic monomials and
-    cancels each against a normalized shuffle relation at its least violated
-    position; the produced first slots move strictly monotonically through
-    the finite lattice, so the loop terminates.
+    cancels each against a multiple of the shuffle relation at its least
+    violated position; the produced first slots move strictly monotonically
+    through the finite lattice, so the loop terminates.  Coefficients stay
+    ``int`` while every shuffle lead divides them.
     """
     lat.check_element(a), lat.check_element(b)
     if lat.comparable(a, b):
@@ -262,7 +269,7 @@ def straighten_pair(lat, a, b):
     sb, cb = lat.signed_key(b)
     pivot = _pivot_m if lat.kind == "M" else _pivot_n
     first, second = (ca, cb) if (-len(ca), ca) <= (-len(cb), cb) else (cb, ca)
-    work = {(first, second): Fraction(sa * sb)}
+    work = {(first, second): sa * sb}
     standard_part = {}
     guard = 0
     while work:
@@ -277,11 +284,11 @@ def straighten_pair(lat, a, b):
         alpha, beta = lat.element_of_key(pair[0]), lat.element_of_key(pair[1])
         r = pivot(alpha, beta)
         check(r is not None, "non-standard pair must have a violated position")
-        for key, c2 in _slot_shuffle(alpha, beta, r, pair).items():
+        for key, c in _slot_shuffle(alpha, beta, r, pair, coeff).items():
             if key != pair:
-                poly_add_term(work, key, -coeff * c2)
+                poly_add_term(work, key, -c)
     # work + standard_part stayed congruent to X_a X_b throughout
-    result = {monomial((ca, cb)): Fraction(sa * sb)}
+    result = {monomial((ca, cb)): sa * sb}
     for mono, coeff in standard_part.items():
         poly_add_term(result, mono, -coeff)
     check(result.get(monomial((ca, cb))) == sa * sb,
@@ -332,8 +339,8 @@ def hibi_generator(lattice, a, b, part=None):
         check(_merge_exponents(theta_a, theta_b) == _merge_exponents(theta_lo, theta_hi),
               "binomial must lie in the kernel of the monomial map")
     poly = {}
-    poly_add_term(poly, tuple(sorted((a, b))), Fraction(1))
-    poly_add_term(poly, tuple(sorted((lower, lattice.join(a, b)))), Fraction(-1))
+    poly_add_term(poly, tuple(sorted((a, b))), 1)
+    poly_add_term(poly, tuple(sorted((lower, lattice.join(a, b)))), -1)
     return poly
 
 
@@ -686,14 +693,23 @@ def standard_basis_check(lat, lam, seeds=(0, 1, 2)):
     for m in monomials_of_degree(lat, lam):
         blocks.setdefault(wt_vector(m, lat.n), []).append(m)
     total = 0
-    for block in blocks.values():
+    for block in map(tuple, blocks.values()):
         n_standard = sum(1 for m in block if is_standard_monomial(lat, m))
-        for seed in seeds:
-            tables = _seed_minor_tables(lat.n, seed, len(block) + 10)
-            if rank_mod_p([_monomial_value(m, t) for m in block] for t in tables) != n_standard:
-                return 0
+        if any(_block_rank(lat.n, block, seed) != n_standard for seed in seeds):
+            return 0
         total += n_standard
     return total
+
+
+@lru_cache(maxsize=1 << 16)  # holds the (block, seed) ranks of asl at n = 6: 35,727
+def _block_rank(n, block, seed):
+    """Evaluation rank of a weight block on its first ``len(block) + 10`` seeded minor tables.
+
+    The rank reads only n, the block's monomials and the seed, not the lattice
+    kind, so the blocks of M(n) and N(n) are ranked once for both.
+    """
+    tables = _seed_minor_tables(n, seed, len(block) + 10)
+    return rank_mod_p([_monomial_value(m, t) for m in block] for t in tables)
 
 
 def standard_expansion_mod_p(lat, a, b, seed=0):

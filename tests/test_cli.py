@@ -231,6 +231,20 @@ GOLDEN_STDOUT = {
         "136e449c88576a22b7d481930d71ed75602abe0b7d042e3a1fb05376a857f91b",
     'straighten --kind N --n 5 --pair "1,2,5 1,5,3,4" --oracle probabilistic':
         "5dd993b415db6aba6f6d6e61e608b9bb4ac377469d2ce4957d977cdb5e9ce882",
+    "cone --target TORIC_GT --n 5":
+        "37dabe24897393bbed31f5d4a90ebfb534bf18fd6926fbd7a1b4905a0f6b23c7",
+    "cone --target TORIC_FFLV --n 5":
+        "70f3dd758535f4817e8e2cdb869b2d99768337a5f2039295452a9ee2fe2608e4",
+    "cone --target HIBI_REDUNDANT --n 5":
+        "7cc4e2983952578393c0d9b45a041a931b70f662954f03b5331e66329bd11df1",
+    "cone --target GENHIBI_REDUNDANT --n 5":
+        "f28fe83e9d261b54ef9bbd67d4b0a9695121fbc20f1c3c5db36980878de22ed2",
+    "cone --target SSYT_REDUNDANT --n 6":
+        "50a05f479e55824738069a142675c8bac287af9a6e5b9ec6c1ca80a7b25cf5ec",
+    "cone --target PBW_REDUNDANT --n 6":
+        "cc5b26e65bf6681907de33c5df569db24e03fc0e72426d45813f349263161e67",
+    "cone --target SSYT --n 4 --format text":
+        "bbf47410faa19d64cb6803ae10f7ec173bf06b155805de62d1faf6ba508dffe9",
 }
 
 

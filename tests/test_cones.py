@@ -543,3 +543,48 @@ def test_k_facet_form_rejects_out_of_range_cells():
     from plueckerfan.cones import k_facet_form
     with pytest.raises(ValueError, match="1 <= s < t <= n - 1"):
         k_facet_form(4, 2, 2)
+
+
+class TestConeWriter:
+    """``ConeHRep.to_json`` against ``json.dumps`` of ``to_json_obj``, its reference."""
+
+    @staticmethod
+    def reference(hrep):
+        return json.dumps(hrep.to_json_obj(), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("target", ALL_TARGETS)
+    def test_matches_json_dumps(self, target, n):
+        from plueckerfan.plucker_lattices import PluckerLattice
+        for kind in ("M", "N") if "HIBI" in target else ("M",):
+            hrep = cone_hrep(target, n=n, lattice=PluckerLattice(kind, n))
+            assert hrep.to_json() == self.reference(hrep)
+
+    def test_names_needing_escapes(self):
+        # the 2 x 3 grid of chains; 'a"b' sorts before 'a#' by name but after it
+        # once encoded ('\\' > '#'), and 'é' is written as é
+        from plueckerfan.chain_order import ChainOrderPartition
+        from plueckerfan.order_core import DistributiveLattice, Poset
+        names = {(0, 0): "0", (1, 0): 'a"b', (2, 0): "a#", (0, 1): "é", (1, 1): "x", (2, 1): "1"}
+        covers = [(names[i, j], names[i + di, j + dj]) for i, j in names
+                  for di, dj in ((1, 0), (0, 1)) if (i + di, j + dj) in names]
+        lat = DistributiveLattice.from_poset(Poset.from_covers(list(names.values()), covers))
+        irr = lat.irreducible_poset
+        part = ChainOrderPartition.from_masks(irr, 1)
+        hreps = [cone_hrep("HIBI", lattice=lat), cone_hrep("HIBI_REDUNDANT", lattice=lat),
+                 cone_hrep("GENHIBI_REDUNDANT", lattice=lat, partition=part)]
+        assert any({'a"b', "a#"} <= {k for k, _ in iq.form}
+                   for h in hreps for iq in h.inequalities)
+        for hrep in hreps:
+            assert "\\u00e9" in hrep.to_json()
+            assert hrep.to_json() == self.reference(hrep)
+
+    def test_empty_description_and_fraction_coefficients(self):
+        assert ConeHRep("HIBI", "HIBI(none)", ()).to_json() == json.dumps(
+            {"target": "HIBI", "label": "HIBI(none)", "inequalities": [], "provenance": []},
+            indent=2, sort_keys=True)
+        rows = (LinearInequality((((1, 2), Fraction(1, 2)), ((3,), -2), ((1,), True)), STRICT,
+                                 ("made", (1, 2), 0)),
+                LinearInequality((), "=", ("empty",)))
+        hrep = ConeHRep("SSYT", "SSYT(made)", rows)
+        assert hrep.to_json() == self.reference(hrep)

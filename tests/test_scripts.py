@@ -1,11 +1,14 @@
 """Smoke tests: the example scripts run from the repository root."""
 
 import hashlib
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from plueckerfan import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +39,27 @@ def test_stdout_digests_lists_digest_and_exit_code(tmp_path):
         f"{hashlib.sha256(facets).hexdigest()} 0 facets --n 3",
         f'{empty} 2 straighten --kind M --n 4 --pair "1,2 1,3"',
     ]
+
+
+def committed_commands():
+    lines = (ROOT / "scripts" / "stdout_commands.txt").read_text().splitlines()
+    return [line for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_committed_command_list_parses():
+    commands = committed_commands()
+    assert len(commands) == len(set(commands)) > 100
+    for line in commands:
+        cli.build_parser().parse_args(shlex.split(line))
+
+
+def test_stdout_digests_runs_the_committed_list(tmp_path):
+    head = committed_commands()[:6]
+    commands = tmp_path / "commands.txt"
+    commands.write_text("\n".join(head) + "\n")
+    proc = subprocess.run([sys.executable, "scripts/stdout_digests.py", str(commands)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+    assert [cmd for _, _, cmd in rows] == head
+    assert all(len(sha) == 64 and code == "0" for sha, code, _ in rows)

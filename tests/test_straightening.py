@@ -812,3 +812,85 @@ def test_minor_mod_p_matches_fraction_det():
                - Z[0][1] * (Z[1][0] * Z[2][2] - Z[1][2] * Z[2][0])
                + Z[0][2] * (Z[1][0] * Z[2][1] - Z[1][1] * Z[2][0]))
         assert minor_mod_p(Z, (1, 2, 3)) == det % ORACLE_PRIME
+
+
+# -- the Fraction straightening, kept as the reference of the integer one ----
+
+def reference_straighten_pair(lat, a, b):
+    """Straightening with ``Fraction`` coefficients, each shuffle normalized to 1 on its pivot."""
+    sa, ca = lat.signed_key(a)
+    sb, cb = lat.signed_key(b)
+    pivot = straightening._pivot_m if lat.kind == "M" else straightening._pivot_n
+    first, second = (ca, cb) if (-len(ca), ca) <= (-len(cb), cb) else (cb, ca)
+    work = {(first, second): Fraction(sa * sb)}
+    standard_part = {}
+    while work:
+        pair, coeff = min(work.items())
+        del work[pair]
+        if straightening.is_standard_monomial(lat, pair):
+            straightening.poly_add_term(standard_part, monomial(pair), coeff)
+            continue
+        alpha, beta = lat.element_of_key(pair[0]), lat.element_of_key(pair[1])
+        raw = _shuffle_sums(alpha, beta, pivot(alpha, beta))
+        for key, c in raw.items():
+            if key != pair:
+                straightening.poly_add_term(work, key, -coeff * Fraction(c, raw[pair]))
+    result = {monomial((ca, cb)): Fraction(sa * sb)}
+    for mono, coeff in standard_part.items():
+        straightening.poly_add_term(result, mono, -coeff)
+    return result
+
+
+def reference_shuffle_relation(col_a, col_b, r):
+    poly = {}
+    for (ca, cb), c in _shuffle_sums(col_a, col_b, r).items():
+        straightening.poly_add_term(poly, monomial((ca, cb)), Fraction(c))
+    lead = poly.get(monomial((tuple(sorted(col_a)), tuple(sorted(col_b)))))
+    return {m: c / lead for m, c in poly.items()} if lead else poly
+
+
+def assert_exact_ints(poly, reference):
+    """``poly`` equals ``reference``, with an ``int`` wherever the value is integral."""
+    assert poly == reference
+    for mono, c in reference.items():
+        assert type(poly[mono]) is (int if Fraction(c).denominator == 1 else Fraction), (mono, c)
+
+
+class TestIntegerStraightening:
+    """Straightening over ``int`` coefficients against the ``Fraction`` normalization."""
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_fraction_reference(self, kind, n):
+        lat = semistandard_lattice(n) if kind == "M" else pbw_lattice(n)
+        for a, b in lat.incomparable_pairs():
+            assert_exact_ints(straighten_pair(lat, a, b), reference_straighten_pair(lat, a, b))
+
+    def test_shuffle_relations_match_the_fraction_reference(self):
+        cols = [c for k in (1, 2, 3) for c in itertools.permutations(range(1, 5), k)]
+        for col_a, col_b in itertools.product(cols, repeat=2):
+            if len(col_a) >= len(col_b):
+                for r in range(1, len(col_b) + 1):
+                    assert_exact_ints(shuffle_relation(col_a, col_b, r),
+                                      reference_shuffle_relation(col_a, col_b, r))
+
+    def test_quotient(self):
+        for c, lead, q in ((6, -3, -2), (Fraction(6), 3, 2), (-1, 1, -1), (0, 5, 0)):
+            assert straightening._quotient(c, lead) == q
+            assert type(straightening._quotient(c, lead)) is int
+        assert straightening._quotient(1, 3) == Fraction(1, 3)
+        assert straightening._quotient(Fraction(1, 2), -2) == Fraction(-1, 4)
+
+    def test_leads_that_do_not_divide(self, monkeypatch):
+        # with every shuffle sum tripled, each lead is +-3 and divides no seed
+        # coefficient +-1, so the Fraction branch runs; the relations stay the same
+        lats = [semistandard_lattice(n) for n in (3, 4, 5)] + [pbw_lattice(n) for n in (3, 4, 5)]
+        expected = {(lat.kind, lat.n, a, b): straighten_pair(lat, a, b)
+                    for lat in lats for a, b in lat.incomparable_pairs()}
+        real = straightening._shuffle_sums
+        monkeypatch.setattr(straightening, "_shuffle_sums",
+                            lambda *args: {key: 3 * c for key, c in real(*args).items()})
+        got = {(lat.kind, lat.n, a, b): straighten_pair(lat, a, b)
+               for lat in lats for a, b in lat.incomparable_pairs()}
+        assert got == expected
+        assert any(type(c) is Fraction for rel in got.values() for c in rel.values())

@@ -629,6 +629,22 @@ def test_asl_beyond_the_rank_limit_is_a_capacity_error(flags):
                            f"{straightening.RANK_N_LIMIT}\n")
 
 
+def test_asl_ranks_each_weight_block_once_for_both_kinds(monkeypatch):
+    # a block's rank reads only n, its monomials and the seed, so M(3) and N(3)
+    # share the ranks of their 69 blocks at 3 seeds
+    straightening._block_rank.cache_clear()
+    calls = []
+    real = straightening.rank_mod_p
+
+    def counting(rows, *args):
+        calls.append(1)
+        return real(rows, *args)
+
+    monkeypatch.setattr(straightening, "rank_mod_p", counting)
+    assert verify.run_suite("asl", n=3).ok
+    assert len(calls) == 207
+
+
 def test_asl_suite_counts_against_the_weyl_dimension(monkeypatch):
     # dropping a whole weight block leaves every block rank equal to its count;
     # only the Weyl dimension sees the missing monomials
