@@ -3,7 +3,7 @@ maximal Groebner cones attached to semistandard and PBW-semistandard monomial
 ideals of the Pluecker ideal."""
 
 from .cones import cone_hrep, facet_count, facet_witness, interior_witness
-from .plucker_lattices import lazy_lattice, pbw_lattice, semistandard_lattice
+from .plucker_lattices import pbw_lattice, semistandard_lattice
 from .straightening import ideal_membership, straighten_pair
 from .verify import run_suite
 
@@ -15,7 +15,6 @@ __all__ = [
     "facet_witness",
     "ideal_membership",
     "interior_witness",
-    "lazy_lattice",
     "pbw_lattice",
     "run_suite",
     "semistandard_lattice",

@@ -49,10 +49,6 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def popcount(mask):
-    return bin(mask).count("1")
-
-
 class Poset:
     """Finite poset over hashable element ids.
 
@@ -154,7 +150,7 @@ class Poset:
         for i in range(n):
             for j in _bits(strict[i]):
                 below[j] |= 1 << i
-        for i in sorted(range(n), key=lambda i: popcount(below[i])):
+        for i in sorted(range(n), key=lambda i: below[i].bit_count()):
             h = 0
             for j in _bits(below[i]):
                 h = max(h, height[j] + 1)
@@ -312,7 +308,7 @@ class OrderIdeal:
         return bool(self.bits >> self.poset.index(el) & 1)
 
     def __len__(self):
-        return popcount(self.bits)
+        return self.bits.bit_count()
 
     def _same_poset(self, other):
         if self.poset is not other.poset:
@@ -354,7 +350,7 @@ def enumerate_order_ideals(poset):
         # canonical order is a linear extension, so everything below i is already placed
         need = poset.down[i] & ~(1 << i)
         ideals += [m | (1 << i) for m in ideals if m & need == need]
-    ideals.sort(key=lambda m: (popcount(m), m))
+    ideals.sort(key=lambda m: (m.bit_count(), m))
     return [OrderIdeal(poset, m) for m in ideals]
 
 

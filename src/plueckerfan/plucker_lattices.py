@@ -10,9 +10,12 @@ element of either kind is its cell ideal, an order ideal of that grid, and
 (``_ji_poset``).  The column/mask conversions ``m_column_mask``,
 ``pbw_column_mask``, ``m_column_of_mask`` and ``pbw_column_of_mask`` are the
 only kind-specific part of the lattice operations, and the lattice
-isomorphism goes through them.  The column formulas (``semistandard_leq``,
-``column_meet``/``column_join``, ``pbw_two_column_leq``, ``m_cell_ideal``,
-``pbw_cell_ideal``) are the references the masks are tested against.
+isomorphism goes through them.  A lattice converts an element when it first
+meets it and keeps the result; it enumerates all its elements only when a
+whole-lattice operation first asks for them, up to n = ``MAX_FULL_N``.  The
+column formulas (``semistandard_leq``, ``column_meet``/``column_join``,
+``pbw_two_column_leq``, ``m_cell_ideal``, ``pbw_cell_ideal``) are the
+references the masks are tested against.
 ``PluckerLattice.signed_key``/``element_of_key`` are the one codec between an
 element and its Pluecker variable (``canonicalize`` and ``pbw_arrange``).
 """
@@ -247,11 +250,6 @@ def pbw_column_of_mask(mask, n):
     return alpha
 
 
-def pbw_label(col, n):
-    """PBW column attached to a kind-M column: the one with the same cell ideal."""
-    return pbw_column_of_mask(m_column_mask(col, n), n)
-
-
 # -- the lattices ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -279,45 +277,49 @@ class PluckerLattice:
     of its cell ideal over ``ji_poset``.  The order is mask inclusion, meet
     and join are intersection and union, and the grade is the number of
     cells.  ``signed_key``/``element_of_key`` name an element's Pluecker
-    variable.  The materialized form (the default) enumerates all 2^n - 2
-    elements, keeps element -> mask, mask -> element, element -> signed key
-    and key -> element tables, and is capped at n = 12; ``lazy_lattice``
-    skips the enumeration and converts on every call, so pair-local
-    operations (classification, meets, the ideal product) work at any n.
+    variable.  Each conversion keeps what it computes, so an element met
+    once is one dict lookup afterwards.  Pair-local operations
+    (classification, meets, the ideal product) work at any n; ``elements``
+    and the whole-lattice operations built on it enumerate all 2^n - 2
+    elements on first use and raise ``CapacityError`` past n = 12.
     """
 
-    def __init__(self, kind, n, materialize=True):
+    def __init__(self, kind, n):
         if kind not in ("M", "N"):
             raise ValueError(f"kind must be 'M' or 'N', got {kind!r}")
         if n < 2:
             raise ValueError(f"n must be at least 2, got {n}")
-        if materialize and n > MAX_FULL_N:
-            raise CapacityError(f"full lattice construction capped at n = {MAX_FULL_N}")
         self.kind = kind
         self.n = n
-        self.materialized = materialize
         self._column_mask, self._column_of_mask, self._arrange = (
             (m_column_mask, m_column_of_mask, tuple) if kind == "M"  # an M element is its own key
             else (pbw_column_mask, pbw_column_of_mask, pbw_arrange))
-        self._signed_keys, self._elements_by_key = {}, {}  # filled when materialized
-        if not materialize:
-            self.elements = self._mask_of = self._element_of = None
-            return
+        # element -> mask, mask -> element, element -> (sign, key), key -> element:
+        # each filled as its conversion meets a value, and completed by ``elements``
+        self._mask_of, self._element_of, self._signed_keys, self._elements_by_key = {}, {}, {}, {}
+
+    @cached_property
+    def elements(self):
+        """All 2^n - 2 elements by grade, then as tuples; capped at n = ``MAX_FULL_N``."""
+        n = self.n
+        if n > MAX_FULL_N:
+            raise CapacityError(f"full lattice enumeration capped at n = {MAX_FULL_N}")
         keys = all_columns(n)
         columns = [self._arrange(c) for c in keys]
-        self._elements_by_key.update(zip(keys, columns))
-        self._signed_keys.update((c, canonicalize(c)) for c in columns)
-        self._mask_of = masks = {c: self._column_mask(c, n) for c in columns}
-        self._element_of = {m: e for e, m in masks.items()}
-        check(len(self._element_of) == len(masks),
+        masks = {c: self._column_mask(c, n) for c in columns}
+        check(len(set(masks.values())) == len(masks),
               "distinct elements must have distinct cell ideals")
-        self.elements = tuple(sorted(columns, key=lambda e: (masks[e].bit_count(), e)))
-        if kind == "M":
+        if self.kind == "M":
             # Birkhoff: the join-irreducible column of a cell has the cells below it as its ideal
             ji_columns, down = _ji_columns(n), self.ji_poset.down
             for i, c in enumerate(self.ji_poset.elements):
                 check(masks[ji_columns[c]] == down[i],
                       f"the ideal of the join-irreducible column of {c} is not its down-set")
+        self._mask_of.update(masks)
+        self._element_of.update((m, e) for e, m in masks.items())
+        self._signed_keys.update((c, canonicalize(c)) for c in columns)
+        self._elements_by_key.update(zip(keys, columns))
+        return tuple(sorted(columns, key=lambda e: (masks[e].bit_count(), e)))
 
     def __len__(self):
         return 2 ** self.n - 2
@@ -326,8 +328,8 @@ class PluckerLattice:
         return f"PluckerLattice(kind={self.kind!r}, n={self.n})"
 
     def __contains__(self, el):
-        if self._mask_of is not None:
-            return el in self._mask_of
+        if el in self._mask_of:
+            return True
         if not isinstance(el, tuple) or not 1 <= len(el) <= self.n - 1:
             return False
         # distinct entries in range, arranged as the element of their key
@@ -341,21 +343,19 @@ class PluckerLattice:
 
     def _mask(self, el):
         """The cell-ideal mask of an element; ``ValueError`` for anything else."""
-        if self._mask_of is not None:
-            mask = self._mask_of.get(el)
-            if mask is not None:
-                return mask
-        return self._column_mask(self.check_element(el), self.n)
+        mask = self._mask_of.get(el)
+        if mask is None:
+            mask = self._mask_of[el] = self._column_mask(self.check_element(el), self.n)
+        return mask
 
     def _element(self, mask):
         """The element whose cell ideal is ``mask``; ``ValueError`` unless it is an order ideal."""
-        if self._element_of is not None:
-            el = self._element_of.get(mask)
-            if el is not None:
-                return el
-        if not self.ji_poset.is_down_closed(mask):
-            raise ValueError(f"cells {self.ji_poset.ids_of(mask)} are not an order ideal")
-        return self._column_of_mask(mask, self.n)
+        el = self._element_of.get(mask)
+        if el is None:
+            if not self.ji_poset.is_down_closed(mask):
+                raise ValueError(f"cells {self.ji_poset.ids_of(mask)} are not an order ideal")
+            el = self._element_of[mask] = self._column_of_mask(mask, self.n)
+        return el
 
     def _cell_bit(self, cell):
         return 1 << self.ji_poset.index(cell)
@@ -464,7 +464,10 @@ class PluckerLattice:
 
     def signed_key(self, el):
         """``(sign, key)`` with X_el = sign * X_key, ``key`` the increasing column of el."""
-        return self._signed_keys.get(el) or canonicalize(el)
+        signed = self._signed_keys.get(el)
+        if signed is None:
+            signed = self._signed_keys[el] = canonicalize(el)
+        return signed
 
     def weight_key(self, a):
         """Canonical Pluecker-variable key shared by both lattices."""
@@ -472,7 +475,10 @@ class PluckerLattice:
 
     def element_of_key(self, key):
         """The element whose Pluecker variable has the canonical key ``key``."""
-        return self._elements_by_key.get(key) or self._arrange(key)
+        el = self._elements_by_key.get(key)
+        if el is None:
+            el = self._elements_by_key[key] = self._arrange(key)
+        return el
 
     def to_distributive_lattice(self):
         poset = Poset.from_leq(self.elements, self.leq)
@@ -581,11 +587,6 @@ def semistandard_lattice(n):
 
 def pbw_lattice(n):
     return PluckerLattice("N", n)
-
-
-def lazy_lattice(kind, n):
-    """Unmaterialized lattice: pair-local operations at sizes past the full cap."""
-    return PluckerLattice(kind, n, materialize=False)
 
 
 def ssyt_to_pbw(mlat, a):

@@ -36,7 +36,6 @@ from .chain_order import (
 from .order_core import CapacityError, InvariantError, Poset, check
 from .plucker_lattices import (
     PluckerLattice,
-    lazy_lattice,
     pbw_lattice,
     pbw_to_ssyt,
     pbw_two_column_leq,
@@ -201,7 +200,7 @@ def ehrhart_posets(n, seed):
     """Bounded-size posets: the irreducible grids up to the cutoff plus seeded random ones."""
     out = []
     for m in range(2, 6):
-        grid = lazy_lattice("M", m).ji_poset
+        grid = PluckerLattice("M", m).ji_poset
         if len(grid) <= n:
             out.append(("grid", m, grid))
     rng = random.Random(seed)
@@ -254,17 +253,16 @@ def _check_names(t, check_decomposition):
     return names
 
 
-def _transfer_checks(poset, chain, At, b, order_at, order_b, X, pad, reference, t,
+def _transfer_checks(poset, chain, At, b, order_at, order_b, X, reference, t,
                      check_decomposition):
     """The transfer checks of a stack of partitions at one t > 0, as a bool array.
 
-    ``X`` holds each partition's points, zero-padded to one length; ``pad`` is
-    None when no row is padding, else the partitions-by-points mask of the
-    padding rows, which pass every check.  ``At`` and ``b`` are the partitions'
-    inequality systems, transposed and padded with zero rows (0 <= 0), and
-    ``order_at``, ``order_b`` the order polytope's; ``reference`` holds the
-    order polytope's points, shared by all partitions.  The result has a row
-    per partition and a column per check, in ``_check_names`` order.
+    ``X`` holds each partition's points, as many for every partition of the
+    stack.  ``At`` and ``b`` are the partitions' inequality systems,
+    transposed and padded with zero rows (0 <= 0), and ``order_at``,
+    ``order_b`` the order polytope's; ``reference`` holds the order
+    polytope's points, shared by all partitions.  The result has a row per
+    partition and a column per check, in ``_check_names`` order.
 
     The inequality products run in float64, where numpy uses BLAS.  They are
     exact: the rows come from ``interpolating_hrep``, with entries in
@@ -272,58 +270,38 @@ def _transfer_checks(poset, chain, At, b, order_at, order_b, X, pad, reference, 
     coordinate, which is checked to stay below 2**53.
     """
     import numpy as np
-    if pad is not None:
-        pad = pad[:, :, None]
-
-    def each(ok):  # per partition: every entry of every non-padding row holds
-        return (ok if pad is None else ok | pad).all(axis=(-2, -1))
-
     R = np.broadcast_to(reference, (len(X),) + reference.shape)
     Y = zeta_prime_matrix(poset, chain, X)
     Z = zeta_matrix(poset, chain, R)
     check(len(poset) * max(np.abs(Y).max(initial=0), np.abs(Z).max(initial=0)) < 2 ** 53,
           "coordinates too large for exact float64 products")
-    outcomes = [each(zeta_matrix(poset, chain, Y) == X),
+    outcomes = [(zeta_matrix(poset, chain, Y) == X).all(axis=(1, 2)),
                 (zeta_prime_matrix(poset, chain, Z) == R).all(axis=(1, 2)),
                 # zeta maps the order dilation into the chain-order dilation and back
                 (Z.astype(np.float64) @ At <= t * b).all(axis=(1, 2))]
     del Z, R  # the reference side is done: keep it out of the decomposition's peak memory
     Y = Y.astype(np.float64)
-    outcomes.append(each(Y @ order_at <= t * order_b))
+    outcomes.append((Y @ order_at <= t * order_b).all(axis=(1, 2)))
     if check_decomposition:
         lt = poset.strict_order_matrix.astype(np.float64)
         total = np.zeros_like(Y)
         for i in range(1, t + 1):
             J = (Y >= i).astype(np.float64)
             # (J @ lt.T)[p, x, q] counts elements of J_x strictly above q
-            outcomes.append(each((J > 0) | (J @ lt.T == 0)))
+            outcomes.append(((J > 0) | (J @ lt.T == 0)).all(axis=(1, 2)))
             piece = k_matrix(poset, chain, J)
-            outcomes.append(each(piece @ At <= b))
+            outcomes.append((piece @ At <= b).all(axis=(1, 2)))
             total += piece
-        outcomes.append(each(total == X))
+        outcomes.append((total == X).all(axis=(1, 2)))
     return np.stack(outcomes, axis=1)
-
-
-def _stacked(points, size):
-    """The point arrays of some partitions as one zero-padded stack, and its padding mask.
-
-    The mask is None when every partition has the same number of points.
-    """
-    import numpy as np
-    lengths = [len(x) for x in points]
-    if min(lengths) == max(lengths):
-        return np.stack(points), None
-    X = np.zeros((len(points), max(lengths), size), dtype=np.int64)
-    for p, x in enumerate(points):
-        X[p, :len(x)] = x
-    return X, np.arange(max(lengths)) >= np.array(lengths)[:, None]
 
 
 def _check_poset(report, poset, parts, box, check_decomposition):
     """Records the point counts and transfer checks of ``parts`` at every t, partition by partition.
 
     For each t the partitions are checked in stacks of about
-    ``TRANSFER_BATCH_POINTS`` reference points; the records keep the order of
+    ``TRANSFER_BATCH_POINTS`` reference points, each stack split into runs of
+    partitions with the same point count; the records keep the order of
     checking one partition at a time, t by t.
     """
     import numpy as np
@@ -350,10 +328,15 @@ def _check_poset(report, poset, parts, box, check_decomposition):
         for lo in range(0, len(parts), step):
             points = [integer_points(A, bp, t, box[t]) for A, bp in systems[lo:lo + step]]
             counts[t] += map(len, points)
-            if size and t:
+            if not (size and t):
+                continue
+            # one stack per run of partitions with the same point count
+            cuts = [p for p in range(1, len(points)) if len(points[p]) != len(points[p - 1])]
+            for i, j in zip([0] + cuts, cuts + [len(points)]):
+                run = slice(lo + i, lo + j)
                 outcomes[t] += _transfer_checks(
-                    poset, chain[lo:lo + step], At[lo:lo + step], b[lo:lo + step], order_at,
-                    order_b, *_stacked(points, size), reference, t, check_decomposition).tolist()
+                    poset, chain[run], At[run], b[run], order_at, order_b,
+                    np.stack(points[i:j]), reference, t, check_decomposition).tolist()
     names = [_check_names(t, check_decomposition) for t in range(EHRHART_MAX_T + 1)]
     for p, part in enumerate(parts):
         label = part.to_json_obj()
@@ -577,15 +560,13 @@ def suite_counts(n, seed):
     n = _size(n, 10, 3)
     report = SuiteReport("counts", n, seed)
     for m in range(3, n + 1):
+        # facet_count checks the counts against the closed formulas itself
         try:
-            fc = cones.facet_count(m)
+            cones.facet_count(m)
         except InvariantError as exc:
             report.record(False, ("facet count", m, str(exc)))
-            continue
-        report.record(fc.pbw_total == fc.ssyt_total == fc.diamond + fc.special
-                      and fc.diamond == cones._closed_form(m, m * m - m - 2)
-                      and fc.ssyt_total == cones._closed_form(m, m * m + m - 4),
-                      ("facet count split", m, fc))
+        else:
+            report.record(True, ("facet count", m))
     return report
 
 

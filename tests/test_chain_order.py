@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from plueckerfan.order_core import (
     _bits,
     enumerate_order_ideals,
 )
-from plueckerfan.plucker_lattices import lazy_lattice, pbw_lattice
+from plueckerfan.plucker_lattices import PluckerLattice, pbw_lattice
 from plueckerfan import verify
 
 
@@ -200,7 +199,7 @@ def reference_hrep(poset, part):
 
 
 def grid_poset(n):
-    return lazy_lattice("M", n).ji_poset
+    return PluckerLattice("M", n).ji_poset
 
 
 def sampled_partitions(poset, count, seed):
@@ -719,11 +718,9 @@ K_MASK_WITHOUT_ORDER_PART = (
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_broken_k_sets_raise_under_both_modes(flags):
-    src = Path(verify.__file__).resolve().parents[1]
+def test_broken_k_sets_raise_under_both_modes(python_env, flags):
     proc = subprocess.run([sys.executable, *flags, "-c", K_MASK_WITHOUT_ORDER_PART],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": str(src)})
+                          capture_output=True, text=True, timeout=60, env=python_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "InvariantError: chain point escapes the dilated polytope",

@@ -5,13 +5,12 @@ import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plueckerfan import cli, cones
-from plueckerfan.plucker_lattices import semistandard_lattice
+from plueckerfan import cli, cones, straightening
+from plueckerfan.plucker_lattices import PluckerLattice, semistandard_lattice
 
 
 def run(capsys, *argv):
@@ -42,6 +41,12 @@ class TestLattice:
         code, _, err = run(capsys, "lattice", "--kind", "M", "--n", "13")
         assert code == 3
 
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    def test_pairs_capacity(self, capsys, kind):
+        code, out, err = run(capsys, "pairs", "--kind", kind, "--n", "13")
+        assert (code, out) == (3, "")
+        assert err == "capacity: full lattice enumeration capped at n = 12\n"
+
 
 class TestStraighten:
     def test_grassmannian(self, capsys):
@@ -66,6 +71,20 @@ class TestStraighten:
         code, _, err = run(capsys, "straighten", "--kind", "M", "--n", "4",
                            "--pair", "1,2 1,3")
         assert code == 2 and "comparable" in err
+
+    @pytest.mark.parametrize("kind, pair", [("M", "3,4 2,5"), ("N", "1,13 12,2,3")])
+    def test_past_the_lattice_cap(self, capsys, kind, pair):
+        # straightening one pair is pair-local, so it runs past the enumeration cap
+        code, out, _ = run(capsys, "straighten", "--kind", kind, "--n", "13", "--pair", pair,
+                           "--oracle", "probabilistic")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["oracle"]["member"] is True
+        lat = PluckerLattice(kind, 13)
+        a, b = (tuple(int(x) for x in part.split(",")) for part in pair.split())
+        rel = straightening.straighten_pair(lat, a, b)
+        assert obj["terms"] == json.loads(json.dumps(straightening.relation_json_obj(rel)))["terms"]
+        assert "elements" not in lat.__dict__
 
     def test_symbolic_oracle_capacity(self, capsys):
         code, _, err = run(capsys, "straighten", "--kind", "M", "--n", "7",
@@ -503,15 +522,14 @@ STRAIGHTEN_WITH_A_BROKEN_PIVOT = (
     "sys.exit(cli.main(['straighten', '--n', '4', '--pair', '1,2 1,3,4']))\n")
 
 
-def run_script(flags, script, *args):
-    src = Path(cli.__file__).resolve().parents[1]
+def run_script(env, flags, script, *args):
     return subprocess.run([sys.executable, *flags, "-c", script, *args], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": str(src)})
+                          text=True, timeout=120, env=env)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_broken_invariant_is_exit_code_4_under_python_O(flags):
-    proc = run_script(flags, STRAIGHTEN_WITH_A_BROKEN_PIVOT)
+def test_broken_invariant_is_exit_code_4_under_python_O(python_env, flags):
+    proc = run_script(python_env, flags, STRAIGHTEN_WITH_A_BROKEN_PIVOT)
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == "invariant: pivot monomial must survive the shuffle\n"
 
@@ -548,13 +566,13 @@ RUN_GROUPS = (
     "    print(json.dumps([codes, 'numpy' in sys.modules]))\n")
 
 
-def test_exact_commands_never_load_numpy(tmp_path):
+def test_exact_commands_never_load_numpy(python_env, tmp_path):
     files = {"poset": tmp_path / "poset.json", "weights": tmp_path / "w.json"}
     files["poset"].write_text(json.dumps({"elements": ["a", "b", "c"], "covers": [["a", "b"]]}))
     files["weights"].write_text(json.dumps(
         cones.weights_to_json_obj(cones.interior_witness(semistandard_lattice(3)))))
     groups = [[line.format(**files) for line in group] for group in (NUMPY_FREE, ARRAY_PATH)]
-    proc = run_script([], RUN_GROUPS, json.dumps(groups))
+    proc = run_script(python_env, [], RUN_GROUPS, json.dumps(groups))
     assert proc.returncode == 0, proc.stderr
     assert [json.loads(line) for line in proc.stdout.splitlines()] == [
         [[0] * len(NUMPY_FREE), False], [[0] * len(ARRAY_PATH), True]]

@@ -1,11 +1,13 @@
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plueckerfan import plucker_lattices, verify
+from plueckerfan import cones, plucker_lattices, verify
 from plueckerfan.order_core import CapacityError, OrderIdeal, Poset, PosetError
 from plueckerfan.plucker_lattices import (
     ComparablePairError,
@@ -18,7 +20,6 @@ from plueckerfan.plucker_lattices import (
     is_pbw_column,
     ji_cells,
     ji_column,
-    lazy_lattice,
     m_cell_ideal,
     pbw_arrange,
     pbw_cell_ideal,
@@ -29,6 +30,13 @@ from plueckerfan.plucker_lattices import (
     semistandard_leq,
     ssyt_to_pbw,
 )
+
+
+def enumerated(kind, n):
+    """A lattice that has enumerated its elements, so its four tables are full."""
+    lat = PluckerLattice(kind, n)
+    lat.elements
+    return lat
 
 
 class TestSemistandardLattice:
@@ -70,8 +78,9 @@ class TestSemistandardLattice:
     def test_size_guards(self):
         with pytest.raises(ValueError):
             semistandard_lattice(1)
+        lat = semistandard_lattice(13)
         with pytest.raises(CapacityError):
-            semistandard_lattice(13)
+            lat.elements
 
     def test_meet_join_are_lattice_operations(self):
         lat = semistandard_lattice(4)
@@ -318,39 +327,74 @@ class TestLargerWorkedExample:
 
 
 class TestLazyLattice:
+    """A fresh lattice, one that has not enumerated its elements, against an enumerated one."""
+
     def test_classification_past_the_cap(self):
-        from plueckerfan.plucker_lattices import lazy_lattice, pbw_label
-        lat = lazy_lattice("M", 20)
+        lat = PluckerLattice("M", 20)
         cls = lat.classify_pair((3, 4), (2, 5))
         assert cls.verdict == "diamond_special"
         assert (cls.below, cls.above) == ((2, 3), (4, 5))
-        nlat = lazy_lattice("N", 20)
-        a, b = pbw_label((3, 4), 20), pbw_label((2, 5), 20)
+        nlat = PluckerLattice("N", 20)
+        a, b = ssyt_to_pbw(lat, (3, 4)), ssyt_to_pbw(lat, (2, 5))
         assert nlat.classify_pair(a, b).verdict == "diamond_special"
+        assert "elements" not in lat.__dict__ and "elements" not in nlat.__dict__
 
     @pytest.mark.parametrize("kind", ["M", "N"])
     def test_agrees_with_materialized(self, kind):
-        from plueckerfan.plucker_lattices import lazy_lattice
-        full = PluckerLattice(kind, 4)
-        lazy = lazy_lattice(kind, 4)
+        full = enumerated(kind, 4)
+        fresh = PluckerLattice(kind, 4)
         for a, b in full.incomparable_pairs():
-            assert full.classify_pair(a, b) == lazy.classify_pair(a, b)
+            assert full.classify_pair(a, b) == fresh.classify_pair(a, b)
+        assert "elements" not in fresh.__dict__
 
     @pytest.mark.parametrize("kind", ["M", "N"])
     def test_membership_matches_materialized(self, kind):
         # every tuple of length <= n over 0..n+1, repeats included
         for n in range(2, 6):
-            lazy, full = lazy_lattice(kind, n), set(PluckerLattice(kind, n).elements)
+            fresh, full = PluckerLattice(kind, n), enumerated(kind, n)
+            members = set(full.elements)
             for k in range(n + 1):
                 for t in itertools.product(range(n + 2), repeat=k):
-                    assert (t in lazy) == (t in full), t
+                    assert (t in fresh) == (t in full) == (t in members), t
+            assert "elements" not in fresh.__dict__
 
     def test_rejects_foreign_tuples(self):
-        from plueckerfan.plucker_lattices import lazy_lattice
-        with pytest.raises(ValueError):
-            lazy_lattice("M", 15).check_element((4, 2))
-        with pytest.raises(ValueError):
-            lazy_lattice("N", 15).check_element((2, 3))
+        for kind, foreign in (("M", (4, 2)), ("N", (2, 3))):
+            lat = PluckerLattice(kind, 15)
+            with pytest.raises(ValueError):
+                lat.check_element(foreign)
+            with pytest.raises(ValueError):
+                lat.grade(foreign)
+            assert foreign not in lat._mask_of and "elements" not in lat.__dict__
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    def test_conversions_are_kept_as_met(self, kind):
+        lat = PluckerLattice(kind, 20)
+        assert lat._mask_of == lat._element_of == {}
+        a, b = lat.element_of_key((3, 4)), lat.element_of_key((2, 5))
+        meet = lat.meet(a, b)
+        assert set(lat._mask_of) == {a, b}
+        assert lat._element_of == {lat._mask_of[a] & lat._mask_of[b]: meet}
+        assert lat.grade(meet) == len(lat.cell_ideal(meet))
+        assert set(lat._mask_of) == {a, b, meet}
+        assert "elements" not in lat.__dict__
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    def test_whole_lattice_calls_past_the_cap_raise_capacity_error(self, kind):
+        lat = PluckerLattice(kind, 13)
+        whole = [lat.incomparable_pairs, lat.diamond_pairs, lat.cover_pairs,
+                 lat.hasse_json_obj, lat.to_distributive_lattice,
+                 lambda: cones.interior_witness(lat),
+                 lambda: cones.cone_hrep("HIBI", lattice=lat)]
+        for call in whole:
+            with pytest.raises(CapacityError, match="capped at n = 12"):
+                call()
+        assert "elements" not in lat.__dict__
+        a, b = (3, 4), (2, 5)
+        if kind == "N":
+            mlat = PluckerLattice("M", 13)
+            a, b = ssyt_to_pbw(mlat, a), ssyt_to_pbw(mlat, b)
+        assert lat.classify_pair(a, b).verdict == "diamond_special"
 
 
 # -- the per-n join-irreducible column table -----------------------------------
@@ -418,7 +462,7 @@ def test_mask_operations_match_column_formulas(kind, n):
 
 @pytest.mark.parametrize("kind", ["M", "N"])
 def test_mask_conversions_reject_non_ideals(kind):
-    for lat in (PluckerLattice(kind, 5), lazy_lattice(kind, 5)):
+    for lat in (enumerated(kind, 5), PluckerLattice(kind, 5)):
         with pytest.raises(ValueError):
             lat.element_of_cell_ideal({(2, 4)})   # (1, 4) and (2, 3) are missing
         with pytest.raises(ValueError):
@@ -428,16 +472,56 @@ def test_mask_conversions_reject_non_ideals(kind):
         foreign = Poset.from_leq(ji_cells(5), plucker_lattices.cell_leq)
         with pytest.raises(PosetError):
             lat.from_ideal(OrderIdeal(foreign, 0))
+        assert (6,) not in lat
+    assert "elements" not in lat.__dict__
 
 
 @pytest.mark.parametrize("kind", ["M", "N"])
 def test_ideal_bits_past_the_poset_rejected(kind):
-    for lat in (PluckerLattice(kind, 5), lazy_lattice(kind, 5)):
+    for lat in (enumerated(kind, 5), PluckerLattice(kind, 5)):
         for bits in (1 << 40, 1 << len(lat.ji_poset), -1):
             with pytest.raises(PosetError, match="not a subset"):
                 lat.from_ideal(OrderIdeal(lat.ji_poset, bits))
         top = (1 << len(lat.ji_poset)) - 1
         assert lat.from_ideal(OrderIdeal(lat.ji_poset, top)) == lat.maximum
+    assert "elements" not in lat.__dict__
+
+
+@pytest.mark.parametrize("kind", ["M", "N"])
+def test_one_lattice_shared_by_threads(kind):
+    # eight threads fill one lattice's tables while two of them enumerate it
+    reference = enumerated(kind, 8)
+    lat = PluckerLattice(kind, 8)
+    results = [None] * 8
+
+    def work(i):
+        rng = random.Random(i)
+        pairs = [rng.sample(reference.elements, 2) for _ in range(300)]
+        out = []
+        for j, (a, b) in enumerate(pairs):
+            if i < 2 and j == 150:
+                out.append(lat.elements)
+            out.append((lat.meet(a, b), lat.join(a, b), lat.grade(a), lat.signed_key(b)))
+        results[i] = (pairs, out)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    for i, (pairs, out) in enumerate(results):
+        expect = [(reference.meet(a, b), reference.join(a, b), reference.grade(a),
+                   reference.signed_key(b)) for a, b in pairs]
+        if i < 2:
+            expect.insert(150, reference.elements)
+        assert out == expect
+    assert lat._mask_of == reference._mask_of and lat._element_of == reference._element_of
 
 
 def test_minimum_and_maximum():
@@ -451,19 +535,20 @@ def test_minimum_and_maximum():
 @pytest.mark.parametrize("kind", ["M", "N"])
 @pytest.mark.parametrize("n", [11, 12])
 def test_largest_lattices_agree_with_lazy(kind, n):
-    full = PluckerLattice(kind, n)
-    lazy = lazy_lattice(kind, n)
+    full = enumerated(kind, n)
+    fresh = PluckerLattice(kind, n)
     assert len(full.elements) == len(set(full.elements)) == 2 ** n - 2
     rng = random.Random(n)
     for _ in range(200):
         a, b = rng.sample(full.elements, 2)
-        assert full.grade(a) == lazy.grade(a)
-        assert full.cell_ideal(a) == lazy.cell_ideal(a)
-        assert full.leq(a, b) == lazy.leq(a, b)
-        assert full.meet(a, b) == lazy.meet(a, b)
-        assert full.join(a, b) == lazy.join(a, b)
+        assert full.grade(a) == fresh.grade(a)
+        assert full.cell_ideal(a) == fresh.cell_ideal(a)
+        assert full.leq(a, b) == fresh.leq(a, b)
+        assert full.meet(a, b) == fresh.meet(a, b)
+        assert full.join(a, b) == fresh.join(a, b)
         if not full.comparable(a, b):
-            assert full.classify_pair(a, b) == lazy.classify_pair(a, b)
+            assert full.classify_pair(a, b) == fresh.classify_pair(a, b)
+    assert "elements" not in fresh.__dict__
 
 
 # -- the Pluecker-variable codec against the per-kind formulas it replaced -------
@@ -479,8 +564,9 @@ def reference_codec(kind, el):
 @pytest.mark.parametrize("kind", ["M", "N"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_codec_tables_match_the_column_formulas(kind, n):
-    lat = PluckerLattice(kind, n)
+    lat = enumerated(kind, n)
     assert len(lat._signed_keys) == len(lat._elements_by_key) == 2 ** n - 2
+    assert len(lat._mask_of) == len(lat._element_of) == 2 ** n - 2
     for el in lat.elements:
         signed, back = reference_codec(kind, el)
         assert lat.signed_key(el) == signed
@@ -490,7 +576,7 @@ def test_codec_tables_match_the_column_formulas(kind, n):
 
 @pytest.mark.parametrize("kind", ["M", "N"])
 def test_lazy_codec_matches_the_column_formulas(kind):
-    lat = lazy_lattice(kind, 20)
+    lat = PluckerLattice(kind, 20)
     assert lat._signed_keys == lat._elements_by_key == {}
     rng = random.Random(20)
     for _ in range(300):
@@ -498,8 +584,9 @@ def test_lazy_codec_matches_the_column_formulas(kind):
         el = key if kind == "M" else pbw_arrange(key)
         assert el in lat
         signed, back = reference_codec(kind, el)
-        assert lat.signed_key(el) == signed
-        assert lat.element_of_key(key) == back == el
+        assert lat.signed_key(el) == lat._signed_keys[el] == signed
+        assert lat.element_of_key(key) == lat._elements_by_key[key] == back == el
+    assert "elements" not in lat.__dict__
 
 
 def test_pbw_arrange_rejects_repeated_entries():

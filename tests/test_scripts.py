@@ -24,7 +24,7 @@ def test_script_runs(argv, header):
     assert proc.stdout.splitlines()[0] == header
 
 
-def test_stdout_digests_lists_digest_and_exit_code(tmp_path):
+def test_stdout_digests_lists_digest_and_exit_code(python_env, tmp_path):
     commands = tmp_path / "commands.txt"
     commands.write_text('# one run and one usage error\nfacets --n 3\n\n'
                         'straighten --kind M --n 4 --pair "1,2 1,3"\n')
@@ -32,8 +32,7 @@ def test_stdout_digests_lists_digest_and_exit_code(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     facets = subprocess.run([sys.executable, "-m", "plueckerfan", "facets", "--n", "3"],
-                            cwd=ROOT, capture_output=True, timeout=120,
-                            env={"PYTHONPATH": str(ROOT / "src")}).stdout
+                            cwd=ROOT, capture_output=True, timeout=120, env=python_env).stdout
     empty = hashlib.sha256(b"").hexdigest()
     assert proc.stdout.splitlines() == [
         f"{hashlib.sha256(facets).hexdigest()} 0 facets --n 3",

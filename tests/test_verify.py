@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +113,7 @@ def test_sampler_raises_when_nothing_is_accepted():
         verify.sample_cone_points(hrep, zero, 5, seed=0, spread=0)
 
 
-def test_sampler_raises_under_python_O():
+def test_sampler_raises_under_python_O(python_env):
     # an assert would vanish under -O and leave the sampler looping forever
     script = (
         "from plueckerfan import cones, verify\n"
@@ -123,9 +122,8 @@ def test_sampler_raises_under_python_O():
         "hrep = cones.cone_hrep('HIBI', lattice=lat)\n"
         "zero = dict.fromkeys(cones.interior_witness(lat), 0)\n"
         "verify.sample_cone_points(hrep, zero, 5, seed=0, spread=0)\n")
-    src = Path(verify.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          timeout=60, env={"PYTHONPATH": str(src)})
+                          timeout=60, env=python_env)
     assert proc.returncode == 1
     assert "CapacityError: rejection sampling is not converging" in proc.stderr
 
@@ -530,12 +528,10 @@ COUNTS_WITH_A_PAIR_DROPPED = (
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_counts_suite_finds_wrong_counts(flags):
+def test_counts_suite_finds_wrong_counts(python_env, flags):
     # facet_count's closed-form checks raise InvariantError, which stays live under -O
-    src = Path(verify.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, *flags, "-c", COUNTS_WITH_A_PAIR_DROPPED],
-                          capture_output=True, text=True, timeout=120,
-                          env={"PYTHONPATH": str(src)})
+                          capture_output=True, text=True, timeout=120, env=python_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["4", "4"]
 
@@ -561,23 +557,21 @@ CONVEX_WITH_A_DOUBLED_BINOMIAL = (
     "print(report.checks, len(report.failures))\n")
 
 
-def _run_script(flags, script):
-    src = Path(verify.__file__).resolve().parents[1]
+def _run_script(env, flags, script):
     proc = subprocess.run([sys.executable, *flags, "-c", script],
-                          capture_output=True, text=True, timeout=120,
-                          env={"PYTHONPATH": str(src)})
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_counts_suite_finds_a_wrong_special_factor(flags):
-    assert _run_script(flags, COUNTS_WITH_A_WRONG_SPECIAL_FACTOR) == ["4", "4"]
+def test_counts_suite_finds_a_wrong_special_factor(python_env, flags):
+    assert _run_script(python_env, flags, COUNTS_WITH_A_WRONG_SPECIAL_FACTOR) == ["4", "4"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_convex_suite_finds_ambiguous_pullbacks(flags):
-    assert _run_script(flags, CONVEX_WITH_A_DOUBLED_BINOMIAL) == ["62", "11"]
+def test_convex_suite_finds_ambiguous_pullbacks(python_env, flags):
+    assert _run_script(python_env, flags, CONVEX_WITH_A_DOUBLED_BINOMIAL) == ["62", "11"]
 
 
 # -- the tau suite checks the column rules, not the shared masks ------------------
@@ -612,17 +606,15 @@ ASL_WITH_A_BROKEN_STANDARD_RULE = (
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_asl_suite_finds_a_broken_standard_rule(flags):
-    assert _run_script(flags, ASL_WITH_A_BROKEN_STANDARD_RULE) == ["18", "6"]
+def test_asl_suite_finds_a_broken_standard_rule(python_env, flags):
+    assert _run_script(python_env, flags, ASL_WITH_A_BROKEN_STANDARD_RULE) == ["18", "6"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_asl_beyond_the_rank_limit_is_a_capacity_error(flags):
-    src = Path(verify.__file__).resolve().parents[1]
+def test_asl_beyond_the_rank_limit_is_a_capacity_error(python_env, flags):
     proc = subprocess.run([sys.executable, *flags, "-m", "plueckerfan", "verify", "--suite", "asl",
                            "--n", "7"],
-                          capture_output=True, text=True, timeout=120,
-                          env={"PYTHONPATH": str(src)})
+                          capture_output=True, text=True, timeout=120, env=python_env)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == ("capacity: rank oracle limited to total degree <= "
                            f"{straightening.SYMBOLIC_DEGREE_LIMIT} with n <= "
