@@ -17,12 +17,17 @@ partition is the one-element stack.  ``PolytopeHRep.arrays`` gives an
 inequality system as int64 arrays.  The scalar forms work exactly on
 ``Fraction`` coordinates and are the reference the batched forms are tested
 against.
+
+``interpolating_hrep`` works on bitmasks and visits only the chains that
+can give a row.  Each partition keeps the K-sets of the ideals it has met
+(``ChainOrderPartition.k_sets``), so the ideal products of a lattice compute
+each ideal's K-set once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -33,7 +38,7 @@ from .order_core import (
     PosetError,
     _bits,
     check,
-    enumerate_order_ideals,
+    ideal_masks,
 )
 
 
@@ -44,6 +49,8 @@ class ChainOrderPartition:
     poset: object
     order_mask: int
     chain_mask: int
+    # ideal mask -> K-set mask, filled by ``_k_mask``; not part of the value
+    k_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_sets(cls, poset, order_ids, chain_ids):
@@ -123,69 +130,80 @@ def _as_point(poset, vec):
     return dict(zip(poset.elements, vec))
 
 
-def _admissible_chains(part):
-    """All chains p_1 < ... < p_k with every non-last element in U_c, as masks."""
-    poset = part.poset
-    n = len(poset)
-    chains = []
-
-    def extend(mask, last):
-        chains.append(mask)
-        if part.chain_mask >> last & 1:
-            for j in _bits(poset.up[last] & ~(1 << last)):
-                extend(mask | (1 << j), j)
-
-    for i in range(n):
-        extend(1 << i, i)
-    return chains
-
-
 def interpolating_hrep(poset, part):
     """Minimal-by-construction inequality system of Pi(U_o, U_c).
 
     Emits x_p >= 0 for every p, sum over C of x <= 1 for maximal admissible
     chains C with no order element below, and sum over C of x <= x_q for
-    maximal admissible chains dominated by a maximal order element q.  The
-    canonical order is a linear extension, so a chain's bottom and top are
-    its lowest and highest set bits.
+    maximal admissible chains dominated by a maximal order element q.  An
+    admissible chain p_1 < ... < p_k has every non-last element in U_c.  It
+    is maximal when no chain element fits into it and its top is an order
+    element or a maximal element of the poset.
+
+    The canonical order is a linear extension, so a chain's bottom and top
+    are its lowest and highest set bits, and the rows are emitted in the
+    order of the chains' masks.  The chains are grown on an explicit stack,
+    from the top, and a step never jumps over a chain element, which would
+    fit in between.  The only other place a chain element fits is below the
+    bottom, so a chain's rows depend on its bottom alone: the headless row
+    when the bottom is minimal, and a headed row for each maximal order
+    element q below the bottom with no chain element between them.
     """
     if part.poset is not poset:
         raise PosetError("partition does not belong to this poset")
     n = len(poset)
+    elements = poset.elements
     up, down = poset.up, poset.down
+    order_mask, chain_mask = part.order_mask, part.chain_mask
     rows = []
     labels = []
     for i in range(n):
         row = [0] * n
         row[i] = -1
         rows.append((tuple(row), 0))
-        labels.append(("nonneg", poset.elements[i]))
+        labels.append(("nonneg", elements[i]))
 
-    def insertable(mask, within):
-        """A chain element of ``within`` below the top fits into the chain."""
-        top = mask.bit_length() - 1
-        candidates = part.chain_mask & within & down[top] & ~mask
-        return any(mask & ~(up[c] | down[c]) == 0 for c in _bits(candidates))
+    heads = []  # heads[i]: the heads of a chain with bottom i; None heads the headless row
+    for i in range(n):
+        below = down[i] & ~(1 << i)
+        heads.append([None] if not below else [])
+        maximal = poset.maximal_of(order_mask & below)
+        while maximal:
+            low = maximal & -maximal
+            maximal ^= low
+            if not chain_mask & up[low.bit_length() - 1] & below:
+                heads[i].append(low.bit_length() - 1)
+    chains = []
+    stack = [(1 << i, i, i) for i in range(n) if heads[i]]  # (mask, top, bottom)
+    while stack:
+        mask, top, bottom = stack.pop()
+        if not chain_mask >> top & 1:
+            chains.append((mask, bottom))  # an order element ends the chain
+            continue
+        above = up[top] & ~(1 << top)
+        if not above:
+            chains.append((mask, bottom))
+        rest = above
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if not chain_mask & above & down[j] & ~low:  # no chain element between top and j
+                stack.append((mask | low, j, bottom))
+    chains.sort()
 
-    for mask in sorted(_admissible_chains(part)):
-        top = mask.bit_length() - 1
-        if part.chain_mask >> top & 1 and up[top] != 1 << top:
-            continue  # the chain extends above its top
-        bottom = (mask & -mask).bit_length() - 1
-        below_orders = part.order_mask & down[bottom] & ~(1 << bottom)
-        body = [1 if mask >> i & 1 else 0 for i in range(n)]
-        # headless chain: no order element below and no insertion anywhere below/inside
-        if not below_orders and not insertable(mask, part.chain_mask):
-            rows.append((tuple(body), 1))
-            labels.append(("chain", poset.ids_of(mask)))
-        # headed chains: the head is maximal among the order elements below the body
-        for q in _bits(poset.maximal_of(below_orders)):
-            if insertable(mask, up[q]):
-                continue
-            row = list(body)
-            row[q] -= 1
-            rows.append((tuple(row), 0))
-            labels.append(("headed", poset.elements[q], poset.ids_of(mask)))
+    for mask, bottom in chains:
+        body = [mask >> i & 1 for i in range(n)]
+        ids = tuple(elements[i] for i in range(n) if body[i])
+        for q in heads[bottom]:
+            if q is None:
+                rows.append((tuple(body), 1))
+                labels.append(("chain", ids))
+            else:
+                row = list(body)
+                row[q] -= 1
+                rows.append((tuple(row), 0))
+                labels.append(("headed", elements[q], ids))
     check(len(set(rows)) == len(rows), "duplicate inequalities")
     return PolytopeHRep(poset, tuple(rows), tuple(labels))
 
@@ -266,7 +284,7 @@ def zeta_prime_matrix(poset, chain, X):
 def k_matrix(poset, chain, J):
     """K-set indicators of a stack of 0/1 ideal arrays, laid out as for ``zeta_matrix``.
 
-    For float64 ``J`` the count of ideal elements above each element is a BLAS
+    For float ``J`` the count of ideal elements above each element is a BLAS
     product, exact since every count is at most the poset size.
     """
     # entry (p, x, q): the elements of J_x strictly above q
@@ -286,7 +304,15 @@ def k_set(part, ideal):
 
 
 def _k_mask(part, bits):
-    return (bits & part.order_mask) | part.poset.maximal_of(bits, part.chain_mask)
+    """The K-set of the ideal ``bits``: its order elements and its maximal chain elements.
+
+    Each partition keeps the K-sets it has computed, so the lattice's ideal
+    products compute each ideal's K-set once.
+    """
+    k = part.k_sets.get(bits)
+    if k is None:
+        k = part.k_sets[bits] = (bits & part.order_mask) | part.poset.maximal_of(bits, part.chain_mask)
+    return k
 
 
 def odot_ideals(part, ideal1, ideal2):
@@ -325,8 +351,9 @@ def dilation_table(part, t):
 
     There is one point per weakly decreasing chain of t order ideals: the sum
     of the K-vectors of its ideals.  The chains are grown as index arrays into
-    the K-vector matrix of the ideals, one level at a time, and every point is
-    checked against the inequalities at once.
+    the K-vector matrix of the ideals, one level at a time.  Every point is
+    checked against the inequalities at once, and the sorted rows are checked
+    to be distinct as one array comparison.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -336,7 +363,7 @@ def dilation_table(part, t):
     import numpy as np  # on first use, see PolytopeHRep.arrays
     A, b = interpolating_hrep(poset, part).arrays()
     n = len(poset)
-    masks = [ideal.bits for ideal in enumerate_order_ideals(poset)]
+    masks = ideal_masks(poset)
     K = np.array([_k_mask(part, m) for m in masks], dtype=np.int64)[:, None] >> np.arange(n) & 1
     bits = np.array(masks, dtype=np.int64)
     points = np.zeros((1, n), dtype=np.int64)
@@ -347,10 +374,11 @@ def dilation_table(part, t):
             chain, last = np.nonzero((bits & ~bits[last, None]) == 0)
             points = points[chain] + K[last]
     check(bool((points @ A.T <= t * b).all()), "chain point escapes the dilated polytope")
-    rows = sorted(points.tolist())
-    check(all(x != y for x, y in zip(rows, rows[1:])),
-          "distinct ideal chains must give distinct points")
-    return rows
+    if len(points) > 1:
+        points = points[np.lexsort(points.T[::-1])]  # rows in lexicographic order
+        check(bool((points[1:] != points[:-1]).any(axis=1).all()),
+              "distinct ideal chains must give distinct points")
+    return points.tolist()
 
 
 def dilation_points(part, t):

@@ -49,6 +49,18 @@ def _bits(mask):
         mask &= mask - 1
 
 
+def _transpose(masks):
+    """The transposed relation: entry j of the result holds i when entry i of ``masks`` holds j."""
+    out = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+    return out
+
+
 class Poset:
     """Finite poset over hashable element ids.
 
@@ -63,12 +75,7 @@ class Poset:
             raise PosetError("duplicate element ids")
         self.up = tuple(up_masks)
         self.heights = tuple(heights)
-        n = len(self.elements)
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(self.up[i]):
-                down[j] |= 1 << i
-        self.down = tuple(down)
+        self.down = tuple(_transpose(self.up))
 
     # -- construction --------------------------------------------------
 
@@ -143,28 +150,30 @@ class Poset:
     @classmethod
     def _canonicalize(cls, elements, up):
         n = len(elements)
-        strict = [up[i] & ~(1 << i) for i in range(n)]
+        below = _transpose(up)
         height = [0] * n
         # longest-chain height, processed bottom-up by number of elements below
-        below = [0] * n
-        for i in range(n):
-            for j in _bits(strict[i]):
-                below[j] |= 1 << i
         for i in sorted(range(n), key=lambda i: below[i].bit_count()):
-            h = 0
-            for j in _bits(below[i]):
-                h = max(h, height[j] + 1)
+            h, rest = 0, below[i] & ~(1 << i)
+            while rest:
+                low = rest & -rest
+                h = max(h, height[low.bit_length() - 1] + 1)
+                rest ^= low
             height[i] = h
         try:
             perm = sorted(range(n), key=lambda i: (height[i], elements[i]))
         except TypeError:
             perm = sorted(range(n), key=lambda i: (height[i], repr(elements[i])))
-        new_pos = {old: new for new, old in enumerate(perm)}
+        new_pos = [0] * n
+        for new, old in enumerate(perm):
+            new_pos[old] = new
         new_up = []
         for old in perm:
-            m = 0
-            for j in _bits(up[old]):
-                m |= 1 << new_pos[j]
+            m, rest = 0, up[old]
+            while rest:
+                low = rest & -rest
+                m |= 1 << new_pos[low.bit_length() - 1]
+                rest ^= low
             new_up.append(m)
         return cls([elements[i] for i in perm], new_up, [height[i] for i in perm])
 
@@ -341,8 +350,8 @@ class Grading:
     value: dict
 
 
-def enumerate_order_ideals(poset):
-    """All order ideals, sorted by cardinality then bit pattern."""
+def ideal_masks(poset):
+    """The bitmasks of all order ideals, sorted by cardinality then bit pattern."""
     if len(poset) > IDEAL_CAPACITY:
         raise CapacityError(f"poset has {len(poset)} > {IDEAL_CAPACITY} elements")
     ideals = [0]
@@ -351,7 +360,12 @@ def enumerate_order_ideals(poset):
         need = poset.down[i] & ~(1 << i)
         ideals += [m | (1 << i) for m in ideals if m & need == need]
     ideals.sort(key=lambda m: (m.bit_count(), m))
-    return [OrderIdeal(poset, m) for m in ideals]
+    return ideals
+
+
+def enumerate_order_ideals(poset):
+    """All order ideals, sorted by cardinality then bit pattern."""
+    return [OrderIdeal(poset, m) for m in ideal_masks(poset)]
 
 
 class DistributiveLattice:

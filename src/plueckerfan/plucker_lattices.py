@@ -505,15 +505,16 @@ class PluckerLattice:
     # -- classification ------------------------------------------------
 
     def classify_pair(self, a, b):
-        self.check_element(a), self.check_element(b)
+        ma, mb = self._mask(a), self._mask(b)  # ValueError unless both are elements
         if a == b:
             raise ComparablePairError("pair elements must be distinct")
-        if self.comparable(a, b):
+        if ma & ~mb == 0 or mb & ~ma == 0:
             raise ComparablePairError(f"{a!r} and {b!r} are comparable")
-        meet, join = self.meet(a, b), self.join(a, b)
-        is_diamond = (self.grade(a) == self.grade(b)
-                      and self.grade(join) == self.grade(a) + 1
-                      and self.grade(meet) == self.grade(a) - 1)
+        meet, join = self._element(ma & mb), self._element(ma | mb)
+        grade = ma.bit_count()
+        is_diamond = (mb.bit_count() == grade
+                      and (ma | mb).bit_count() == grade + 1
+                      and (ma & mb).bit_count() == grade - 1)
         if not is_diamond:
             return PairClassification("not_diamond", (a, b), meet, join)
         if self.kind == "M":

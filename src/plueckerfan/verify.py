@@ -4,17 +4,19 @@ Each suite runs a block of exact checks with a fixed seed and returns a
 ``SuiteReport``; a failure record always carries a minimal reproducer.  Only
 the checks and the brute-force box oracle ``integer_points`` live here.
 
-``ehrhart`` and ``minkowski`` check all the partitions of a poset together:
-for each t, stacks of partitions go through the stacked transfer maps of
-``chain_order`` at once, and the inequality products run in float64 (BLAS),
-exact for the small bounded coordinates involved.  The records keep the order
-of checking one partition at one t at a time.  A run builds each box of side
-t+1 once per poset size and t, and drops it when the run ends.  The cone
-suites check all their samples at once through the batched twins in
-``cones``, on the samples-by-keys matrix the sampler returns.  numpy is
-imported on first use, by the box, the transfer checks and the cone suites,
-so the exact suites (``strlaws``, ``pbwstrlaws``, ``tau``, ``convex``,
-``counts``, ``asl``) never load it.
+``ehrhart`` and ``minkowski`` check all the partitions of a poset together.
+For each t, one product of the stacked inequality systems against the box
+finds the points of a whole stack of partitions, and the stack goes through
+the stacked transfer maps of ``chain_order`` at once.  The products run in
+float32 (BLAS), exact for the small bounded coordinates involved, which a
+check guards, and ``STACK_BYTES`` bounds every stacked temporary.  The
+records keep the order of checking one partition at one t at a time.  A run
+builds each box of side t+1 once per poset size and t, and drops it when the
+run ends.  The cone suites check all their samples at once through the
+batched twins in ``cones``, on the samples-by-keys matrix the sampler
+returns.  numpy is imported on first use, by the box, the transfer checks
+and the cone suites, so the exact suites (``strlaws``, ``pbwstrlaws``,
+``tau``, ``convex``, ``counts``, ``asl``) never load it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ EHRHART_MAX_T = 3
 RANDOM_POSETS = 50
 PARTITION_SAMPLES = 20
 CONE_SAMPLES = 1000
-TRANSFER_BATCH_POINTS = 512
+STACK_BYTES = 1 << 19  # bytes of the largest stacked float32 temporary of ehrhart/minkowski
 
 
 @dataclass
@@ -221,25 +223,68 @@ def partitions_of(poset, seed):
 
 
 def box_points(size, t):
-    """The integer points of the box [0, t]^size, one float64 column per point."""
+    """The integer points of the box [0, t]^size, one float32 column per point."""
     import numpy as np  # on first use, so the exact suites never load it
-    return np.indices((t + 1,) * size, dtype=np.float64).reshape(size, -1)
+    return np.indices((t + 1,) * size, dtype=np.float32).reshape(size, -1)
 
 
-def integer_points(A, b, t, box):
-    """Brute-force integer points of the t-dilation of {x : A x <= b}, as an int64 array of rows.
+def stack_systems(hreps):
+    """The inequality systems of ``hreps``, all over one poset, as int64 arrays (A, b).
 
-    ``box`` is ``box_points(A.shape[1], t)``, which a suite run builds once per
-    size and t.  Only the rows with a positive coefficient or a negative bound
-    are tested: every other row holds on the whole box, whose coordinates are
-    nonnegative.  The product runs in float64, exact for coordinates at most
-    t and integer rows of small norm, and each point's test reduces over the
-    leading axis, which numpy vectorizes across points.
+    ``A`` has shape (P, R, size) and ``b`` shape (P, R), with R the row count
+    of the longest system; shorter systems are padded with zero rows (0 <= 0).
     """
     import numpy as np
-    binding = (A > 0).any(axis=1) | (b < 0)
-    keep = (A[binding].astype(np.float64) @ box <= t * b[binding, None]).all(axis=0)
-    return box[:, keep].T.astype(np.int64, order="C")
+    depth = max(len(hrep.rows) for hrep in hreps)
+    zero = (0,) * len(hreps[0].poset)
+    A = np.array([[row for row, _ in hrep.rows] + [zero] * (depth - len(hrep.rows))
+                  for hrep in hreps], dtype=np.int64)
+    b = np.array([[bound for _, bound in hrep.rows] + [0] * (depth - len(hrep.rows))
+                  for hrep in hreps], dtype=np.int64)
+    return A.reshape(len(hreps), depth, len(zero)), b
+
+
+def binding_rows(A, b):
+    """The rows of stacked systems that a box point can violate, laid out for ``integer_points``.
+
+    ``A`` and ``b`` are as ``stack_systems`` returns them.  A row with no
+    positive coefficient and a nonnegative bound holds on the whole box,
+    whose coordinates are nonnegative, so the row positions where every
+    system has such a row are left out.  Returns float32 arrays (rows,
+    bounds) of shapes (D, P, size) and (D, P, 1), entry [r, p] the r-th kept
+    row of system p.
+    """
+    import numpy as np
+    kept = ((A > 0).any(axis=2) | (b < 0)).any(axis=0)
+    return (A[:, kept].transpose(1, 0, 2).astype(np.float32, order="C"),
+            b[:, kept].T[..., None].astype(np.float32))
+
+
+def integer_points(rows, bounds, t, box):
+    """Brute-force integer points of the t-dilation of each system of a stack, as (counts, points).
+
+    ``rows`` and ``bounds`` come from ``binding_rows``, and ``box`` is
+    ``box_points(size, t)``, which a suite run builds once per size and t.
+    One product of the stacked rows against the box tests every point for a
+    whole chunk of systems, and each point's test reduces over the leading
+    (row) axis; a chunk holds as many systems as keep the product within
+    ``STACK_BYTES``.  The product runs in float32, exact while every row's
+    absolute sum times t and every bound times t stay below 2**24, which is
+    checked.  ``counts`` lists each system's point count, and ``points``
+    holds the points as int64 rows, system by system, each system's in box
+    order.
+    """
+    import numpy as np
+    depth, stack, size = rows.shape
+    check(t * max(np.abs(rows).sum(axis=2).max(initial=0), np.abs(bounds).max(initial=0))
+          < 2 ** 24, "rows too large for exact float32 box products")
+    keep = np.empty((stack, box.shape[1]), dtype=bool)
+    step = max(1, STACK_BYTES // (4 * depth * box.shape[1] or 1))
+    for lo in range(0, stack, step):
+        chunk = rows[:, lo:lo + step]
+        tests = (chunk.reshape(-1, size) @ box <= t * bounds[:, lo:lo + step].reshape(-1, 1))
+        tests.reshape(chunk.shape[:2] + box.shape[1:]).all(axis=0, out=keep[lo:lo + step])
+    return keep.sum(axis=1).tolist(), box[:, np.nonzero(keep)[1]].T.astype(np.int64, order="C")
 
 
 def _check_names(t, check_decomposition):
@@ -264,29 +309,29 @@ def _transfer_checks(poset, chain, At, b, order_at, order_b, X, reference, t,
     polytope's points, shared by all partitions.  The result has a row per
     partition and a column per check, in ``_check_names`` order.
 
-    The inequality products run in float64, where numpy uses BLAS.  They are
+    The inequality products run in float32, where numpy uses BLAS.  They are
     exact: the rows come from ``interpolating_hrep``, with entries in
     {-1, 0, 1}, so no partial sum exceeds the poset size times the largest
-    coordinate, which is checked to stay below 2**53.
+    coordinate, which is checked to stay below 2**24.
     """
     import numpy as np
     R = np.broadcast_to(reference, (len(X),) + reference.shape)
     Y = zeta_prime_matrix(poset, chain, X)
     Z = zeta_matrix(poset, chain, R)
-    check(len(poset) * max(np.abs(Y).max(initial=0), np.abs(Z).max(initial=0)) < 2 ** 53,
-          "coordinates too large for exact float64 products")
+    check(len(poset) * max(np.abs(Y).max(initial=0), np.abs(Z).max(initial=0)) < 2 ** 24,
+          "coordinates too large for exact float32 products")
     outcomes = [(zeta_matrix(poset, chain, Y) == X).all(axis=(1, 2)),
                 (zeta_prime_matrix(poset, chain, Z) == R).all(axis=(1, 2)),
                 # zeta maps the order dilation into the chain-order dilation and back
-                (Z.astype(np.float64) @ At <= t * b).all(axis=(1, 2))]
+                (Z.astype(np.float32) @ At <= t * b).all(axis=(1, 2))]
     del Z, R  # the reference side is done: keep it out of the decomposition's peak memory
-    Y = Y.astype(np.float64)
+    Y = Y.astype(np.float32)
     outcomes.append((Y @ order_at <= t * order_b).all(axis=(1, 2)))
     if check_decomposition:
-        lt = poset.strict_order_matrix.astype(np.float64)
+        lt = poset.strict_order_matrix.astype(np.float32)
         total = np.zeros_like(Y)
         for i in range(1, t + 1):
-            J = (Y >= i).astype(np.float64)
+            J = (Y >= i).astype(np.float32)
             # (J @ lt.T)[p, x, q] counts elements of J_x strictly above q
             outcomes.append(((J > 0) | (J @ lt.T == 0)).all(axis=(1, 2)))
             piece = k_matrix(poset, chain, J)
@@ -299,44 +344,50 @@ def _transfer_checks(poset, chain, At, b, order_at, order_b, X, reference, t,
 def _check_poset(report, poset, parts, box, check_decomposition):
     """Records the point counts and transfer checks of ``parts`` at every t, partition by partition.
 
-    For each t the partitions are checked in stacks of about
-    ``TRANSFER_BATCH_POINTS`` reference points, each stack split into runs of
-    partitions with the same point count; the records keep the order of
+    For each t the partitions go through in stacks, as many as keep a
+    product of their padded systems with the order polytope's points within
+    ``STACK_BYTES`` of float32.  ``integer_points`` finds the points of a
+    whole stack, and each run of its partitions with the same point count
+    goes through the transfer checks at once.  The records keep the order of
     checking one partition at a time, t by t.
     """
     import numpy as np
     size = len(poset)
-    order_A, order_b = interpolating_hrep(
-        poset, ChainOrderPartition.order_polytope(poset)).arrays()
-    systems = [interpolating_hrep(poset, part).arrays() for part in parts]
+    order_A, order_b = stack_systems(
+        [interpolating_hrep(poset, ChainOrderPartition.order_polytope(poset))])
+    A, b = stack_systems([interpolating_hrep(poset, part) for part in parts])
+    order_rows = binding_rows(order_A, order_b)
+    rows, bounds = binding_rows(A, b)
     chain = chain_matrix(poset, parts)
-    rows = max(len(bp) for _, bp in systems)
-    At = np.zeros((len(parts), size, rows))
-    b = np.zeros((len(parts), 1, rows))
-    for p, (A, bp) in enumerate(systems):
-        At[p, :, :len(bp)] = A.T
-        b[p, 0, :len(bp)] = bp
-    order_at = order_A.T.astype(np.float64)
+    width = A.shape[1]
+    # the transfer checks' systems: transposed for the products, in float32
+    At = A.transpose(0, 2, 1).astype(np.float32, order="C")
+    b = b[:, None, :].astype(np.float32)
+    order_at, order_b = order_A[0].T.astype(np.float32), order_b[0].astype(np.float32)
     # per t: the order polytope's point count, and each partition's point count and outcomes
     expected, counts, outcomes = [], [], []
     for t in range(EHRHART_MAX_T + 1):
-        reference = integer_points(order_A, order_b, t, box[t])
+        reference = integer_points(*order_rows, t, box[t])[1]
         expected.append(len(reference))
         counts.append([])
         outcomes.append([])
-        step = max(1, TRANSFER_BATCH_POINTS // len(reference))
+        # a partition has as many points as the order polytope, unless a check fails
+        step = max(1, STACK_BYTES // (4 * width * len(reference)))
         for lo in range(0, len(parts), step):
-            points = [integer_points(A, bp, t, box[t]) for A, bp in systems[lo:lo + step]]
-            counts[t] += map(len, points)
+            got, points = integer_points(rows[:, lo:lo + step], bounds[:, lo:lo + step], t, box[t])
+            counts[t] += got
             if not (size and t):
                 continue
             # one stack per run of partitions with the same point count
-            cuts = [p for p in range(1, len(points)) if len(points[p]) != len(points[p - 1])]
-            for i, j in zip([0] + cuts, cuts + [len(points)]):
+            cuts = [p for p in range(1, len(got)) if got[p] != got[p - 1]]
+            first = 0  # the run's first row of ``points``
+            for i, j in zip([0] + cuts, cuts + [len(got)]):
+                X = points[first:first + (j - i) * got[i]].reshape(j - i, got[i], size)
+                first += (j - i) * got[i]
                 run = slice(lo + i, lo + j)
                 outcomes[t] += _transfer_checks(
                     poset, chain[run], At[run], b[run], order_at, order_b,
-                    np.stack(points[i:j]), reference, t, check_decomposition).tolist()
+                    X, reference, t, check_decomposition).tolist()
     names = [_check_names(t, check_decomposition) for t in range(EHRHART_MAX_T + 1)]
     for p, part in enumerate(parts):
         label = part.to_json_obj()
@@ -346,9 +397,10 @@ def _check_poset(report, poset, parts, box, check_decomposition):
                           ("point count", poset.elements, label, t, got, expected[t]))
             if outcomes[t]:
                 report.checks += len(names[t])
-                report.failures += [(head, label, t, *extra)
-                                    for ok, (head, *extra) in zip(outcomes[t][p], names[t])
-                                    if not ok]
+                if not all(outcomes[t][p]):
+                    report.failures += [(head, label, t, *extra)
+                                        for ok, (head, *extra) in zip(outcomes[t][p], names[t])
+                                        if not ok]
 
 
 def _ehrhart_like(name, n, seed, check_decomposition):

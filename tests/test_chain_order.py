@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from plueckerfan.chain_order import (
     ChainOrderPartition,
-    _admissible_chains,
     _as_point,
     _k_mask,
     chain_matrix,
@@ -38,6 +37,7 @@ from plueckerfan.order_core import (
     _bits,
     enumerate_order_ideals,
 )
+from plueckerfan.cones import facet_count
 from plueckerfan.plucker_lattices import PluckerLattice, pbw_lattice
 from plueckerfan import verify
 
@@ -143,6 +143,22 @@ class TestHRepPruning:
                         assert hrep.contains(vec, t) == contains_full(full, vec, t)
 
 
+def admissible_chains(part):
+    """All chains p_1 < ... < p_k with every non-last element in U_c, as masks."""
+    poset = part.poset
+    chains = []
+
+    def extend(mask, last):
+        chains.append(mask)
+        if part.chain_mask >> last & 1:
+            for j in _bits(poset.up[last] & ~(1 << last)):
+                extend(mask | (1 << j), j)
+
+    for i in range(len(poset)):
+        extend(1 << i, i)
+    return chains
+
+
 def reference_hrep(poset, part):
     """Element-id form of ``interpolating_hrep``: (rows, labels) in emission order."""
     n = len(poset)
@@ -169,7 +185,7 @@ def reference_hrep(poset, part):
         top = next(iter(_bits(poset.maximal_of(mask))))
         return bool(part.chain_mask >> top & 1 and poset.up[top] & ~(1 << top))
 
-    for mask in sorted(_admissible_chains(part)):
+    for mask in sorted(admissible_chains(part)):
         strict_up = 0
         for i in _bits(mask):
             strict_up |= poset.up[i] & ~(1 << i)
@@ -339,6 +355,44 @@ class TestKMaskMatchesReference:
         cases = sum(self.assert_same(poset, all_partitions(poset))
                     for poset in (verify.random_poset(rng, max_size=8) for _ in range(40)))
         assert cases > 10000
+
+
+class TestKSetMemo:
+    """Each partition keeps the K-sets ``_k_mask`` computes, and a kept K-set is a computed one."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_memoised_k_sets_of_the_pbw_partition(self, n):
+        nlat = pbw_lattice(n)
+        part, poset = nlat.partition, nlat.ji_poset
+        for a, b in nlat.incomparable_pairs():
+            nlat.odot(a, b)  # the ideal products fill the memo
+        ideals = [ideal.bits for ideal in enumerate_order_ideals(poset)]
+        assert set(part.k_sets) <= set(ideals)
+        for bits in ideals:
+            expect = (bits & part.order_mask) | (poset.maximal_of(bits) & part.chain_mask)
+            assert _k_mask(part, bits) == part.k_sets[bits] == expect
+        assert len(part.k_sets) == len(ideals) == 2 ** n - 2
+
+    def test_the_memo_is_not_part_of_the_value(self):
+        poset = grid_poset(4)
+        a, b = (ChainOrderPartition.from_masks(poset, 5) for _ in range(2))
+        _k_mask(a, poset.down[0])
+        assert a.k_sets and not b.k_sets
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_facet_count_computes_each_k_set_once(self, monkeypatch):
+        # only _k_mask passes ``among``; without the memo facet_count(9) made 4480 such calls
+        calls = []
+        real = Poset.maximal_of
+
+        def counting(self, mask, among=None):
+            if among is not None:
+                calls.append((id(self), mask, among))
+            return real(self, mask, among)
+
+        monkeypatch.setattr(Poset, "maximal_of", counting)
+        facet_count(9)
+        assert len(calls) == len(set(calls)) == 508
 
 
 class TestOdot:

@@ -13,6 +13,7 @@ from plueckerfan.chain_order import ChainOrderPartition, chain_matrix, interpola
 from plueckerfan.order_core import (
     CapacityError,
     DistributiveLattice,
+    InvariantError,
     LatticeError,
     Poset,
     PosetError,
@@ -454,6 +455,48 @@ def test_level_sets_as_pieces_fail_like_the_reference(monkeypatch):
     assert kinds == {"piece membership", "decomposition sum"}
 
 
+def test_one_corrupted_system_fails_only_its_own_records(monkeypatch):
+    # the partition with order mask 5 gets a looser last row, so it has more
+    # points than the partitions stacked around it and splits their run
+    build = verify.interpolating_hrep
+    corrupted = []
+
+    def looser_last_row(poset, part):
+        hrep = build(poset, part)
+        if part.order_mask != 5 or len(poset) < 3:
+            return hrep
+        corrupted.append(part.to_json_obj())
+        (row, bound), = hrep.rows[-1:]
+        return type(hrep)(poset, hrep.rows[:-1] + ((row, bound + 1),), hrep.labels)
+
+    monkeypatch.setattr(verify, "interpolating_hrep", looser_last_row)
+    report = assert_same_ehrhart_report("minkowski", 4, 0)
+    labels = [f[2] if f[0] == "point count" else f[1] for f in report.failures]
+    assert report.failures and all(label in corrupted for label in labels)
+    assert {f[0] for f in report.failures} == {
+        "point count", "zeta_prime image", "level sets are ideals", "decomposition sum"}
+
+
+@pytest.mark.parametrize("value, raises", [(2 ** 24 - 1, False), (2 ** 24, True)])
+def test_transfer_checks_guard_float32_exactness(monkeypatch, value, raises):
+    # every poset has one element at n = 1, so the guard reads the value itself
+    monkeypatch.setattr(verify, "zeta_prime_matrix", lambda poset, chain, X: X * 0 + value)
+    if raises:
+        with pytest.raises(InvariantError, match="too large for exact float32"):
+            verify.run_suite("ehrhart", n=1)
+    else:
+        assert not verify.run_suite("ehrhart", n=1).ok
+
+
+def test_box_products_guard_float32_exactness():
+    rows = np.full((1, 1, 1), 2.0 ** 22, dtype=np.float32)
+    bounds = np.zeros((1, 1, 1), dtype=np.float32)
+    for t in (1, 3):
+        assert verify.integer_points(rows, bounds, t, verify.box_points(1, t))[0] == [1]
+    with pytest.raises(InvariantError, match="too large for exact float32"):
+        verify.integer_points(rows, bounds, 4, verify.box_points(1, 4))
+
+
 # -- failure reproducers of the lattice-point suites ----------------------------
 
 def shifted_last_entry(fn):
@@ -481,8 +524,8 @@ EHRHART_FAILURES = {
 def test_ehrhart_failures_are_unchanged(monkeypatch, case):
     suite, name, n, seed = case
     monkeypatch.setattr(verify, name, shifted_last_entry(getattr(verify, name)))
-    for batch in (64, verify.TRANSFER_BATCH_POINTS):  # stacks of a few and of many partitions
-        monkeypatch.setattr(verify, "TRANSFER_BATCH_POINTS", batch)
+    for budget in (1, verify.STACK_BYTES):  # stacks of one partition and of many
+        monkeypatch.setattr(verify, "STACK_BYTES", budget)
         failures = verify.run_suite(suite, n=n, seed=seed).to_json_obj()["failures"]
         digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
         assert (len(failures), digest) == EHRHART_FAILURES[case]
@@ -506,14 +549,37 @@ def test_shared_box_with_skipped_rows_matches_the_full_box():
     for _ in range(40):
         poset = verify.random_poset(rng, max_size=6)
         for part in verify.partitions_of(poset, rng.getrandbits(32))[:6]:
-            A, b = interpolating_hrep(poset, part).arrays()
+            hrep = interpolating_hrep(poset, part)
+            rows, bounds = verify.binding_rows(*verify.stack_systems([hrep]))
             for t in range(verify.EHRHART_MAX_T + 1):
                 box = boxes.setdefault((len(poset), t), verify.box_points(len(poset), t))
-                got = verify.integer_points(A, b, t, box)
-                expected = reference_integer_points(A, b, t)
+                counts, got = verify.integer_points(rows, bounds, t, box)
+                expected = reference_integer_points(*hrep.arrays(), t)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+                assert counts == [len(expected)]
                 checked += 1
     assert checked > 500 and len(boxes) >= 20
+
+
+@pytest.mark.parametrize("budget", ["default", "one partition per chunk"])
+def test_stacked_box_matches_the_reference_on_every_partition(monkeypatch, budget):
+    if budget != "default":
+        monkeypatch.setattr(verify, "STACK_BYTES", 1)
+    rng = random.Random(67)
+    posets = [verify.random_poset(rng, max_size=6) for _ in range(40)]
+    assert {len(poset) for poset in posets} == {1, 2, 3, 4, 5, 6}
+    checked = 0
+    for poset in posets:
+        hreps = [interpolating_hrep(poset, ChainOrderPartition.from_masks(poset, mask))
+                 for mask in range(1 << len(poset))]
+        rows, bounds = verify.binding_rows(*verify.stack_systems(hreps))
+        for t in range(verify.EHRHART_MAX_T + 1):
+            counts, points = verify.integer_points(rows, bounds, t, verify.box_points(len(poset), t))
+            assert points.dtype == np.int64 and len(counts) == len(hreps)
+            for hrep, got in zip(hreps, np.split(points, np.cumsum(counts)[:-1])):
+                assert np.array_equal(got, reference_integer_points(*hrep.arrays(), t))
+                checked += 1
+    assert checked == 3304  # (partition, t) pairs
 
 
 # -- the counts suite under python -O -------------------------------------------
