@@ -340,10 +340,12 @@ def _odot_mask(part, bits1, bits2):
 def odot_elements(lattice, part, a, b):
     """The ideal product transported to lattice elements through the Birkhoff map.
 
+    The masks pass between the lattice and ``_odot_mask`` bare
+    (``iota_mask``/``from_ideal_mask``), with no ``OrderIdeal`` built.
     Birkhoff images are order ideals by construction, so no closure test runs.
     """
-    bits = _odot_mask(part, lattice.iota(a).bits, lattice.iota(b).bits)
-    return lattice.from_ideal(OrderIdeal(part.poset, bits))
+    bits = _odot_mask(part, lattice.iota_mask(a), lattice.iota_mask(b))
+    return lattice.from_ideal_mask(part.poset, bits)
 
 
 def dilation_table(part, t):

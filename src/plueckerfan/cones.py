@@ -109,30 +109,29 @@ class ConeHRep:
         is written as ``str(c)`` for an ``int``, else ``str(Fraction(c))``.
         """
         import json  # the CLI has loaded it; importing it here keeps it off this module's load
-        encoded = {}
-
-        def name(x):
-            """(name, its JSON encoding) of a key, a provenance entry or a relation."""
-            got = encoded.get(x)
-            if got is None:
-                text = _key_name(x)
-                got = encoded[x] = (text, json.dumps(text))
-            return got
-
+        encoded = _Encoded()
         rows, provenance = [], []
         for ineq in self.inequalities:
             terms = {}
             for key, c in ineq.form:
-                text, enc = name(key)
-                terms[text] = (enc, c)
-            body = ",\n        ".join(
-                f'{enc}: "{str(c) if type(c) is int else str(Fraction(c))}"'
-                for _, (enc, c) in sorted(terms.items()))
+                text, enc = encoded[key]
+                terms[text] = f'{enc}: "{c if type(c) is int else Fraction(c)}"'
+            body = ",\n        ".join([terms[text] for text in sorted(terms)])
             body = f"{{\n        {body}\n      }}" if terms else "{}"
-            rows.append(f'{{\n      "rel": {name(ineq.relation)[1]},\n      "terms": {body}\n    }}')
-            provenance.append(_json_list([name(x)[1] for x in ineq.provenance], 4))
+            rows.append(f'{{\n      "rel": {encoded[ineq.relation][1]},\n      "terms": {body}\n    }}')
+            provenance.append(_json_list([encoded[x][1] for x in ineq.provenance], 4))
         return (f'{{\n  "inequalities": {_json_list(rows, 2)},\n  "label": {json.dumps(self.label)},'
                 f'\n  "provenance": {_json_list(provenance, 2)},\n  "target": {json.dumps(self.target)}\n}}')
+
+
+class _Encoded(dict):
+    """(name, its JSON encoding) of a key, a provenance entry or a relation, made on first lookup."""
+
+    def __missing__(self, x):
+        import json
+        text = _key_name(x)
+        got = self[x] = (text, json.dumps(text))
+        return got
 
 
 def _json_list(items, indent):
@@ -150,17 +149,18 @@ def _key_name(key):
 
 
 def _form(*pairs):
+    """The sparse form of (key, coefficient) pairs: keys summed and sorted, zeros dropped."""
     acc = {}
     for key, coeff in pairs:
         acc[key] = acc.get(key, 0) + coeff
-        if acc[key] == 0:
-            del acc[key]
-    return tuple(sorted(acc.items()))
+    return tuple(sorted(item for item in acc.items() if item[1]))
 
 
 def _pair_form(a, b, lo, hi, key=None):
-    key = key or (lambda x: x)
-    return _form((key(a), 1), (key(b), 1), (key(lo), -1), (key(hi), -1))
+    """The form X_a + X_b - X_lo - X_hi of four keys, or of four elements ``key`` maps to keys."""
+    if key is not None:
+        a, b, lo, hi = key(a), key(b), key(lo), key(hi)
+    return _form((a, 1), (b, 1), (lo, -1), (hi, -1))
 
 
 def contains(hrep, weights):
@@ -297,15 +297,14 @@ def _minimal_plucker_hrep(target, n):
 def _expansion_hrep(target, n, equalities):
     lat = PluckerLattice("M" if target in ("SSYT_REDUNDANT", "TORIC_GT") else "N", n)
     key = lat.weight_key
+    first_rel = EQUALITY if equalities else STRICT
     ineqs = []
     for a, b in lat.incomparable_pairs():
-        rel = straighten_pair(lat, a, b)
-        rows = straightening_terms(lat, rel, a, b)
-        first_rel = EQUALITY if equalities else STRICT
+        rows = straightening_terms(lat, straighten_pair(lat, a, b), a, b)
+        ka, kb = key(a), key(b)
         for i, (lo, hi, _) in enumerate(rows):
-            relation = first_rel if i == 0 else STRICT
-            ineqs.append(LinearInequality(
-                _pair_form(a, b, lo, hi, key), relation, ("expansion", a, b, i)))
+            ineqs.append(LinearInequality(_pair_form(ka, kb, key(lo), key(hi)),
+                                          first_rel if i == 0 else STRICT, ("expansion", a, b, i)))
     return ConeHRep(target, f"{target}({n})", tuple(ineqs), lat)
 
 

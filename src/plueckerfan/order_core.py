@@ -472,12 +472,18 @@ class DistributiveLattice:
     def iota(self, a):
         return birkhoff_iso(self, a)
 
+    def iota_mask(self, a):
+        return self.iota(a).bits
+
     def from_ideal(self, ideal):
         """Inverse of the Birkhoff map: the join of the ideal's members."""
         el = self.minimum
         for p in ideal.members():
             el = self.join(el, p)
         return el
+
+    def from_ideal_mask(self, poset, bits):
+        return self.from_ideal(OrderIdeal(poset, bits))
 
     @cached_property
     def grading(self):

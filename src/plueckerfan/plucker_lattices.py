@@ -22,6 +22,7 @@ element and its Pluecker variable (``canonicalize`` and ``pbw_arrange``).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -85,22 +86,38 @@ def is_pbw_column(alpha, n):
     return all(x > y for x, y in zip(big_positions, big_positions[1:]))
 
 
+SIGNED_SORT_MEMO = 1 << 12  # arrangements whose result ``canonicalize`` keeps
+_signed_sorts = {}
+_signed_sorts_lock = threading.Lock()  # the memo never passes its bound, threads or not
+
+
 def canonicalize(indices, n=None):
-    """Sort an index tuple, tracking the permutation sign; repeats give zero (None)."""
+    """Sort an index tuple, tracking the permutation sign; repeats give zero (None).
+
+    The first ``SIGNED_SORT_MEMO`` distinct arrangements met keep their
+    result, so the shuffle kernels sort each arrangement once; later ones
+    are sorted on every call.
+    """
     indices = tuple(indices)
     if n is not None and any(not 1 <= i <= n for i in indices):
         raise ValueError(f"index out of range in {indices}")
+    try:
+        return _signed_sorts[indices]
+    except KeyError:
+        signed = _signed_sort(indices)
+        if len(_signed_sorts) < SIGNED_SORT_MEMO:
+            with _signed_sorts_lock:
+                if len(_signed_sorts) < SIGNED_SORT_MEMO:
+                    _signed_sorts[indices] = signed
+        return signed
+
+
+def _signed_sort(indices):
+    """``canonicalize`` without the range check and the memo: (sign, sorted tuple) or None."""
     if len(set(indices)) != len(indices):
         return None
-    sign = 1
-    arr = list(indices)
-    for i in range(len(arr)):  # insertion sort; tuples are short
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(arr)
+    inversions = sum(x > y for i, x in enumerate(indices) for y in indices[i + 1:])
+    return -1 if inversions % 2 else 1, tuple(sorted(indices))
 
 
 def pbw_arrange(values):
@@ -317,7 +334,7 @@ class PluckerLattice:
                       f"the ideal of the join-irreducible column of {c} is not its down-set")
         self._mask_of.update(masks)
         self._element_of.update((m, e) for e, m in masks.items())
-        self._signed_keys.update((c, canonicalize(c)) for c in columns)
+        self._signed_keys.update((c, _signed_sort(c)) for c in columns)
         self._elements_by_key.update(zip(keys, columns))
         return tuple(sorted(columns, key=lambda e: (masks[e].bit_count(), e)))
 
@@ -408,10 +425,18 @@ class PluckerLattice:
     def iota(self, a):
         return OrderIdeal(self.ji_poset, self._mask(a))
 
+    def iota_mask(self, a):
+        """The bits of ``iota(a)``, without building the ``OrderIdeal``."""
+        return self._mask(a)
+
     def from_ideal(self, ideal):
-        if ideal.poset is not self.ji_poset:
+        return self.from_ideal_mask(ideal.poset, ideal.bits)
+
+    def from_ideal_mask(self, poset, bits):
+        """``from_ideal`` of the ideal ``bits`` of ``poset``, with no ``OrderIdeal`` built."""
+        if poset is not self.ji_poset:
             raise PosetError("ideal does not live on this lattice's join-irreducible poset")
-        return self._element(ideal.bits)
+        return self._element(bits)
 
     def covers(self, a, b):
         return self.grade(b) == self.grade(a) + 1 and self.leq(a, b)
@@ -433,10 +458,12 @@ class PluckerLattice:
         return out
 
     def incomparable_pairs(self):
+        elements = self.elements
+        masks = [self._mask_of[e] for e in elements]
         out = []
-        for i, a in enumerate(self.elements):
-            for b in self.elements[i + 1:]:
-                if not self.comparable(a, b):
+        for i, (a, ma) in enumerate(zip(elements, masks)):
+            for b, mb in zip(elements[i + 1:], masks[i + 1:]):
+                if ma & ~mb and mb & ~ma:  # neither cell ideal contains the other
                     out.append((a, b))
         return out
 
@@ -466,7 +493,7 @@ class PluckerLattice:
         """``(sign, key)`` with X_el = sign * X_key, ``key`` the increasing column of el."""
         signed = self._signed_keys.get(el)
         if signed is None:
-            signed = self._signed_keys[el] = canonicalize(el)
+            signed = self._signed_keys[el] = _signed_sort(el)
         return signed
 
     def weight_key(self, a):

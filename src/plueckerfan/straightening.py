@@ -14,15 +14,26 @@ ideal-membership oracles built on minor evaluation.
 Lattice elements and canonical columns meet only in the lattice's codec
 (``signed_key``, ``element_of_key``; ``canonicalize`` lives beside it in
 ``plucker_lattices``), and ``is_standard_monomial`` is the one standardness
-rule.  The pivot is the only rule of straightening that depends on the
-lattice kind: the first slot where the semistandard or the PBW order fails.
+rule: its factors pairwise ``comparable``.  The pivot is the only rule of
+straightening that depends on the lattice kind: the first slot where the
+semistandard or the PBW order fails.
 
 One shuffle core, summing over cosets rather than permutations, serves both
-``shuffle_relation`` and straightening.  The evaluation oracles (probabilistic
-membership, the standard-basis rank check and the standard-expansion solve)
-read products of top-justified minors from one minor table per random matrix.
-A table computes a minor on first use and keeps it; the tables of a seed's
-matrices are kept behind a small bounded cache and shared between calls.
+``shuffle_relation`` and straightening.  It takes both sides of every coset
+from ``combinations`` and sorts each arrangement through ``canonicalize``,
+whose bounded memo sorts an arrangement once per process.  Straightening
+tests a popped pair's standardness with one ``comparable`` on its two
+elements and its result's homogeneity with one signature per term; it may
+pop as many pairs as the lattice has element pairs of the two factor
+lengths, so a pivot rule that cycles ends in ``InvariantError``.  The
+evaluation oracles (probabilistic membership, the standard-basis rank check
+and the standard-expansion solve) read products of top-justified minors from
+one minor table per random matrix.  A table computes a minor on first use
+and keeps it; the tables of a seed's matrices are kept behind a small
+bounded cache and shared between calls.  Membership evaluates a relation in
+one loop over its tables and terms: ``int`` coefficients are reduced as they
+are, a table's sum is reduced once, and the loop stops at the first table
+where the relation does not vanish.
 
 The rank check and the solve share one forward elimination over the oracle
 prime, with early exit at full rank; the solve back-substitutes over its
@@ -30,7 +41,8 @@ pivots.  The rank check works one torus-weight block at a time (the ideal is
 homogeneous for ``wt_vector``); a block's rank does not depend on the lattice
 kind, so it is taken once for both.  ``weyl_dimension`` gives the size of each
 multidegree component as a third, independent count.  Modular inverses are
-taken in one step, ``pow(x, -1, p)``.
+taken in one step, ``pow(x, -1, p)``; a minor takes one, after a
+fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -40,7 +52,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, starmap
+from itertools import chain, combinations, combinations_with_replacement, permutations, starmap
+from math import comb
 
 from .chain_order import k_set, odot_elements
 from .order_core import CapacityError, InvariantError, check
@@ -88,10 +101,17 @@ def poly_add_term(poly, mono, coeff):
         poly.pop(mono, None)
 
 
+def _signature(mono):
+    """The factor lengths and the entries of a monomial, each sorted.
+
+    Two monomials share their ``deg_vector`` and their ``wt_vector`` exactly
+    when they share this one value.
+    """
+    return tuple(sorted(map(len, mono))), tuple(sorted(chain.from_iterable(mono)))
+
+
 def assert_bihomogeneous(poly, n):
-    degs = {deg_vector(m, n) for m in poly}
-    wts = {wt_vector(m, n) for m in poly}
-    check(len(degs) <= 1 and len(wts) <= 1, "relation is not deg/wt homogeneous")
+    check(len(set(map(_signature, poly))) <= 1, "relation is not deg/wt homogeneous")
 
 
 def relation_json_obj(poly):
@@ -130,6 +150,13 @@ def exchange_relation(col_a, col_b, r, n=None):
     return poly
 
 
+@lru_cache(maxsize=None)
+def _coset_signs(m, r):
+    """(-1)^(sum(chosen) - r(r-1)/2) for each r-subset ``chosen`` of range(m), lexicographically."""
+    offset = r * (r - 1) // 2
+    return tuple(-1 if (sum(chosen) - offset) % 2 else 1 for chosen in combinations(range(m), r))
+
+
 def _shuffle_sums(first, second, r):
     """Alternating shuffle of second[:r] with first[r-1:], one term per coset.
 
@@ -138,19 +165,30 @@ def _shuffle_sums(first, second, r):
     slots of ``second``) r!(k+1-r)! times with one sign; this core visits
     each once, with sign (-1)^(sum(chosen) - r(r-1)/2).  Keys are pairs of
     canonical columns (new first, new second), values nonzero integers.
+    The complements of the r-subsets in lexicographic order are the
+    (k+1-r)-subsets in reverse lexicographic order, so both sides of every
+    coset come from ``combinations``; a chosen part that repeats an index
+    annihilates its coset before the rest is sorted.
     """
-    k = len(first)
+    m = len(first) + 1
     symbols = second[:r] + first[r - 1:]
-    offset = r * (r - 1) // 2
+    head, tail = first[:r - 1], second[r:]
+    rests = list(combinations(symbols, m - r))
+    rests.reverse()
     out = {}
-    for chosen in combinations(range(k + 1), r):
-        rest = tuple(s for i, s in enumerate(symbols) if i not in chosen)
-        cb = canonicalize(tuple(symbols[i] for i in chosen) + second[r:])
-        ca = canonicalize(first[:r - 1] + rest)
-        if ca is None or cb is None:
+    for chosen, rest, sign in zip(combinations(symbols, r), rests, _coset_signs(m, r)):
+        cb = canonicalize(chosen + tail)
+        if cb is None:
             continue
-        sign = -1 if (sum(chosen) - offset) % 2 else 1
-        poly_add_term(out, (ca[1], cb[1]), sign * ca[0] * cb[0])
+        ca = canonicalize(head + rest)
+        if ca is None:
+            continue
+        key = (ca[1], cb[1])
+        c = out.get(key, 0) + sign * ca[0] * cb[0]
+        if c:
+            out[key] = c
+        else:
+            del out[key]
     return out
 
 
@@ -239,28 +277,19 @@ def _pivot_n(alpha, beta):
     return None
 
 
-def _slot_shuffle(alpha, beta, r, pair, coeff):
-    """The multiple of a shuffle relation whose ``pair`` term is ``coeff``.
-
-    ``alpha``/``beta`` are the lattice elements the shuffle acts on and
-    ``pair`` their canonical keys; keys are pairs of canonical columns in
-    production order.  One exact quotient by the lead scales every term.
-    """
-    raw = _shuffle_sums(alpha, beta, r)
-    lead = raw.get(pair)
-    check(lead, "pivot monomial must survive the shuffle")
-    q = _quotient(coeff, lead)
-    return {key: q * c for key, c in raw.items()}
-
-
 def straighten_pair(lat, a, b):
     """The unique relation expressing X_a X_b in standard monomials of the lattice order.
 
-    Maintains a worklist of slot-ordered non-standard quadratic monomials and
-    cancels each against a multiple of the shuffle relation at its least
-    violated position; the produced first slots move strictly monotonically
-    through the finite lattice, so the loop terminates.  Coefficients stay
-    ``int`` while every shuffle lead divides them.
+    Maintains a worklist of slot-ordered quadratic monomials.  It pops the
+    least; a pair whose two elements are comparable is standard, and any
+    other is cancelled against the multiple of the shuffle relation at its
+    least violated position whose pair term is the popped coefficient (one
+    exact quotient by the shuffle's lead scales every term).  Coefficients
+    stay ``int`` while every shuffle lead divides them.  Every popped pair is
+    a pair of lattice elements of the two factor lengths k and l, and the
+    loop may pop as many pairs as the lattice has of them, C(n, k) C(n, l);
+    for n <= 8 no pair pops more than a third of that, and a pivot rule that
+    cycles ends in ``InvariantError`` once the count is spent.
     """
     lat.check_element(a), lat.check_element(b)
     if lat.comparable(a, b):
@@ -268,31 +297,32 @@ def straighten_pair(lat, a, b):
     sa, ca = lat.signed_key(a)
     sb, cb = lat.signed_key(b)
     pivot = _pivot_m if lat.kind == "M" else _pivot_n
-    first, second = (ca, cb) if (-len(ca), ca) <= (-len(cb), cb) else (cb, ca)
-    work = {(first, second): sa * sb}
-    standard_part = {}
-    guard = 0
+    element, comparable = lat.element_of_key, lat.comparable
+    lead = (ca, cb) if (-len(ca), ca) <= (-len(cb), cb) else (cb, ca)  # monomial((ca, cb))
+    pops_left = comb(lat.n, len(lead[0])) * comb(lat.n, len(lead[1]))
+    work = {lead: sa * sb}
+    # work + (X_a X_b - result) stays congruent to X_a X_b throughout
+    result = {lead: sa * sb}
     while work:
-        guard += 1
-        if guard >= 200000:  # inline: the loop pays no call for its guard
+        pops_left -= 1
+        if pops_left < 0:  # inline: the loop pays no call for its guard
             raise InvariantError("straightening did not terminate")
-        pair, coeff = min(work.items())
-        del work[pair]
-        if is_standard_monomial(lat, pair):
-            poly_add_term(standard_part, monomial(pair), coeff)
+        pair = min(work)
+        coeff = work.pop(pair)
+        x, y = pair
+        alpha, beta = element(x), element(y)
+        if comparable(alpha, beta):
+            poly_add_term(result, pair if (-len(x), x) <= (-len(y), y) else (y, x), -coeff)
             continue
-        alpha, beta = lat.element_of_key(pair[0]), lat.element_of_key(pair[1])
         r = pivot(alpha, beta)
         check(r is not None, "non-standard pair must have a violated position")
-        for key, c in _slot_shuffle(alpha, beta, r, pair, coeff).items():
-            if key != pair:
-                poly_add_term(work, key, -c)
-    # work + standard_part stayed congruent to X_a X_b throughout
-    result = {monomial((ca, cb)): sa * sb}
-    for mono, coeff in standard_part.items():
-        poly_add_term(result, mono, -coeff)
-    check(result.get(monomial((ca, cb))) == sa * sb,
-          "straightening must keep the coefficient of X_a X_b")
+        raw = _shuffle_sums(alpha, beta, r)
+        pivot_term = raw.pop(pair, None)
+        check(pivot_term, "pivot monomial must survive the shuffle")
+        q = _quotient(coeff, pivot_term)
+        for key, c in raw.items():
+            poly_add_term(work, key, -q * c)
+    check(result.get(lead) == sa * sb, "straightening must keep the coefficient of X_a X_b")
     assert_bihomogeneous(result, lat.n)
     return result
 
@@ -304,18 +334,21 @@ def straightening_terms(lat, rel, a, b):
     c_i, ordered with the (meet-or-product, join) row first when present.
     """
     lead = monomial((lat.weight_key(a), lat.weight_key(b)))
+    head = lat.meet_or_product(a, b), lat.join(a, b)
+    element, signed_key, grade = lat.element_of_key, lat.signed_key, lat.grade
     rows = []
     for mono, coeff in rel.items():
         if mono == lead:
             continue
-        e1, e2 = (lat.element_of_key(f) for f in mono)
-        lo, hi = (e1, e2) if lat.leq(e1, e2) else (e2, e1)
-        rows.append((lo, hi, -coeff * lat.signed_key(e1)[0] * lat.signed_key(e2)[0]))
-    head = lat.meet_or_product(a, b)
-    top = lat.join(a, b)
-    rows.sort(key=lambda row: (0 if (row[0], row[1]) == (head, top) else 1,
-                               lat.grade(row[0]), row[0], row[1]))
-    return rows
+        e1, e2 = element(mono[0]), element(mono[1])
+        # the factors of a standard monomial are comparable: the lower has the smaller grade
+        g1, g2 = grade(e1), grade(e2)
+        lo, hi, g = (e1, e2, g1) if g1 <= g2 else (e2, e1, g2)
+        # each (lo, hi) is one monomial, so the sort never compares coefficients
+        rows.append(((lo, hi) != head, g, lo, hi,
+                     -coeff * signed_key(e1)[0] * signed_key(e2)[0]))
+    rows.sort()
+    return [row[2:] for row in rows]
 
 
 # -- Hibi and generalized Hibi binomials -----------------------------------
@@ -426,13 +459,16 @@ class MembershipVerdict:
 
 
 def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
-    """Determinant of rows 1..k and the given columns, mod p (Gaussian elimination).
+    """Determinant of rows 1..k and the given columns, mod p (fraction-free elimination).
 
+    Each elimination step replaces a row below the pivot row by pivot * row
+    - factor * pivot row, which scales the determinant by the pivot; the
+    product of those scales is divided out with one inverse at the end.
     The one minor evaluator; ``MinorTable`` keeps its values.
     """
     k = len(cols)
     sub = [[matrix[i][c - 1] % p for c in cols] for i in range(k)]
-    det = 1
+    det = scale = 1
     for i in range(k):
         pivot = None
         for r in range(i, k):
@@ -444,13 +480,15 @@ def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
         if pivot != i:
             sub[i], sub[pivot] = sub[pivot], sub[i]
             det = -det
-        det = det * sub[i][i] % p
-        inv = pow(sub[i][i], -1, p)
+        top = sub[i]
+        lead = top[i]
+        det = det * lead % p
         for r in range(i + 1, k):
-            factor = sub[r][i] * inv % p
+            factor = sub[r][i]
             if factor:
-                sub[r] = [(x - factor * y) % p for x, y in zip(sub[r], sub[i])]
-    return det % p
+                sub[r] = [(lead * x - factor * y) % p for x, y in zip(sub[r], top)]
+                scale = scale * lead % p
+    return det * pow(scale, -1, p) % p
 
 
 class MinorTable(dict):
@@ -505,23 +543,44 @@ def _monomial_value(mono, table, p=ORACLE_PRIME):
 
 
 def _terms_mod_p(poly, p=ORACLE_PRIME):
-    """(monomial, coefficient reduced into GF(p)) pairs of a rational polynomial."""
+    """(monomial, coefficient reduced into GF(p)) pairs of a rational polynomial.
+
+    An ``int`` coefficient is reduced as it is; only a ``Fraction`` pays for
+    an inverse of its denominator.
+    """
     terms = []
     for mono, coeff in poly.items():
-        c = Fraction(coeff)
-        if c.denominator % p == 0:
-            raise ZeroDivisionError("coefficient denominator divisible by the field characteristic")
-        terms.append((mono, c.numerator * pow(c.denominator, -1, p) % p))
+        if not isinstance(coeff, int):
+            coeff = Fraction(coeff)
+            if coeff.denominator % p == 0:
+                raise ZeroDivisionError(
+                    "coefficient denominator divisible by the field characteristic")
+            coeff = coeff.numerator * pow(coeff.denominator, -1, p)
+        terms.append((mono, coeff % p))
     return terms
 
 
-def _evaluate(terms, table, p=ORACLE_PRIME):
-    return sum(c * _monomial_value(mono, table, p) for mono, c in terms) % p
+def _first_value(terms, tables, p=ORACLE_PRIME):
+    """The first nonzero value mod p of a relation over a sequence of minor tables, else 0.
+
+    One loop over the tables and the terms: each term's product of minors is
+    summed as it is, and only the sum of a table is reduced mod p.
+    """
+    for table in tables:
+        total = 0
+        for mono, value in terms:
+            for col in mono:
+                value *= table[col]
+            total += value
+        total %= p
+        if total:
+            return total
+    return 0
 
 
 def plucker_eval(poly, matrix, p=ORACLE_PRIME):
     """Evaluate a relation at a square matrix over GF(p) via top-justified minors."""
-    return _evaluate(_terms_mod_p(poly, p), MinorTable(matrix, p), p)
+    return _first_value(_terms_mod_p(poly, p), (MinorTable(matrix, p),), p)
 
 
 def random_matrix(n, rng, p=ORACLE_PRIME):
@@ -583,8 +642,7 @@ def ideal_membership(poly, n, mode="probabilistic", trials=20, seed=0):
             raise CapacityError("symbolic oracle limited to total degree <= "
                                 f"{SYMBOLIC_DEGREE_LIMIT} with n <= {SYMBOLIC_N_LIMIT}")
         return MembershipVerdict(not symbolic_pi_expand(poly, n), "symbolic")
-    terms = _terms_mod_p(poly)
-    member = all(_evaluate(terms, table) == 0 for table in _seed_minor_tables(n, seed, trials))
+    member = not _first_value(_terms_mod_p(poly), _seed_minor_tables(n, seed, trials))
     bound = Fraction(total_degree, ORACLE_PRIME) ** trials
     return MembershipVerdict(member, "probabilistic", bound)
 

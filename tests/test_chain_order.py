@@ -20,6 +20,7 @@ from plueckerfan.chain_order import (
     k_matrix,
     k_set,
     minkowski_decompose,
+    odot_elements,
     odot_ideals,
     point_from_json_obj,
     point_to_json_obj,
@@ -36,6 +37,7 @@ from plueckerfan.order_core import (
     PosetError,
     _bits,
     enumerate_order_ideals,
+    lattice_of_ideals,
 )
 from plueckerfan.cones import facet_count
 from plueckerfan.plucker_lattices import PluckerLattice, pbw_lattice
@@ -458,6 +460,37 @@ class TestOdot:
         for (a, b), ideal in expect.items():
             assert nlat.iota(nlat.odot(a, b)) == ideal
         assert scans == []
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_lattice_products_build_no_order_ideal(self, monkeypatch, n):
+        nlat = pbw_lattice(n)
+        pairs = nlat.incomparable_pairs()
+        expect = [odot_ideals(nlat.partition, nlat.iota(a), nlat.iota(b)).bits for a, b in pairs]
+        built = []
+        real = OrderIdeal.__post_init__
+        monkeypatch.setattr(OrderIdeal, "__post_init__",
+                            lambda self: built.append(self.bits) or real(self))
+        got = [nlat.iota_mask(odot_elements(nlat, nlat.partition, a, b)) for a, b in pairs]
+        assert [nlat.iota_mask(nlat.meet_or_product(a, b)) for a, b in pairs] == got
+        assert built == []
+        assert got == expect
+
+    def test_products_on_a_generic_lattice_match_the_ideal_form(self):
+        rng = random.Random(17)
+        checked = 0
+        for _ in range(5):
+            lat = lattice_of_ideals(verify.random_poset(rng, max_size=4))
+            for part in all_partitions(lat.irreducible_poset):
+                for a, b in lat.incomparable_pairs():
+                    expect = lat.from_ideal(odot_ideals(part, lat.iota(a), lat.iota(b)))
+                    assert odot_elements(lat, part, a, b) == expect
+                    checked += 1
+        assert checked > 100
+
+    def test_products_need_the_lattice_poset(self):
+        nlat, other = pbw_lattice(4), pbw_lattice(5)
+        with pytest.raises(PosetError, match="join-irreducible poset"):
+            nlat.from_ideal_mask(other.ji_poset, 0)
 
     @pytest.mark.parametrize("broken_k, message", [
         (lambda part, bits: bits.bit_count(), "K-set sandwich violated"),

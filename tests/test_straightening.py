@@ -19,8 +19,8 @@ from plueckerfan.plucker_lattices import (
     semistandard_lattice,
     ssyt_to_pbw,
 )
-from plueckerfan import straightening, verify
-from plueckerfan.order_core import CapacityError
+from plueckerfan import plucker_lattices, straightening, verify
+from plueckerfan.order_core import CapacityError, InvariantError
 from plueckerfan.straightening import (
     ORACLE_PRIME,
     apply_index_permutation,
@@ -49,10 +49,12 @@ from plueckerfan.straightening import (
     theta_to_psi,
     weyl_dimension,
     wt_vector,
+    _first_value,
     _monomial_value,
     _seed_draws,
     _seed_minor_tables,
     _shuffle_sums,
+    _terms_mod_p,
 )
 
 EXAMPLE_GR24 = {
@@ -93,6 +95,92 @@ class TestCanonicalize:
             inversions = sum(1 for i, j in itertools.combinations(range(len(entries)), 2)
                              if entries[i] > entries[j])
             assert sign == (-1) ** inversions
+
+
+def insertion_sort_canonicalize(indices, n=None):
+    """``canonicalize`` as an insertion sort with no memo: the reference of the memoised one."""
+    indices = tuple(indices)
+    if n is not None and any(not 1 <= i <= n for i in indices):
+        raise ValueError(f"index out of range in {indices}")
+    if len(set(indices)) != len(indices):
+        return None
+    sign = 1
+    arr = list(indices)
+    for i in range(len(arr)):
+        j = i
+        while j > 0 and arr[j - 1] > arr[j]:
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            sign = -sign
+            j -= 1
+    return sign, tuple(arr)
+
+
+class TestMemoisedCanonicalize:
+    """The memoised signed sort against the insertion sort it replaces."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(plucker_lattices, "_signed_sorts", {})
+
+    def test_every_arrangement_of_up_to_seven_distinct_indices(self):
+        # 2 x 5,914 arrangements: past the memo's bound, so both paths run, twice each
+        for k in range(8):
+            for values in (range(1, k + 1), range(4, 4 + 3 * k, 3)):
+                for arrangement in itertools.permutations(values):
+                    expected = insertion_sort_canonicalize(arrangement)
+                    assert canonicalize(arrangement) == expected
+                    assert canonicalize(list(arrangement)) == expected
+        assert len(plucker_lattices._signed_sorts) == plucker_lattices.SIGNED_SORT_MEMO
+
+    def test_tuples_with_a_repeat(self):
+        for k in range(2, 6):
+            for indices in itertools.product(range(1, 5), repeat=k):
+                for _ in range(2):
+                    assert canonicalize(indices) == insertion_sort_canonicalize(indices)
+
+    def test_range_check_runs_on_memoised_arrangements(self):
+        for indices in [(2, 5), (5, 2), (0, 3), (3, 3), (1, 4, 2)]:
+            for n in (None, 4, 5):
+                try:
+                    expected = insertion_sort_canonicalize(indices, n)
+                except ValueError:
+                    with pytest.raises(ValueError, match="index out of range"):
+                        canonicalize(indices, n)
+                else:
+                    assert canonicalize(indices, n) == expected
+
+    def test_the_memo_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(plucker_lattices, "SIGNED_SORT_MEMO", 16)
+        seen = []
+        for arrangement in itertools.permutations(range(1, 6)):
+            assert canonicalize(arrangement) == insertion_sort_canonicalize(arrangement)
+            seen.append(len(plucker_lattices._signed_sorts))
+        assert seen == [min(i + 1, 16) for i in range(120)]
+
+    def test_concurrent_misses_keep_the_bound(self, monkeypatch):
+        monkeypatch.setattr(plucker_lattices, "SIGNED_SORT_MEMO", 50)
+        arrangements = list(itertools.permutations(range(1, 6)))
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: [canonicalize(a) for a in arrangements])
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(plucker_lattices._signed_sorts) == 50
+        assert all(canonicalize(a) == insertion_sort_canonicalize(a) for a in arrangements)
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    def test_lattice_enumeration_stays_off_the_memo(self, kind):
+        lat = PluckerLattice(kind, 7)
+        assert len(lat.elements) == 126
+        assert plucker_lattices._signed_sorts == {}
+        assert all(lat.signed_key(e) == insertion_sort_canonicalize(e) for e in lat.elements)
 
 
 class TestExchangeRelation:
@@ -256,6 +344,42 @@ class TestStraightenPair:
                 assert ideal_membership(rel, 6, trials=5).member
 
 
+class TestHomogeneitySignature:
+    """One signature per term against the ``deg_vector``/``wt_vector`` sets it replaces."""
+
+    @staticmethod
+    def reference_homogeneous(poly, n):
+        return (len({deg_vector(m, n) for m in poly}) <= 1
+                and len({wt_vector(m, n) for m in poly}) <= 1)
+
+    @staticmethod
+    def homogeneous(poly, n):
+        try:
+            straightening.assert_bihomogeneous(poly, n)
+        except InvariantError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_pairs_of_monomials(self, n):
+        # every pair of degree-2 monomials with factors of lengths 1..n-1, and each alone
+        cols = all_columns(n)
+        monos = sorted({monomial((x, y)) for x in cols for y in cols}
+                       | {monomial((x,)) for x in cols})
+        rng = random.Random(n)
+        for m1 in monos:
+            for m2 in rng.sample(monos, min(40, len(monos))):
+                poly = {m1: 1, m2: -1}
+                assert self.homogeneous(poly, n) == self.reference_homogeneous(poly, n)
+
+    def test_straightening_relations(self):
+        for lat in (semistandard_lattice(5), pbw_lattice(5)):
+            for a, b in lat.incomparable_pairs():
+                rel = straighten_pair(lat, a, b)
+                assert self.homogeneous(rel, 5) and self.reference_homogeneous(rel, 5)
+        assert self.homogeneous({}, 5)
+
+
 class TestEvaluation:
     def test_principal_minor_of_identity(self):
         ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -311,6 +435,73 @@ class TestMembership:
     def test_failure_bound_shape(self):
         verdict = ideal_membership(EXAMPLE_GR24, 4, trials=7, seed=3)
         assert verdict.failure_bound == Fraction(4, ORACLE_PRIME) ** 7
+
+
+def reference_terms_mod_p(poly, p=ORACLE_PRIME):
+    """Every coefficient through ``Fraction`` and a modular inverse: the reference reduction."""
+    terms = []
+    for mono, coeff in poly.items():
+        c = Fraction(coeff)
+        if c.denominator % p == 0:
+            raise ZeroDivisionError("coefficient denominator divisible by the field characteristic")
+        terms.append((mono, c.numerator * pow(c.denominator, -1, p) % p))
+    return terms
+
+
+def reference_evaluate(terms, table, p=ORACLE_PRIME):
+    """A relation's value at one minor table, every product reduced mod p: the reference loop."""
+    return sum(c * _monomial_value(mono, table, p) for mono, c in terms) % p
+
+
+class TestOracleLoop:
+    """The one-loop probabilistic oracle against the per-table evaluation it replaces."""
+
+    @staticmethod
+    def relations(n):
+        for kind in ("M", "N"):
+            lat = PluckerLattice(kind, n)
+            for i, (a, b) in enumerate(lat.incomparable_pairs()):
+                rel = straighten_pair(lat, a, b)
+                yield rel
+                # one coefficient perturbed, by an int or by a Fraction in turn
+                mono = sorted(rel)[i % len(rel)]
+                yield {**rel, mono: rel[mono] + (1 if i % 2 else Fraction(1, 3))}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_relation_and_its_perturbation(self, n):
+        verdicts = set()
+        for seed, trials in ((0, 20), (1, 3), (7, 1)):
+            tables = _seed_minor_tables(n, seed, trials)
+            for poly in self.relations(n):
+                terms = _terms_mod_p(poly)
+                assert terms == reference_terms_mod_p(poly)
+                values = [reference_evaluate(terms, t) for t in tables]
+                first = next((v for v in values if v), 0)
+                assert [_first_value(terms, [t]) for t in tables] == values
+                assert _first_value(terms, tables) == first
+                verdict = ideal_membership(poly, n, trials=trials, seed=seed)
+                assert verdict.member == (first == 0)
+                degree = sum(map(len, next(iter(poly))))
+                assert verdict.failure_bound == Fraction(degree, ORACLE_PRIME) ** trials
+                verdicts.add(verdict.member)
+        assert verdicts == {True, False}
+
+    def test_first_value_stops_at_the_first_nonzero_table(self):
+        lat = semistandard_lattice(4)
+        rel = straighten_pair(lat, (1, 4), (2, 3))
+        terms = _terms_mod_p({**rel, ((1, 2), (3, 4)): rel.get(((1, 2), (3, 4)), 0) + 1})
+
+        class Unread(dict):
+            def __getitem__(self, col):
+                raise AssertionError("a table after the first nonzero value was read")
+
+        table = _seed_minor_tables(4, 0, 1)[0]
+        first = reference_evaluate(terms, table)
+        assert first
+        assert _first_value(terms, [table, Unread()]) == first
+        member = _terms_mod_p(rel)
+        with pytest.raises(AssertionError, match="after the first nonzero"):
+            _first_value(member, [table, Unread()])
 
 
 class TestSymbolicExpansion:
@@ -658,6 +849,61 @@ def test_straightening_with_a_broken_pivot_raises(python_env, flags):
     assert proc.stdout == "[('ok', 54), ('pivot monomial must survive the shuffle', 12)]\n"
 
 
+# the semistandard pivot rule replaced by the last slot: some pairs cycle, and the
+# pop count the lattice allows ends them in InvariantError, under python -O too
+STRAIGHTEN_WITH_THE_LAST_SLOT_PIVOT = (
+    "import time\n"
+    "from collections import Counter\n"
+    "from plueckerfan import straightening\n"
+    "from plueckerfan.order_core import InvariantError\n"
+    "from plueckerfan.plucker_lattices import semistandard_lattice\n"
+    "straightening._pivot_m = lambda first, second: len(second)\n"
+    "lat = semistandard_lattice(5)\n"
+    "seen = Counter()\n"
+    "start = time.perf_counter()\n"
+    "for a, b in lat.incomparable_pairs():\n"
+    "    try:\n"
+    "        straightening.straighten_pair(lat, a, b)\n"
+    "        seen['ok'] += 1\n"
+    "    except InvariantError as exc:\n"
+    "        seen[str(exc)] += 1\n"
+    "print(sorted(seen.items()))\n"
+    "print(time.perf_counter() - start < 2.0)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_straightening_with_a_cycling_pivot_stops_at_the_lattice_bound(python_env, flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", STRAIGHTEN_WITH_THE_LAST_SLOT_PIVOT],
+                          capture_output=True, text=True, timeout=120, env=python_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("[('ok', 41), ('pivot monomial must survive the shuffle', 21), "
+                           "('straightening did not terminate', 4)]\nTrue\n")
+
+
+def test_pop_bound_is_the_count_of_element_pairs(monkeypatch):
+    # the cycling pairs above pop exactly C(5, k) C(5, l) pairs before they give up
+    monkeypatch.setattr(straightening, "_pivot_m", lambda first, second: len(second))
+    lat = semistandard_lattice(5)
+    pops = []
+    real = lat.element_of_key
+
+    def counting(key):
+        pops.append(key)
+        return real(key)
+
+    monkeypatch.setattr(lat, "element_of_key", counting)
+    cycling = []
+    for a, b in lat.incomparable_pairs():
+        del pops[:]
+        try:
+            straighten_pair(lat, a, b)
+        except InvariantError as exc:
+            if str(exc) == "straightening did not terminate":
+                cycling.append((len(pops) // 2, math.comb(5, len(a)) * math.comb(5, len(b))))
+    assert len(cycling) == 4
+    assert all(popped == bound for popped, bound in cycling)
+
+
 def test_canonicalize_is_the_lattice_codec_one():
     from plueckerfan import plucker_lattices
     assert straightening.canonicalize is plucker_lattices.canonicalize
@@ -800,6 +1046,40 @@ class TestMinorTable:
         assert time.perf_counter() - start < 2.0
         columns = {()} | {c for mono in rel for c in mono}
         assert all(set(t) <= columns for t in _seed_minor_tables(20, seed, 20))
+
+
+def reference_minor_mod_p(matrix, cols, p=ORACLE_PRIME):
+    """Gaussian elimination with one modular inverse per step: the reference minor."""
+    k = len(cols)
+    sub = [[matrix[i][c - 1] % p for c in cols] for i in range(k)]
+    det = 1
+    for i in range(k):
+        pivot = next((r for r in range(i, k) if sub[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            sub[i], sub[pivot] = sub[pivot], sub[i]
+            det = -det
+        det = det * sub[i][i] % p
+        inv = pow(sub[i][i], -1, p)
+        for r in range(i + 1, k):
+            factor = sub[r][i] * inv % p
+            if factor:
+                sub[r] = [(x - factor * y) % p for x, y in zip(sub[r], sub[i])]
+    return det % p
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fraction_free_minors_match_the_reference(n):
+    rng = random.Random(100 + n)
+    tiny = [[rng.randrange(-1, 2) for _ in range(n)] for _ in range(n)]   # many zero pivots
+    repeated = [row[:] for row in tiny]
+    repeated[-1] = repeated[0][:]                                         # singular
+    for Z in (random_matrix(n, rng), tiny, repeated, [[0] * n for _ in range(n)]):
+        for k in range(n + 1):
+            for c in itertools.combinations(range(1, n + 1), k):
+                for p in (ORACLE_PRIME, 7):
+                    assert minor_mod_p(Z, c, p) == reference_minor_mod_p(Z, c, p)
 
 
 def test_minor_mod_p_matches_fraction_det():
