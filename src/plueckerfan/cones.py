@@ -103,19 +103,18 @@ class ConeHRep:
         """JSON text of the description, rendered straight from the inequality rows.
 
         Byte for byte ``json.dumps(self.to_json_obj(), indent=2, sort_keys=True)``
-        without building the rows as dicts: each key's name is made and
-        JSON-encoded once, a row's terms are sorted by name (two keys of one
-        name keep the last coefficient, as the dict does), and a coefficient
-        is written as ``str(c)`` for an ``int``, else ``str(Fraction(c))``.
+        without building the rows as dicts: each (key, coefficient) term is
+        rendered once, with the key's name, a row's terms are sorted by name
+        (two keys of one name keep the last coefficient, as the dict does),
+        and a coefficient is written as ``str(c)`` for an ``int``, else
+        ``str(Fraction(c))``.
         """
         import json  # the CLI has loaded it; importing it here keeps it off this module's load
         encoded = _Encoded()
+        rendered = _Rendered(encoded)
         rows, provenance = [], []
         for ineq in self.inequalities:
-            terms = {}
-            for key, c in ineq.form:
-                text, enc = encoded[key]
-                terms[text] = f'{enc}: "{c if type(c) is int else Fraction(c)}"'
+            terms = dict(map(rendered.__getitem__, ineq.form))
             body = ",\n        ".join([terms[text] for text in sorted(terms)])
             body = f"{{\n        {body}\n      }}" if terms else "{}"
             rows.append(f'{{\n      "rel": {encoded[ineq.relation][1]},\n      "terms": {body}\n    }}')
@@ -131,6 +130,20 @@ class _Encoded(dict):
         import json
         text = _key_name(x)
         got = self[x] = (text, json.dumps(text))
+        return got
+
+
+class _Rendered(dict):
+    """(name, JSON text) of a (key, coefficient) term of a form, made on first lookup."""
+
+    def __init__(self, encoded):
+        super().__init__()
+        self.encoded = encoded
+
+    def __missing__(self, term):
+        key, c = term
+        text, enc = self.encoded[key]
+        got = self[term] = (text, f'{enc}: "{c if type(c) is int else Fraction(c)}"')
         return got
 
 
@@ -160,6 +173,8 @@ def _pair_form(a, b, lo, hi, key=None):
     """The form X_a + X_b - X_lo - X_hi of four keys, or of four elements ``key`` maps to keys."""
     if key is not None:
         a, b, lo, hi = key(a), key(b), key(lo), key(hi)
+    if len({a, b, lo, hi}) == 4:  # nothing to merge: the sorted terms are the form
+        return tuple(sorted(((a, 1), (b, 1), (lo, -1), (hi, -1))))
     return _form((a, 1), (b, 1), (lo, -1), (hi, -1))
 
 
@@ -300,10 +315,10 @@ def _expansion_hrep(target, n, equalities):
     first_rel = EQUALITY if equalities else STRICT
     ineqs = []
     for a, b in lat.incomparable_pairs():
-        rows = straightening_terms(lat, straighten_pair(lat, a, b), a, b)
+        rows = straightening_terms(lat, straighten_pair(lat, a, b), a, b, keys=True)
         ka, kb = key(a), key(b)
         for i, (lo, hi, _) in enumerate(rows):
-            ineqs.append(LinearInequality(_pair_form(ka, kb, key(lo), key(hi)),
+            ineqs.append(LinearInequality(_pair_form(ka, kb, lo, hi),
                                           first_rel if i == 0 else STRICT, ("expansion", a, b, i)))
     return ConeHRep(target, f"{target}({n})", tuple(ineqs), lat)
 

@@ -17,7 +17,8 @@ column formulas (``semistandard_leq``, ``column_meet``/``column_join``,
 ``pbw_two_column_leq``, ``m_cell_ideal``, ``pbw_cell_ideal``) are the
 references the masks are tested against.
 ``PluckerLattice.signed_key``/``element_of_key`` are the one codec between an
-element and its Pluecker variable (``canonicalize`` and ``pbw_arrange``).
+element and its Pluecker variable (``canonicalize`` and ``pbw_arrange``), and
+``key_codes`` reads the mask, element and sign of a variable straight from its key.
 """
 
 from __future__ import annotations
@@ -287,6 +288,26 @@ class PairClassification:
     companion: object = None
 
 
+class _KeyCodes(dict):
+    """key -> (mask, element, sign) of one lattice's elements, each made on its first lookup.
+
+    The table holds its lattice by a weak reference: a strong one would make
+    a reference cycle, and a dropped lattice would then wait for the cyclic
+    garbage collector.
+    """
+
+    def __init__(self, lattice):
+        import weakref  # loaded at interpreter start; importing it here keeps it off this module's load
+        super().__init__()
+        self.lattice = weakref.ref(lattice)
+
+    def __missing__(self, key):
+        lat = self.lattice()
+        el = lat.element_of_key(key)
+        value = self[key] = lat._mask(el), el, lat.signed_key(el)[0]
+        return value
+
+
 class PluckerLattice:
     """Lattice of Pluecker variables of one kind ('M' or 'N') at a fixed n.
 
@@ -294,8 +315,10 @@ class PluckerLattice:
     of its cell ideal over ``ji_poset``.  The order is mask inclusion, meet
     and join are intersection and union, and the grade is the number of
     cells.  ``signed_key``/``element_of_key`` name an element's Pluecker
-    variable.  Each conversion keeps what it computes, so an element met
-    once is one dict lookup afterwards.  Pair-local operations
+    variable, and ``key_codes[key]`` is ``(mask, element, sign)`` with
+    X_element = sign * X_key, for the kernels that work on keys.
+    Each conversion keeps what it computes, so an element met once is one
+    dict lookup afterwards.  Pair-local operations
     (classification, meets, the ideal product) work at any n; ``elements``
     and the whole-lattice operations built on it enumerate all 2^n - 2
     elements on first use and raise ``CapacityError`` past n = 12.
@@ -314,6 +337,8 @@ class PluckerLattice:
         # element -> mask, mask -> element, element -> (sign, key), key -> element:
         # each filled as its conversion meets a value, and completed by ``elements``
         self._mask_of, self._element_of, self._signed_keys, self._elements_by_key = {}, {}, {}, {}
+        # key -> (mask, element, sign), filled as the kernels that work on keys meet them
+        self.key_codes = _KeyCodes(self)
 
     @cached_property
     def elements(self):

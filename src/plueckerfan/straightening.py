@@ -12,28 +12,31 @@ Hibi binomials with their monomial-map exponents, and two independent
 ideal-membership oracles built on minor evaluation.
 
 Lattice elements and canonical columns meet only in the lattice's codec
-(``signed_key``, ``element_of_key``; ``canonicalize`` lives beside it in
-``plucker_lattices``), and ``is_standard_monomial`` is the one standardness
-rule: its factors pairwise ``comparable``.  The pivot is the only rule of
-straightening that depends on the lattice kind: the first slot where the
-semistandard or the PBW order fails.
+(``signed_key``, ``element_of_key``, ``key_codes``; ``canonicalize`` lives
+beside it in ``plucker_lattices``), and the one standardness rule is that a
+monomial's factors are pairwise comparable: their cell masks, found by key,
+nest.  ``is_standard_monomial`` states it; straightening applies it inline.
+The pivot is the only rule of straightening that depends on the lattice
+kind: the first slot where the semistandard or the PBW order fails.
 
 One shuffle core, summing over cosets rather than permutations, serves both
 ``shuffle_relation`` and straightening.  It takes both sides of every coset
 from ``combinations`` and sorts each arrangement through ``canonicalize``,
 whose bounded memo sorts an arrangement once per process.  Straightening
-tests a popped pair's standardness with one ``comparable`` on its two
-elements and its result's homogeneity with one signature per term; it may
+queues only non-standard pairs: each term of a shuffle is tested by the
+masks of its two keys, and a standard one goes straight into the result.
+It checks its result's homogeneity with one signature per term, and it may
 pop as many pairs as the lattice has element pairs of the two factor
 lengths, so a pivot rule that cycles ends in ``InvariantError``.  The
 evaluation oracles (probabilistic membership, the standard-basis rank check
 and the standard-expansion solve) read products of top-justified minors from
 one minor table per random matrix.  A table computes a minor on first use
-and keeps it; the tables of a seed's matrices are kept behind a small
-bounded cache and shared between calls.  Membership evaluates a relation in
-one loop over its tables and terms: ``int`` coefficients are reduced as they
-are, a table's sum is reduced once, and the loop stops at the first table
-where the relation does not vanish.
+and keeps it, in closed form for up to four columns and by ``minor_mod_p``
+for more; the tables of a seed's matrices are kept behind a small bounded
+cache and shared between calls.  Membership evaluates a relation in one loop
+over its tables and terms: ``int`` coefficients are reduced as they are, a
+table's sum is reduced once, and the loop stops at the first table where the
+relation does not vanish.
 
 The rank check and the solve share one forward elimination over the oracle
 prime, with early exit at full rank; the solve back-substitutes over its
@@ -41,8 +44,8 @@ pivots.  The rank check works one torus-weight block at a time (the ideal is
 homogeneous for ``wt_vector``); a block's rank does not depend on the lattice
 kind, so it is taken once for both.  ``weyl_dimension`` gives the size of each
 multidegree component as a third, independent count.  Modular inverses are
-taken in one step, ``pow(x, -1, p)``; a minor takes one, after a
-fraction-free elimination.
+taken in one step, ``pow(x, -1, p)``; ``minor_mod_p`` takes one per minor,
+after a fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, permutations, starmap
+from itertools import chain, combinations, combinations_with_replacement, permutations
 from math import comb
 
 from .chain_order import k_set, odot_elements
@@ -107,11 +110,18 @@ def _signature(mono):
     Two monomials share their ``deg_vector`` and their ``wt_vector`` exactly
     when they share this one value.
     """
-    return tuple(sorted(map(len, mono))), tuple(sorted(chain.from_iterable(mono)))
+    if len(mono) == 2:  # every straightening term
+        x, y = mono
+        return (len(x), len(y)) if len(x) <= len(y) else (len(y), len(x)), sorted(x + y)
+    return tuple(sorted(map(len, mono))), sorted(chain.from_iterable(mono))
 
 
 def assert_bihomogeneous(poly, n):
-    check(len(set(map(_signature, poly))) <= 1, "relation is not deg/wt homogeneous")
+    signatures = map(_signature, poly)
+    first = next(signatures, None)
+    for signature in signatures:
+        if signature != first:
+            raise InvariantError("relation is not deg/wt homogeneous")
 
 
 def relation_json_obj(poly):
@@ -280,24 +290,26 @@ def _pivot_n(alpha, beta):
 def straighten_pair(lat, a, b):
     """The unique relation expressing X_a X_b in standard monomials of the lattice order.
 
-    Maintains a worklist of slot-ordered quadratic monomials.  It pops the
-    least; a pair whose two elements are comparable is standard, and any
-    other is cancelled against the multiple of the shuffle relation at its
-    least violated position whose pair term is the popped coefficient (one
-    exact quotient by the shuffle's lead scales every term).  Coefficients
-    stay ``int`` while every shuffle lead divides them.  Every popped pair is
-    a pair of lattice elements of the two factor lengths k and l, and the
-    loop may pop as many pairs as the lattice has of them, C(n, k) C(n, l);
-    for n <= 8 no pair pops more than a third of that, and a pivot rule that
-    cycles ends in ``InvariantError`` once the count is spent.
+    Maintains a worklist of the non-standard slot-ordered quadratic monomials
+    still to cancel.  It pops the least and cancels it against the multiple
+    of the shuffle relation at its least violated position whose pair term is
+    the popped coefficient (one exact quotient by the shuffle's lead scales
+    every term).  Each other term of that multiple is tested by the cell
+    masks of its two keys: a standard term (comparable factors) goes straight
+    into the result and only a non-standard one is queued.  Coefficients stay
+    ``int`` while every shuffle lead divides them.  Every popped pair is a
+    pair of lattice elements of the two factor lengths k and l, and the loop
+    may pop as many pairs as the lattice has of them, C(n, k) C(n, l); for
+    n <= 7 no pair pops more than a third of that (a test checks it), and a
+    pivot rule that cycles ends in ``InvariantError`` once the count is spent.
     """
-    lat.check_element(a), lat.check_element(b)
-    if lat.comparable(a, b):
+    ma, mb = lat.iota_mask(a), lat.iota_mask(b)  # ValueError unless both are elements
+    if ma & ~mb == 0 or mb & ~ma == 0:
         raise ComparablePairError(f"{a!r} and {b!r} are comparable; nothing to straighten")
     sa, ca = lat.signed_key(a)
     sb, cb = lat.signed_key(b)
     pivot = _pivot_m if lat.kind == "M" else _pivot_n
-    element, comparable = lat.element_of_key, lat.comparable
+    codes = lat.key_codes
     lead = (ca, cb) if (-len(ca), ca) <= (-len(cb), cb) else (cb, ca)  # monomial((ca, cb))
     pops_left = comb(lat.n, len(lead[0])) * comb(lat.n, len(lead[1]))
     work = {lead: sa * sb}
@@ -309,11 +321,7 @@ def straighten_pair(lat, a, b):
             raise InvariantError("straightening did not terminate")
         pair = min(work)
         coeff = work.pop(pair)
-        x, y = pair
-        alpha, beta = element(x), element(y)
-        if comparable(alpha, beta):
-            poly_add_term(result, pair if (-len(x), x) <= (-len(y), y) else (y, x), -coeff)
-            continue
+        alpha, beta = codes[pair[0]][1], codes[pair[1]][1]
         r = pivot(alpha, beta)
         check(r is not None, "non-standard pair must have a violated position")
         raw = _shuffle_sums(alpha, beta, r)
@@ -321,34 +329,48 @@ def straighten_pair(lat, a, b):
         check(pivot_term, "pivot monomial must survive the shuffle")
         q = _quotient(coeff, pivot_term)
         for key, c in raw.items():
-            poly_add_term(work, key, -q * c)
+            x, y = key
+            mx, my = codes[x][0], codes[y][0]
+            if mx & ~my and my & ~mx:  # neither cell ideal contains the other
+                poly_add_term(work, key, -q * c)
+            else:
+                poly_add_term(result, key if (-len(x), x) <= (-len(y), y) else (y, x), q * c)
     check(result.get(lead) == sa * sb, "straightening must keep the coefficient of X_a X_b")
     assert_bihomogeneous(result, lat.n)
     return result
 
 
-def straightening_terms(lat, rel, a, b):
+def straightening_terms(lat, rel, a, b, head=None, keys=False):
     """Decompose a straightening relation into labelled (lower, upper, coeff) rows.
 
     Rows are the standard monomials with their sign-corrected coefficients
-    c_i, ordered with the (meet-or-product, join) row first when present.
+    c_i, ordered with the (meet-or-product, join) row first when present;
+    ``head`` is that pair when the caller has it already.  With ``keys`` a
+    row names its two factors by their Pluecker keys instead.  A factor's
+    mask (so its grade), element and sign come from one lookup of its key.
     """
+    if head is None:
+        head = lat.meet_or_product(a, b), lat.join(a, b)
     lead = monomial((lat.weight_key(a), lat.weight_key(b)))
-    head = lat.meet_or_product(a, b), lat.join(a, b)
-    element, signed_key, grade = lat.element_of_key, lat.signed_key, lat.grade
+    codes = lat.key_codes
     rows = []
     for mono, coeff in rel.items():
         if mono == lead:
             continue
-        e1, e2 = element(mono[0]), element(mono[1])
-        # the factors of a standard monomial are comparable: the lower has the smaller grade
-        g1, g2 = grade(e1), grade(e2)
-        lo, hi, g = (e1, e2, g1) if g1 <= g2 else (e2, e1, g2)
-        # each (lo, hi) is one monomial, so the sort never compares coefficients
-        rows.append(((lo, hi) != head, g, lo, hi,
-                     -coeff * signed_key(e1)[0] * signed_key(e2)[0]))
+        x, y = mono
+        mx, ex, sx = codes[x]
+        my, ey, sy = codes[y]
+        gx, gy = mx.bit_count(), my.bit_count()
+        # the factors of a standard monomial are comparable: the lower has the smaller grade;
+        # each (lower, upper) is one monomial, so the sort never compares coefficients
+        if gy < gx:
+            rows.append(((ey, ex) != head, gy, ey, ex, -coeff * sx * sy, y, x))
+        else:
+            rows.append(((ex, ey) != head, gx, ex, ey, -coeff * sx * sy, x, y))
     rows.sort()
-    return [row[2:] for row in rows]
+    if keys:
+        return [(x, y, c) for *_, c, x, y in rows]
+    return [row[2:5] for row in rows]
 
 
 # -- Hibi and generalized Hibi binomials -----------------------------------
@@ -464,7 +486,8 @@ def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
     Each elimination step replaces a row below the pivot row by pivot * row
     - factor * pivot row, which scales the determinant by the pivot; the
     product of those scales is divided out with one inverse at the end.
-    The one minor evaluator; ``MinorTable`` keeps its values.
+    The one scalar minor evaluator; ``MinorTable`` uses it for columns longer
+    than four and the closed forms of ``_small_minor`` below that.
     """
     k = len(cols)
     sub = [[matrix[i][c - 1] % p for c in cols] for i in range(k)]
@@ -491,11 +514,45 @@ def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
     return det * pow(scale, -1, p) % p
 
 
+def _small_minor(matrix, cols):
+    """The exact determinant of rows 1..k and the given columns, k <= 4, in closed form.
+
+    k = 1, 2, 3 are the entry, ad - bc and the expansion along the first row;
+    k = 4 is the Laplace expansion along rows 1-2, over the six 2x2 minors of
+    rows 1-2 and of rows 3-4.
+    """
+    k = len(cols)
+    r0 = matrix[0]
+    if k == 1:
+        return r0[cols[0] - 1]
+    r1 = matrix[1]
+    if k == 2:
+        i, j = cols[0] - 1, cols[1] - 1
+        return r0[i] * r1[j] - r0[j] * r1[i]
+    r2 = matrix[2]
+    if k == 3:
+        i, j, l = cols[0] - 1, cols[1] - 1, cols[2] - 1
+        a, b, c = r1[i], r1[j], r1[l]
+        d, e, f = r2[i], r2[j], r2[l]
+        return r0[i] * (b * f - c * e) - r0[j] * (a * f - c * d) + r0[l] * (a * e - b * d)
+    r3 = matrix[3]
+    i, j, l, m = cols[0] - 1, cols[1] - 1, cols[2] - 1, cols[3] - 1
+    a, b, c, d = r0[i], r0[j], r0[l], r0[m]
+    e, f, g, h = r1[i], r1[j], r1[l], r1[m]
+    w, x, y, z = r2[i], r2[j], r2[l], r2[m]
+    s, t, u, v = r3[i], r3[j], r3[l], r3[m]
+    return ((a * f - b * e) * (y * v - z * u) - (a * g - c * e) * (x * v - z * t)
+            + (a * h - d * e) * (x * u - y * t) + (b * g - c * f) * (w * v - z * s)
+            - (b * h - d * f) * (w * u - y * s) + (c * h - d * g) * (w * t - x * s))
+
+
 class MinorTable(dict):
     """Top-justified minors of one matrix mod p, keyed by canonical column.
 
-    An entry is computed by ``minor_mod_p`` on its first lookup and kept, so
-    the table holds only the columns asked for.  The empty column maps to 1.
+    An entry is computed on its first lookup and kept, so the table holds
+    only the columns asked for: in closed form (``_small_minor``) for a
+    column of length <= 4, by ``minor_mod_p`` for a longer one.  The empty
+    column maps to 1.
     """
 
     def __init__(self, matrix, p=ORACLE_PRIME):
@@ -503,7 +560,10 @@ class MinorTable(dict):
         self.matrix, self.p = matrix, p
 
     def __missing__(self, col):
-        value = self[col] = minor_mod_p(self.matrix, col, self.p)
+        if len(col) <= 4:
+            value = self[col] = _small_minor(self.matrix, col) % self.p
+        else:
+            value = self[col] = minor_mod_p(self.matrix, col, self.p)
         return value
 
 
@@ -716,8 +776,10 @@ def monomials_of_degree(lat, lam):
 
 
 def is_standard_monomial(lat, mono):
-    """The monomial's factors, read as lattice elements, form a chain."""
-    return all(starmap(lat.comparable, combinations(map(lat.element_of_key, mono), 2)))
+    """The monomial's factors, read as lattice elements, form a chain: their key masks nest."""
+    codes = lat.key_codes
+    return all(mx & ~my == 0 or my & ~mx == 0
+               for mx, my in combinations([codes[col][0] for col in mono], 2))
 
 
 def weyl_dimension(lam):

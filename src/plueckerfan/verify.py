@@ -119,12 +119,13 @@ def _straightening_suite(name, kind, n, seed, trials=20):
     observed_m = {}
     for a, b in lat.incomparable_pairs():
         rel = straightening.straighten_pair(lat, a, b)
-        rows = straightening.straightening_terms(lat, rel, a, b)
+        head = lat.meet_or_product(a, b), lat.join(a, b)
+        rows = straightening.straightening_terms(lat, rel, a, b, head)
         observed_m[len(rows) - 1] = observed_m.get(len(rows) - 1, 0) + 1
-        head = lat.meet_or_product(a, b)
-        top, meet = lat.join(a, b), lat.meet(a, b)
+        top = head[1]
+        meet = head[0] if kind == "M" else lat.meet(a, b)
         lo0, hi0, c0 = rows[0]
-        report.record((lo0, hi0) == (head, top) and c0 == 1,
+        report.record((lo0, hi0) == head and c0 == 1,
                       ("leading term", a, b, rows[0]))
         for lo, hi, _ in rows[1:]:
             if kind == "M":

@@ -1,6 +1,7 @@
 """Smoke tests: the example scripts run from the repository root."""
 
 import hashlib
+import json
 import shlex
 import subprocess
 import sys
@@ -62,3 +63,20 @@ def test_stdout_digests_runs_the_committed_list(tmp_path):
     rows = [line.split(" ", 2) for line in proc.stdout.splitlines()]
     assert [cmd for _, _, cmd in rows] == head
     assert all(len(sha) == 64 and code == "0" for sha, code, _ in rows)
+
+
+def test_paired_passes_in_process_compares_a_checkout_with_itself(tmp_path):
+    runs = tmp_path / "runs.json"
+    proc = subprocess.run([sys.executable, "scripts/paired_passes.py", str(ROOT), str(ROOT),
+                           "--workload", "algebra", "--pairs", "1", "--in-process",
+                           "--json", str(runs)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("pair  1 (parent first)  pass_s  parent ")
+    summary = {line.split()[0]: line.split() for line in lines[2:]}
+    assert set(summary) == {"pass_s", "group.relations.pass_s", "group.membership.pass_s"}
+    assert all(row[-1] in ("0/1", "1/1") for row in summary.values())
+    pair, = json.loads(runs.read_text())["pairs"]
+    assert pair["first"] == "parent"
+    assert pair["parent"]["metrics"].keys() == pair["change"]["metrics"].keys() == summary.keys()

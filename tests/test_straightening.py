@@ -880,18 +880,20 @@ def test_straightening_with_a_cycling_pivot_stops_at_the_lattice_bound(python_en
                            "('straightening did not terminate', 4)]\nTrue\n")
 
 
+def counting_pivots(monkeypatch, pivot_m=None):
+    """Count the pops of ``straighten_pair``: each popped pair asks the pivot rule once."""
+    pops = []
+    rules = {"_pivot_m": pivot_m or straightening._pivot_m, "_pivot_n": straightening._pivot_n}
+    for name, rule in rules.items():
+        monkeypatch.setattr(straightening, name,
+                            lambda first, second, rule=rule: pops.append(1) or rule(first, second))
+    return pops
+
+
 def test_pop_bound_is_the_count_of_element_pairs(monkeypatch):
     # the cycling pairs above pop exactly C(5, k) C(5, l) pairs before they give up
-    monkeypatch.setattr(straightening, "_pivot_m", lambda first, second: len(second))
+    pops = counting_pivots(monkeypatch, pivot_m=lambda first, second: len(second))
     lat = semistandard_lattice(5)
-    pops = []
-    real = lat.element_of_key
-
-    def counting(key):
-        pops.append(key)
-        return real(key)
-
-    monkeypatch.setattr(lat, "element_of_key", counting)
     cycling = []
     for a, b in lat.incomparable_pairs():
         del pops[:]
@@ -899,9 +901,21 @@ def test_pop_bound_is_the_count_of_element_pairs(monkeypatch):
             straighten_pair(lat, a, b)
         except InvariantError as exc:
             if str(exc) == "straightening did not terminate":
-                cycling.append((len(pops) // 2, math.comb(5, len(a)) * math.comb(5, len(b))))
+                cycling.append((len(pops), math.comb(5, len(a)) * math.comb(5, len(b))))
     assert len(cycling) == 4
     assert all(popped == bound for popped, bound in cycling)
+
+
+@pytest.mark.parametrize("kind", ["M", "N"])
+def test_no_pair_pops_more_than_a_third_of_its_bound(monkeypatch, kind):
+    # the margin the docstring of straighten_pair states, on every incomparable pair
+    pops = counting_pivots(monkeypatch)
+    for n in range(3, 8):
+        lat = PluckerLattice(kind, n)
+        for a, b in lat.incomparable_pairs():
+            del pops[:]
+            straighten_pair(lat, a, b)
+            assert 0 < 3 * len(pops) <= math.comb(n, len(a)) * math.comb(n, len(b)), (n, a, b)
 
 
 def test_canonicalize_is_the_lattice_codec_one():
@@ -1082,6 +1096,21 @@ def test_fraction_free_minors_match_the_reference(n):
                     assert minor_mod_p(Z, c, p) == reference_minor_mod_p(Z, c, p)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_form_minors_match_the_reference(n):
+    # every column of length <= 4 that a table computes in closed form
+    rng = random.Random(200 + n)
+    tiny = [[rng.randrange(-1, 2) for _ in range(n)] for _ in range(n)]   # many zero pivots
+    repeated = [row[:] for row in tiny]
+    repeated[min(1, n - 1)] = repeated[0][:]                              # singular for k >= 2
+    for Z in (random_matrix(n, rng), tiny, repeated, [[0] * n for _ in range(n)]):
+        for p in (ORACLE_PRIME, 7):
+            table = MinorTable(Z, p)
+            for k in range(1, min(n, 4) + 1):
+                for c in itertools.combinations(range(1, n + 1), k):
+                    assert table[c] == reference_minor_mod_p(Z, c, p), (Z, c, p)
+
+
 def test_minor_mod_p_matches_fraction_det():
     rng = random.Random(1)
     for _ in range(20):
@@ -1138,7 +1167,7 @@ class TestIntegerStraightening:
     """Straightening over ``int`` coefficients against the ``Fraction`` normalization."""
 
     @pytest.mark.parametrize("kind", ["M", "N"])
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_the_fraction_reference(self, kind, n):
         lat = semistandard_lattice(n) if kind == "M" else pbw_lattice(n)
         for a, b in lat.incomparable_pairs():
