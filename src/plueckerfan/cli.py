@@ -16,7 +16,7 @@ import sys
 
 from . import chain_order, cones, straightening, verify
 from .chain_order import ChainOrderPartition
-from .order_core import CapacityError, InvariantError, Poset, PosetError
+from .order_core import CapacityError, InvariantError, Poset, PosetError, json_ids, json_object
 from .plucker_lattices import ComparablePairError, PluckerLattice
 
 USAGE_ERROR = 2
@@ -155,8 +155,9 @@ def _load_partition(poset, path):
     if path is None:
         return ChainOrderPartition.order_polytope(poset)
     with open(path) as fh:
-        obj = json.load(fh)
-    return ChainOrderPartition.from_sets(poset, obj.get("order", []), obj.get("chain", []))
+        obj = json_object(fh.read(), "partition")
+    return ChainOrderPartition.from_sets(
+        poset, json_ids(obj, "order", []), json_ids(obj, "chain", []))
 
 
 def cmd_polytope(args):

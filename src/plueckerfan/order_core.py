@@ -1,4 +1,4 @@
-"""Finite posets, order ideals, distributive lattices and Birkhoff data.
+"""Finite posets, order ideals and ``IdealLattice``, the lattice of order ideals of a poset.
 
 Every structure fixes a canonical element order (height first, then id) and
 stores comparability as integer bitmasks over that order, so enumerations and
@@ -8,13 +8,10 @@ serialized output are identical across runs and platforms.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
 IDEAL_CAPACITY = 62
-FULL_AXIOM_LIMIT = 64
-AXIOM_SAMPLES = 1000
 
 
 class CapacityError(Exception):
@@ -38,8 +35,29 @@ class PosetError(ValueError):
     pass
 
 
-class LatticeError(ValueError):
-    pass
+def json_object(text, what):
+    """The JSON object in ``text``; ``PosetError`` if it holds any other JSON value."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise PosetError(f"{what} JSON must be an object, got {type(data).__name__}")
+    return data
+
+
+def _is_id(value):
+    return type(value) in (str, int)  # a JSON true or false is no element id
+
+
+def json_ids(data, field, default=None):
+    """``data[field]``, checked to be a list of element ids: strings or integers.
+
+    A missing field gives ``default``, or a ``PosetError`` when there is none.
+    """
+    if field not in data and default is not None:
+        return default
+    ids = data.get(field)
+    if not isinstance(ids, list) or not all(map(_is_id, ids)):
+        raise PosetError(f"{field!r} must be a list of strings or integers")
+    return ids
 
 
 def _bits(mask):
@@ -132,8 +150,18 @@ class Poset:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        return cls.from_covers(data["elements"], [tuple(e) for e in data["covers"]])
+        """Build from ``{"elements": [id, ...], "covers": [[lo, hi], ...]}``.
+
+        An id is a string or an integer; any other shape is a ``PosetError``
+        that names the field.
+        """
+        data = json_object(text, "poset")
+        elements = json_ids(data, "elements")
+        covers = data.get("covers")
+        if not isinstance(covers, list) or not all(
+                isinstance(c, list) and len(c) == 2 and all(map(_is_id, c)) for c in covers):
+            raise PosetError("'covers' must be a list of [lower, upper] pairs of element ids")
+        return cls.from_covers(elements, [tuple(e) for e in covers])
 
     @staticmethod
     def _closure(adj):
@@ -280,10 +308,6 @@ class Poset:
             rest ^= low
         return out
 
-    def subposet(self, ids):
-        ids = list(ids)
-        return Poset.from_leq(ids, self.leq)
-
     def to_json(self):
         return json.dumps(
             {"elements": list(self.elements), "covers": [list(p) for p in self.cover_pairs()]},
@@ -343,13 +367,6 @@ class OrderIdeal:
         return f"OrderIdeal{self.members()!r}"
 
 
-@dataclass(frozen=True)
-class Grading:
-    """Cover-compatible rank function of a graded lattice."""
-
-    value: dict
-
-
 def ideal_masks(poset):
     """The bitmasks of all order ideals, sorted by cardinality then bit pattern."""
     if len(poset) > IDEAL_CAPACITY:
@@ -368,203 +385,120 @@ def enumerate_order_ideals(poset):
     return [OrderIdeal(poset, m) for m in ideal_masks(poset)]
 
 
-class DistributiveLattice:
-    """Finite distributive lattice: a poset plus join/meet tables.
+class IdealLattice:
+    """The distributive lattice J(P) of order ideals of a finite poset P (Birkhoff).
 
-    Lattice and distributivity axioms are verified on construction, fully for
-    at most ``FULL_AXIOM_LIMIT`` elements and on ``AXIOM_SAMPLES`` seeded
-    random triples above that.
+    P is ``ji_poset``, the poset of join-irreducibles.  Every operation works
+    on one representation of an element, the bitmask of its ideal over
+    ``ji_poset``: the order is mask inclusion, meet and join are intersection
+    and union, and the grade is the number of bits.  ``_mask`` and
+    ``_element`` convert between an element and its mask; here an element is
+    its mask, and a subclass that names its elements otherwise (such as
+    ``PluckerLattice``) overrides the two.  Pair-local operations work on a
+    poset of any size; ``elements`` and the whole-lattice operations built on
+    it enumerate every ideal on first use and raise ``CapacityError`` past
+    ``IDEAL_CAPACITY`` join-irreducibles.
     """
 
-    def __init__(self, poset, join_table, meet_table):
-        self.poset = poset
-        self._join = tuple(tuple(row) for row in join_table)
-        self._meet = tuple(tuple(row) for row in meet_table)
-        self._verify()
+    def __init__(self, poset):
+        self.ji_poset = poset
 
-    @classmethod
-    def from_poset(cls, poset):
-        n = len(poset)
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                ub = poset.up[i] & poset.up[j]
-                lb = poset.down[i] & poset.down[j]
-                jix = cls._extremum(poset, ub, lower=True)
-                mix = cls._extremum(poset, lb, lower=False)
-                if jix is None or mix is None:
-                    raise LatticeError(
-                        f"elements {poset.elements[i]!r}, {poset.elements[j]!r} lack a join or meet"
-                    )
-                join[i][j] = join[j][i] = jix
-                meet[i][j] = meet[j][i] = mix
-        return cls(poset, join, meet)
-
-    @staticmethod
-    def _extremum(poset, mask, lower):
-        for i in _bits(mask):
-            cover = poset.up[i] if lower else poset.down[i]
-            if mask & ~cover == 0:
-                return i
-        return None
-
-    def _verify(self):
-        n = len(self.poset)
-        if len(self._join) != n or any(len(r) != n for r in self._join):
-            raise LatticeError("join table shape mismatch")
-        for i in range(n):
-            if self._join[i][i] != i or self._meet[i][i] != i:
-                raise LatticeError("join/meet are not idempotent")
-            for j in range(n):
-                if self._join[i][j] != self._join[j][i] or self._meet[i][j] != self._meet[j][i]:
-                    raise LatticeError("join/meet are not commutative")
-                if self._meet[i][self._join[i][j]] != i or self._join[i][self._meet[i][j]] != i:
-                    raise LatticeError("absorption fails")
-                leq = bool(self.poset.up[i] >> j & 1)
-                if (self._join[i][j] == j) != leq or (self._meet[i][j] == i) != leq:
-                    raise LatticeError("induced order disagrees with underlying poset")
-        if n <= FULL_AXIOM_LIMIT:
-            triples = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(AXIOM_SAMPLES))
-        for a, b, c in triples:
-            if self._join[self._join[a][b]][c] != self._join[a][self._join[b][c]]:
-                raise LatticeError("join is not associative")
-            if self._meet[self._meet[a][b]][c] != self._meet[a][self._meet[b][c]]:
-                raise LatticeError("meet is not associative")
-            if self._meet[a][self._join[b][c]] != self._join[self._meet[a][b]][self._meet[a][c]]:
-                raise LatticeError("distributivity fails")
-
-    # -- queries --------------------------------------------------------
-
-    @property
+    @cached_property
     def elements(self):
-        return self.poset.elements
+        """All ideal masks by size, then as integers."""
+        return tuple(ideal_masks(self.ji_poset))
 
-    def __len__(self):
-        return len(self.poset)
-
-    def leq(self, a, b):
-        return self.poset.leq(a, b)
-
-    def join(self, a, b):
-        return self.elements[self._join[self.poset.index(a)][self.poset.index(b)]]
-
-    def meet(self, a, b):
-        return self.elements[self._meet[self.poset.index(a)][self.poset.index(b)]]
-
-    @cached_property
-    def minimum(self):
-        bottoms = [e for i, e in enumerate(self.elements) if self.poset.down[i] == 1 << i]
-        if len(bottoms) != 1:
-            raise LatticeError("lattice must have a unique minimum")
-        return bottoms[0]
-
-    @cached_property
-    def irreducible_poset(self):
-        return join_irreducibles(self)
-
-    def iota(self, a):
-        return birkhoff_iso(self, a)
-
-    def iota_mask(self, a):
-        return self.iota(a).bits
-
-    def from_ideal(self, ideal):
-        """Inverse of the Birkhoff map: the join of the ideal's members."""
-        el = self.minimum
-        for p in ideal.members():
-            el = self.join(el, p)
+    def _mask(self, el):
         return el
 
-    def from_ideal_mask(self, poset, bits):
-        return self.from_ideal(OrderIdeal(poset, bits))
-
-    @cached_property
-    def grading(self):
-        return grading_of(self)
-
-    def grade(self, a):
-        return self.grading.value[a]
-
-    def diamond_pairs(self):
-        return diamond_pairs(self)
-
-    def incomparable_pairs(self):
-        """Unordered incomparable pairs (a, b), a before b in the canonical order."""
-        up, els = self.poset.up, self.elements
-        return [(els[i], els[j]) for i in range(len(els)) for j in range(i + 1, len(els))
-                if not (up[i] >> j & 1 or up[j] >> i & 1)]
+    def _element(self, mask):
+        return mask
 
     def weight_key(self, a):
+        """The key of ``a`` in a weight vector."""
         return a
 
+    def grade(self, a):
+        return self._mask(a).bit_count()
 
-def lattice_of_ideals(poset):
-    """The distributive lattice of all order ideals (join = union, meet = intersection)."""
-    ideals = enumerate_order_ideals(poset)
-    pos = {ideal.bits: i for i, ideal in enumerate(ideals)}
-    lattice_poset = Poset.from_leq(ideals, lambda x, y: x.bits & ~y.bits == 0)
-    n = len(ideals)
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a = lattice_poset.elements[i].bits
-        for j in range(n):
-            b = lattice_poset.elements[j].bits
-            join[i][j] = lattice_poset.index(ideals[pos[a | b]])
-            meet[i][j] = lattice_poset.index(ideals[pos[a & b]])
-    return DistributiveLattice(lattice_poset, join, meet)
+    def leq(self, a, b):
+        return self._mask(a) & ~self._mask(b) == 0
 
+    def comparable(self, a, b):
+        ma, mb = self._mask(a), self._mask(b)
+        return ma & ~mb == 0 or mb & ~ma == 0
 
-def join_irreducibles(lattice):
-    """Sub-poset of elements covering exactly one element."""
-    poset = lattice.poset
-    cover_up = poset.cover_up_masks
-    cover_down_count = [0] * len(poset)
-    for i in range(len(poset)):
-        for j in _bits(cover_up[i]):
-            cover_down_count[j] += 1
-    ids = [e for i, e in enumerate(poset.elements) if cover_down_count[i] == 1]
-    return poset.subposet(ids)
+    def meet(self, a, b):
+        return self._element(self._mask(a) & self._mask(b))
 
+    def join(self, a, b):
+        return self._element(self._mask(a) | self._mask(b))
 
-def birkhoff_iso(lattice, a):
-    """The order ideal of join-irreducibles below ``a``."""
-    irr = lattice.irreducible_poset
-    members = [p for p in irr.elements if lattice.leq(p, a)]
-    return OrderIdeal.from_members(irr, members)
+    @property
+    def minimum(self):
+        return self._element(0)
 
+    @property
+    def maximum(self):
+        return self._element((1 << len(self.ji_poset)) - 1)
 
-def grading_of(lattice):
-    """Rank function: size of the irreducible ideal below each element."""
-    value = {a: len(birkhoff_iso(lattice, a)) for a in lattice.elements}
-    if value[lattice.minimum] != 0:
-        raise LatticeError("minimum must have grade 0")
-    for lo, hi in lattice.poset.cover_pairs():
-        if value[hi] != value[lo] + 1:
-            raise LatticeError(f"cover {lo!r} -> {hi!r} is not grade-increasing by 1")
-    return Grading(value)
+    def iota(self, a):
+        """The Birkhoff map: the order ideal of join-irreducibles below ``a``."""
+        return OrderIdeal(self.ji_poset, self._mask(a))
 
+    def iota_mask(self, a):
+        """The bits of ``iota(a)``, without building the ``OrderIdeal``."""
+        return self._mask(a)
 
-def diamond_pairs(lattice):
-    """Unordered incomparable pairs {a, b} whose join covers both and which cover their meet."""
-    poset = lattice.poset
-    cover_up = poset.cover_up_masks
-    out = []
-    n = len(poset)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if poset.up[i] >> j & 1 or poset.up[j] >> i & 1:
-                continue
-            jix = lattice._join[i][j]
-            mix = lattice._meet[i][j]
-            if (cover_up[i] >> jix & 1 and cover_up[j] >> jix & 1
-                    and cover_up[mix] >> i & 1 and cover_up[mix] >> j & 1):
-                out.append((poset.elements[i], poset.elements[j]))
-    return out
+    def from_ideal(self, ideal):
+        return self.from_ideal_mask(ideal.poset, ideal.bits)
+
+    def from_ideal_mask(self, poset, bits):
+        """``from_ideal`` of the ideal ``bits`` of ``poset``, with no ``OrderIdeal`` built."""
+        if poset is not self.ji_poset:
+            raise PosetError("ideal does not live on this lattice's join-irreducible poset")
+        return self._element(bits)
+
+    def covers(self, a, b):
+        return self.grade(b) == self.grade(a) + 1 and self.leq(a, b)
+
+    @cached_property
+    def _levels(self):
+        levels = {}
+        for e in self.elements:
+            levels.setdefault(self._mask(e).bit_count(), []).append(e)
+        return levels
+
+    def cover_pairs(self):
+        out = []
+        for g, level in sorted(self._levels.items()):
+            for a in level:
+                for b in self._levels.get(g + 1, ()):
+                    if self.leq(a, b):
+                        out.append((a, b))
+        return out
+
+    def incomparable_pairs(self):
+        """Unordered incomparable pairs (a, b), a before b in ``elements``."""
+        elements = self.elements
+        masks = [self._mask(e) for e in elements]
+        out = []
+        for i, (a, ma) in enumerate(zip(elements, masks)):
+            for b, mb in zip(elements[i + 1:], masks[i + 1:]):
+                if ma & ~mb and mb & ~ma:  # neither ideal contains the other
+                    out.append((a, b))
+        return out
+
+    def diamond_pairs(self):
+        """Incomparable pairs whose join covers both and which cover their meet."""
+        # a diamond pair sits inside one grade level, and two ideals of one
+        # size form a diamond exactly when each has one element the other lacks
+        out = []
+        for _, level in sorted(self._levels.items()):
+            masks = [self._mask(a) for a in level]
+            for i, a in enumerate(level):
+                mask = masks[i]
+                for j in range(i + 1, len(level)):
+                    if (mask ^ masks[j]).bit_count() == 2:
+                        out.append((a, level[j]))
+        return out

@@ -5,14 +5,15 @@ semistandard tableau, with closed meet/join formulas.  Kind ``N``: one-column
 PBW-semistandard tableaux with the two-column PBW order.  Both lattices share
 the grid of join-irreducible cells (r, s) and the diagonal/off-diagonal
 partition that drives the transfer machinery.  By Birkhoff's theorem an
-element of either kind is its cell ideal, an order ideal of that grid, and
-``PluckerLattice`` works on it as a bitmask over the grid's poset
-(``_ji_poset``).  The column/mask conversions ``m_column_mask``,
-``pbw_column_mask``, ``m_column_of_mask`` and ``pbw_column_of_mask`` are the
-only kind-specific part of the lattice operations, and the lattice
-isomorphism goes through them.  A lattice converts an element when it first
-meets it and keeps the result; it enumerates all its elements only when a
-whole-lattice operation first asks for them, up to n = ``MAX_FULL_N``.  The
+element of either kind is its cell ideal, an order ideal of that grid, so a
+``PluckerLattice`` is the ``order_core.IdealLattice`` of the grid's poset
+(``_ji_poset``) plus the column codec and the pair classification.  The
+column/mask conversions ``m_column_mask``, ``pbw_column_mask``,
+``m_column_of_mask`` and ``pbw_column_of_mask`` are the only kind-specific
+part of the lattice operations, and the lattice isomorphism goes through
+them.  A lattice converts an element when it first meets it and keeps the
+result; it enumerates all its elements only when a whole-lattice operation
+first asks for them, up to n = ``MAX_FULL_N``.  The
 column formulas (``semistandard_leq``, ``column_meet``/``column_join``,
 ``pbw_two_column_leq``, ``m_cell_ideal``, ``pbw_cell_ideal``) are the
 references the masks are tested against.
@@ -29,7 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import chain_order
-from .order_core import CapacityError, DistributiveLattice, OrderIdeal, Poset, PosetError, check
+from .order_core import CapacityError, IdealLattice, Poset, check
 
 MAX_FULL_N = 12
 
@@ -308,20 +309,19 @@ class _KeyCodes(dict):
         return value
 
 
-class PluckerLattice:
+class PluckerLattice(IdealLattice):
     """Lattice of Pluecker variables of one kind ('M' or 'N') at a fixed n.
 
-    Every operation works on one representation of an element: the bitmask
-    of its cell ideal over ``ji_poset``.  The order is mask inclusion, meet
-    and join are intersection and union, and the grade is the number of
-    cells.  ``signed_key``/``element_of_key`` name an element's Pluecker
-    variable, and ``key_codes[key]`` is ``(mask, element, sign)`` with
-    X_element = sign * X_key, for the kernels that work on keys.
-    Each conversion keeps what it computes, so an element met once is one
-    dict lookup afterwards.  Pair-local operations
-    (classification, meets, the ideal product) work at any n; ``elements``
-    and the whole-lattice operations built on it enumerate all 2^n - 2
-    elements on first use and raise ``CapacityError`` past n = 12.
+    The ``IdealLattice`` of the grid of join-irreducible cells, with each
+    element named by its column instead of its cell-ideal mask: ``_mask`` and
+    ``_element`` convert through the column formulas of the kind and keep
+    what they compute, so an element met once is one dict lookup afterwards.
+    ``signed_key``/``element_of_key`` name an element's Pluecker variable,
+    and ``key_codes[key]`` is ``(mask, element, sign)`` with
+    X_element = sign * X_key, for the kernels that work on keys.  Pair-local
+    operations (classification, meets, the ideal product) work at any n;
+    ``elements`` and the whole-lattice operations built on it enumerate all
+    2^n - 2 elements on first use and raise ``CapacityError`` past n = 12.
     """
 
     def __init__(self, kind, n):
@@ -329,6 +329,7 @@ class PluckerLattice:
             raise ValueError(f"kind must be 'M' or 'N', got {kind!r}")
         if n < 2:
             raise ValueError(f"n must be at least 2, got {n}")
+        super().__init__(_ji_poset(n))
         self.kind = kind
         self.n = n
         self._column_mask, self._column_of_mask, self._arrange = (
@@ -399,32 +400,13 @@ class PluckerLattice:
             el = self._element_of[mask] = self._column_of_mask(mask, self.n)
         return el
 
+    # perfbench names a method's span by the class whose namespace holds it,
+    # so the two pair scans are bound here too and keep their names here
+    incomparable_pairs = IdealLattice.incomparable_pairs
+    diamond_pairs = IdealLattice.diamond_pairs
+
     def _cell_bit(self, cell):
         return 1 << self.ji_poset.index(cell)
-
-    def grade(self, a):
-        return self._mask(a).bit_count()
-
-    def leq(self, a, b):
-        return self._mask(a) & ~self._mask(b) == 0
-
-    def comparable(self, a, b):
-        ma, mb = self._mask(a), self._mask(b)
-        return ma & ~mb == 0 or mb & ~ma == 0
-
-    def meet(self, a, b):
-        return self._element(self._mask(a) & self._mask(b))
-
-    def join(self, a, b):
-        return self._element(self._mask(a) | self._mask(b))
-
-    @property
-    def minimum(self):
-        return self._element(0)
-
-    @property
-    def maximum(self):
-        return self._element((1 << len(self.ji_poset)) - 1)
 
     def cell_ideal(self, a):
         """Join-irreducible cells below ``a`` as a set of (r, s) pairs."""
@@ -437,73 +419,11 @@ class PluckerLattice:
         return self._element(self.ji_poset.mask_of(cells))
 
     @cached_property
-    def ji_poset(self):
-        return _ji_poset(self.n)
-
-    @cached_property
     def partition(self):
         """Diagonal cells are order elements, off-diagonal cells chain elements."""
         diag = [c for c in ji_cells(self.n) if c[0] == c[1]]
         off = [c for c in ji_cells(self.n) if c[0] != c[1]]
         return chain_order.ChainOrderPartition.from_sets(self.ji_poset, diag, off)
-
-    def iota(self, a):
-        return OrderIdeal(self.ji_poset, self._mask(a))
-
-    def iota_mask(self, a):
-        """The bits of ``iota(a)``, without building the ``OrderIdeal``."""
-        return self._mask(a)
-
-    def from_ideal(self, ideal):
-        return self.from_ideal_mask(ideal.poset, ideal.bits)
-
-    def from_ideal_mask(self, poset, bits):
-        """``from_ideal`` of the ideal ``bits`` of ``poset``, with no ``OrderIdeal`` built."""
-        if poset is not self.ji_poset:
-            raise PosetError("ideal does not live on this lattice's join-irreducible poset")
-        return self._element(bits)
-
-    def covers(self, a, b):
-        return self.grade(b) == self.grade(a) + 1 and self.leq(a, b)
-
-    @cached_property
-    def _levels(self):
-        levels = {}
-        for e in self.elements:
-            levels.setdefault(self._mask_of[e].bit_count(), []).append(e)
-        return levels
-
-    def cover_pairs(self):
-        out = []
-        for g, level in sorted(self._levels.items()):
-            for a in level:
-                for b in self._levels.get(g + 1, ()):
-                    if self.leq(a, b):
-                        out.append((a, b))
-        return out
-
-    def incomparable_pairs(self):
-        elements = self.elements
-        masks = [self._mask_of[e] for e in elements]
-        out = []
-        for i, (a, ma) in enumerate(zip(elements, masks)):
-            for b, mb in zip(elements[i + 1:], masks[i + 1:]):
-                if ma & ~mb and mb & ~ma:  # neither cell ideal contains the other
-                    out.append((a, b))
-        return out
-
-    def diamond_pairs(self):
-        # a diamond pair sits inside one grade level, and two cell ideals of one
-        # size form a diamond exactly when each has one cell the other lacks
-        out = []
-        for _, level in sorted(self._levels.items()):
-            masks = [self._mask_of[a] for a in level]
-            for i, a in enumerate(level):
-                mask = masks[i]
-                for j in range(i + 1, len(level)):
-                    if (mask ^ masks[j]).bit_count() == 2:
-                        out.append((a, level[j]))
-        return out
 
     def odot(self, a, b):
         return chain_order.odot_elements(self, self.partition, a, b)
@@ -531,17 +451,6 @@ class PluckerLattice:
         if el is None:
             el = self._elements_by_key[key] = self._arrange(key)
         return el
-
-    def to_distributive_lattice(self):
-        poset = Poset.from_leq(self.elements, self.leq)
-        n = len(self.elements)
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
-        for i, a in enumerate(poset.elements):
-            for j, b in enumerate(poset.elements):
-                join[i][j] = poset.index(self.join(a, b))
-                meet[i][j] = poset.index(self.meet(a, b))
-        return DistributiveLattice(poset, join, meet)
 
     def hasse_json_obj(self):
         return {

@@ -31,13 +31,13 @@ from plueckerfan.chain_order import (
     zeta_prime_matrix,
 )
 from plueckerfan.order_core import (
+    IdealLattice,
     InvariantError,
     OrderIdeal,
     Poset,
     PosetError,
     _bits,
     enumerate_order_ideals,
-    lattice_of_ideals,
 )
 from plueckerfan.cones import facet_count
 from plueckerfan.plucker_lattices import PluckerLattice, pbw_lattice
@@ -479,8 +479,8 @@ class TestOdot:
         rng = random.Random(17)
         checked = 0
         for _ in range(5):
-            lat = lattice_of_ideals(verify.random_poset(rng, max_size=4))
-            for part in all_partitions(lat.irreducible_poset):
+            lat = IdealLattice(verify.random_poset(rng, max_size=4))
+            for part in all_partitions(lat.ji_poset):
                 for a, b in lat.incomparable_pairs():
                     expect = lat.from_ideal(odot_ideals(part, lat.iota(a), lat.iota(b)))
                     assert odot_elements(lat, part, a, b) == expect

@@ -476,6 +476,23 @@ class TestPointsJson:
         assert (code, out) == (2, "")
         assert err == f"error: elements {pair} have the same name '1'\n"
 
+    @pytest.mark.parametrize("flag, text, field", [
+        ("--poset", '{"elements": "ab", "covers": []}', "'elements'"),
+        ("--poset", '[["a", "b"]]', "poset JSON"),
+        ("--poset", '{"elements": [["a"], "b"], "covers": []}', "'elements'"),
+        ("--poset", '{"elements": ["a", "b"]}', "'covers'"),
+        ("--partition", '["a", "b"]', "partition JSON"),
+    ], ids=["elements-string", "poset-list", "element-list", "no-covers", "partition-list"])
+    def test_malformed_input_is_a_usage_error(self, capsys, tmp_path, flag, text, field):
+        files = {"--poset": tmp_path / "poset.json", "--partition": tmp_path / "part.json"}
+        files["--poset"].write_text('{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+        files["--partition"].write_text('{"order": ["a"], "chain": ["b"]}')
+        files[flag].write_text(text)
+        code, out, err = run(capsys, "polytope", "--poset", str(files["--poset"]), "--partition",
+                             str(files["--partition"]), "--t", "1", "--action", "points")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
     def test_out_file(self, capsys, tmp_path):
         from plueckerfan.chain_order import ChainOrderPartition, dilation_points
         poset_file, _, part = self.files(tmp_path, self.POSETS["escapes"])

@@ -279,12 +279,12 @@ class TestGenericLattices:
 
     def _random_lattices(self, count=6, seed=13):
         import random
-        from plueckerfan.order_core import lattice_of_ideals
+        from plueckerfan.order_core import IdealLattice
         rng = random.Random(seed)
         out = []
         while len(out) < count:
-            lat = lattice_of_ideals(verify.random_poset(rng, max_size=5))
-            if len(lat) >= 4:
+            lat = IdealLattice(verify.random_poset(rng, max_size=5))
+            if len(lat.elements) >= 4:
                 out.append(lat)
         return out
 
@@ -305,7 +305,7 @@ class TestGenericLattices:
         from plueckerfan.chain_order import ChainOrderPartition
         rng = random.Random(7)
         for lat in self._random_lattices():
-            irr = lat.irreducible_poset
+            irr = lat.ji_poset
             for _ in range(4):
                 mask = rng.getrandbits(len(irr)) if len(irr) else 0
                 part = ChainOrderPartition.from_masks(irr, mask)
@@ -319,6 +319,26 @@ class TestGenericLattices:
                     assert all(iq.holds_nonstrict(v)
                                for j, iq in enumerate(h.inequalities) if j != fid)
 
+    def test_hibi_generators_with_every_partition(self):
+        # the generalized binomial checks its own kernel condition as it is built
+        from plueckerfan.chain_order import ChainOrderPartition, odot_elements
+        checked = 0
+        for lat in self._random_lattices():
+            irr = lat.ji_poset
+            for mask in range(1 << len(irr)):
+                part = ChainOrderPartition.from_masks(irr, mask)
+                for a, b in lat.incomparable_pairs():
+                    join = lat.join(a, b)
+                    lower = odot_elements(lat, part, a, b)
+                    assert lat.leq(lower, lat.meet(a, b))  # the product only moves down
+                    gen = hibi_generator(lat, a, b, part)
+                    assert gen == {tuple(sorted((a, b))): 1,
+                                   tuple(sorted((lower, join))): -1}
+                    if mask == (1 << len(irr)) - 1:  # the order polytope: the plain Hibi binomial
+                        assert gen == hibi_generator(lat, a, b)
+                    checked += 1
+        assert checked > 100
+
     def test_incomparable_pairs_match_the_order(self):
         for lat in self._random_lattices():
             els = lat.elements
@@ -329,24 +349,29 @@ class TestGenericLattices:
                     .inequalities] == expect
 
     def test_generic_route_matches_cell_route(self):
-        # rebuild the PBW lattice generically through its Birkhoff data and
-        # compare the generalized Hibi descriptions inequality by inequality
+        # rebuild the PBW lattice as the ideal lattice of its cell grid and
+        # compare the generalized Hibi descriptions inequality by inequality,
+        # a PBW key read as the cell-ideal mask of its element
         from plueckerfan.chain_order import ChainOrderPartition
+        from plueckerfan.order_core import IdealLattice
         for n in (3, 4):
             nlat = pbw_lattice(n)
-            generic = nlat.to_distributive_lattice()
-            irr = generic.irreducible_poset
-            diag = [nlat.element_of_cell((k, k)) for k in range(2, n)]
+            generic = IdealLattice(nlat.ji_poset)
+            irr = generic.ji_poset
+            diag = [(k, k) for k in range(2, n)]
             part = ChainOrderPartition.from_sets(
-                irr, diag, [e for e in irr.elements if e not in diag])
+                irr, diag, [c for c in irr.elements if c not in diag])
             h_generic = cone_hrep("GENHIBI", lattice=generic, partition=part)
             h_cells = cone_hrep("GENHIBI", lattice=nlat)
 
-            def normalized(hrep):
-                return {frozenset((tuple(sorted(k)), c) for k, c in iq.form)
-                        for iq in hrep.inequalities}
+            def as_mask(key):
+                return nlat.iota_mask(nlat.element_of_key(key))
 
-            assert normalized(h_generic) == normalized(h_cells)
+            rows_generic = {frozenset(iq.form) for iq in h_generic.inequalities}
+            rows_cells = {frozenset((as_mask(k), c) for k, c in iq.form)
+                          for iq in h_cells.inequalities}
+            assert rows_generic == rows_cells
+            assert len(h_generic.inequalities) == len(h_cells.inequalities)
 
 
 def test_weights_json_round_trip():
@@ -564,7 +589,8 @@ class TestConeWriter:
         # the 2 x 3 grid of chains; 'a"b' sorts before 'a#' by name but after it
         # once encoded ('\\' > '#'), and 'é' is written as é
         from plueckerfan.chain_order import ChainOrderPartition
-        from plueckerfan.order_core import DistributiveLattice, Poset
+        from lattice_reference import DistributiveLattice
+        from plueckerfan.order_core import Poset
         names = {(0, 0): "0", (1, 0): 'a"b', (2, 0): "a#", (0, 1): "é", (1, 1): "x", (2, 1): "1"}
         covers = [(names[i, j], names[i + di, j + dj]) for i, j in names
                   for di, dj in ((1, 0), (0, 1)) if (i + di, j + dj) in names]

@@ -3,19 +3,23 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plueckerfan.order_core import (
-    CapacityError,
-    OrderIdeal,
-    Poset,
-    PosetError,
+from lattice_reference import (
     birkhoff_iso,
     diamond_pairs,
-    enumerate_order_ideals,
     grading_of,
     join_irreducibles,
     lattice_of_ideals,
+    to_distributive_lattice,
 )
-from plueckerfan.plucker_lattices import semistandard_lattice
+from plueckerfan.order_core import (
+    CapacityError,
+    IdealLattice,
+    OrderIdeal,
+    Poset,
+    PosetError,
+    enumerate_order_ideals,
+)
+from plueckerfan.plucker_lattices import PluckerLattice, semistandard_lattice
 
 
 def chain(m):
@@ -167,11 +171,11 @@ class TestBirkhoff:
         assert len(join_irreducibles(lat)) == 1
 
     def test_m3_irreducibles(self):
-        lat = semistandard_lattice(3).to_distributive_lattice()
+        lat = to_distributive_lattice(semistandard_lattice(3))
         assert sorted(join_irreducibles(lat).elements) == [(1,), (1, 3), (2, 3), (3,)]
 
     def test_birkhoff_examples(self):
-        lat = semistandard_lattice(3).to_distributive_lattice()
+        lat = to_distributive_lattice(semistandard_lattice(3))
         assert len(birkhoff_iso(lat, (1, 2))) == 0
         assert len(birkhoff_iso(lat, (3,))) == len(join_irreducibles(lat))
         # middle element: brute-force irreducibles below it
@@ -209,11 +213,11 @@ class TestBirkhoff:
 
 class TestGrading:
     def test_examples(self):
-        lat = semistandard_lattice(3).to_distributive_lattice()
+        lat = to_distributive_lattice(semistandard_lattice(3))
         g = grading_of(lat)
-        assert g.value[(1, 2)] == 0
-        assert g.value[(1, 3)] == 1
-        assert g.value[(3,)] == 4
+        assert g[(1, 2)] == 0
+        assert g[(1, 3)] == 1
+        assert g[(3,)] == 4
 
 
 class TestDiamondPairs:
@@ -221,21 +225,82 @@ class TestDiamondPairs:
         assert diamond_pairs(lattice_of_ideals(chain(3))) == []
 
     def test_m3_single_pair(self):
-        lat = semistandard_lattice(3).to_distributive_lattice()
+        lat = to_distributive_lattice(semistandard_lattice(3))
         assert diamond_pairs(lat) == [((1,), (2, 3))]
 
     def test_m4_count(self):
-        lat = semistandard_lattice(4).to_distributive_lattice()
+        lat = to_distributive_lattice(semistandard_lattice(4))
         assert len(diamond_pairs(lat)) == 5
 
     @given(random_posets(max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_diamond_grades_and_covers(self, p):
         lat = lattice_of_ideals(p)
-        g = grading_of(lat).value
+        g = grading_of(lat)
         covers = set(lat.poset.cover_pairs())
         for a, b in diamond_pairs(lat):
             join, meet = lat.join(a, b), lat.meet(a, b)
             assert g[a] == g[b] == g[meet] + 1 == g[join] - 1
             assert (a, join) in covers and (b, join) in covers
             assert (meet, a) in covers and (meet, b) in covers
+
+
+class TestIdealLattice:
+    """The mask lattice against the table-based reference ``lattice_of_ideals``."""
+
+    @given(random_posets(max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_reference(self, p):
+        lat, ref = IdealLattice(p), lattice_of_ideals(p)
+        bits = [ideal.bits for ideal in ref.elements]
+        to_ref = {ideal.bits: ideal for ideal in ref.elements}
+        assert sorted(lat.elements) == sorted(bits)
+        grade = grading_of(ref)
+        ref_covers = {(x.bits, y.bits) for x, y in ref.poset.cover_pairs()}
+        for a in lat.elements:
+            assert grade[to_ref[a]] == lat.grade(a)
+            assert lat.iota(a).bits == lat.iota_mask(a) == a
+            assert lat.from_ideal(lat.iota(a)) == a
+            for b in lat.elements:
+                assert lat.leq(a, b) == ref.leq(to_ref[a], to_ref[b])
+                assert lat.meet(a, b) == ref.meet(to_ref[a], to_ref[b]).bits
+                assert lat.join(a, b) == ref.join(to_ref[a], to_ref[b]).bits
+                assert lat.covers(a, b) == ((a, b) in ref_covers)
+        assert to_ref[lat.minimum] == ref.minimum
+        assert lat.maximum == max(bits, key=int.bit_count)
+
+        def as_bits(pairs):
+            return {frozenset((x.bits, y.bits)) for x, y in pairs}
+
+        def unordered(pairs):
+            return {frozenset(pair) for pair in pairs}
+
+        assert set(lat.cover_pairs()) == ref_covers
+        assert unordered(lat.incomparable_pairs()) == as_bits(ref.incomparable_pairs())
+        assert unordered(lat.diamond_pairs()) == as_bits(diamond_pairs(ref))
+        assert len(lat.incomparable_pairs()) == len(ref.incomparable_pairs())
+        assert len(lat.diamond_pairs()) == len(diamond_pairs(ref))
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_plucker_lattices_match_the_reference(self, kind, n):
+        lat = PluckerLattice(kind, n)
+        ref = to_distributive_lattice(lat)  # checks every lattice and distributivity axiom
+        grade = grading_of(ref)
+        assert set(ref.elements) == set(lat.elements)
+        assert all(grade[a] == lat.grade(a) for a in lat.elements)
+        assert set(lat.cover_pairs()) == set(ref.poset.cover_pairs())
+        assert sorted(map(sorted, lat.incomparable_pairs())) == sorted(
+            map(sorted, ref.incomparable_pairs()))
+        assert sorted(map(sorted, lat.diamond_pairs())) == sorted(map(sorted, diamond_pairs(ref)))
+        assert (lat.minimum, lat.maximum) == (ref.minimum, max(lat.elements, key=lat.grade))
+
+    def test_pair_operations_past_the_capacity(self):
+        lat = IdealLattice(antichain(63))
+        with pytest.raises(CapacityError):
+            lat.elements
+        a, b = (1 << 62) | 0b101, 0b110
+        assert lat.meet(a, b) == 0b100 and lat.join(a, b) == (1 << 62) | 0b111
+        assert not lat.leq(a, b) and lat.leq(lat.meet(a, b), a)
+        assert lat.grade(lat.maximum) == 63
+        assert "elements" not in lat.__dict__

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lattice_reference import to_distributive_lattice
 from plueckerfan import cones, plucker_lattices, verify
 from plueckerfan.order_core import CapacityError, OrderIdeal, Poset, PosetError
 from plueckerfan.plucker_lattices import (
@@ -383,7 +384,7 @@ class TestLazyLattice:
     def test_whole_lattice_calls_past_the_cap_raise_capacity_error(self, kind):
         lat = PluckerLattice(kind, 13)
         whole = [lat.incomparable_pairs, lat.diamond_pairs, lat.cover_pairs,
-                 lat.hasse_json_obj, lat.to_distributive_lattice,
+                 lat.hasse_json_obj, lambda: to_distributive_lattice(lat),
                  lambda: cones.interior_witness(lat),
                  lambda: cones.cone_hrep("HIBI", lattice=lat)]
         for call in whole:

@@ -10,11 +10,10 @@ import pytest
 
 from plueckerfan import cones, straightening, verify
 from plueckerfan.chain_order import ChainOrderPartition, chain_matrix, interpolating_hrep
+from lattice_reference import DistributiveLattice, LatticeError
 from plueckerfan.order_core import (
     CapacityError,
-    DistributiveLattice,
     InvariantError,
-    LatticeError,
     Poset,
     PosetError,
 )
