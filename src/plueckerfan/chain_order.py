@@ -39,6 +39,7 @@ from .order_core import (
     _bits,
     check,
     ideal_masks,
+    json_rationals,
 )
 
 
@@ -340,12 +341,13 @@ def _odot_mask(part, bits1, bits2):
 def odot_elements(lattice, part, a, b):
     """The ideal product transported to lattice elements through the Birkhoff map.
 
-    The masks pass between the lattice and ``_odot_mask`` bare
-    (``iota_mask``/``from_ideal_mask``), with no ``OrderIdeal`` built.
-    Birkhoff images are order ideals by construction, so no closure test runs.
+    The masks pass bare between the lattice's ``mask``/``element`` and
+    ``_odot_mask``, with no ``OrderIdeal`` built and no closure test:
+    Birkhoff images are order ideals by construction.
     """
-    bits = _odot_mask(part, lattice.iota_mask(a), lattice.iota_mask(b))
-    return lattice.from_ideal_mask(part.poset, bits)
+    if part.poset is not lattice.ji_poset:
+        raise PosetError("partition does not live on this lattice's join-irreducible poset")
+    return lattice.element(_odot_mask(part, lattice.mask(a), lattice.mask(b)))
 
 
 def dilation_table(part, t):
@@ -447,10 +449,5 @@ def points_to_json(poset, rows):
 
 
 def point_from_json_obj(obj, poset):
-    coords = {}
-    for el in poset.elements:
-        key = str(el)
-        if key not in obj:
-            raise PosetError(f"point is missing coordinate {key!r}")
-        coords[el] = Fraction(obj[key])
-    return coords
+    """The point a ``point_to_json_obj`` map names: one rational coordinate per element's ``str``."""
+    return json_rationals(obj, {str(el): el for el in poset.elements}, "point")

@@ -16,7 +16,7 @@ import sys
 
 from . import chain_order, cones, straightening, verify
 from .chain_order import ChainOrderPartition
-from .order_core import CapacityError, InvariantError, Poset, PosetError, json_ids, json_object
+from .order_core import CapacityError, InvariantError, Poset, PosetError, json_ids, json_object, key_name
 from .plucker_lattices import ComparablePairError, PluckerLattice
 
 USAGE_ERROR = 2
@@ -50,12 +50,12 @@ def cmd_lattice(args):
         lines = [f"{lat.kind}({lat.n}): {len(lat)} elements"]
         by_grade = {}
         for e in lat.elements:
-            by_grade.setdefault(lat.grade(e), []).append(",".join(map(str, e)))
+            by_grade.setdefault(lat.grade(e), []).append(key_name(e))
         for g in sorted(by_grade):
             lines.append(f"  grade {g}: " + "  ".join(by_grade[g]))
         lines.append("covers:")
         for a, b in lat.cover_pairs():
-            lines.append(f"  {','.join(map(str, a))} -> {','.join(map(str, b))}")
+            lines.append(f"  {key_name(a)} -> {key_name(b)}")
         _emit("\n".join(lines), args)
     else:
         _emit(lat.hasse_json_obj(), args)
@@ -67,16 +67,10 @@ def cmd_pairs(args):
     rows = []
     for a, b in lat.incomparable_pairs():
         cls = lat.classify_pair(a, b)
-        row = {
-            "pair": [",".join(map(str, a)), ",".join(map(str, b))],
-            "class": cls.verdict,
-        }
-        if cls.below is not None:
-            row["below"] = ",".join(map(str, cls.below))
-        if cls.above is not None:
-            row["above"] = ",".join(map(str, cls.above))
-        if cls.companion is not None:
-            row["companion"] = ",".join(map(str, cls.companion))
+        row = {"pair": [key_name(a), key_name(b)], "class": cls.verdict}
+        for field in ("below", "above", "companion"):
+            if getattr(cls, field) is not None:
+                row[field] = key_name(getattr(cls, field))
         rows.append(row)
     _emit(rows, args)
     return 0
@@ -135,7 +129,7 @@ def cmd_check_point(args):
     member = cones.contains(hrep, weights)
     violated = [iq.provenance for iq in hrep.inequalities if not iq.holds(weights)]
     _emit({"target": hrep.label, "member": member,
-           "violated": [[cones._key_name(x) for x in v] for v in violated[:20]]}, args)
+           "violated": [[key_name(x) for x in v] for v in violated[:20]]}, args)
     return 0 if member else 1
 
 
@@ -255,16 +249,14 @@ def build_parser():
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--action", choices=("hrep", "points", "decompose"), default="hrep")
     p.add_argument("--point", default=None)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None)
+    common(p, n=False)
     p.set_defaults(fn=cmd_polytope)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None)
+    common(p, n=False)
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chain_order import odot_elements
-from .order_core import check
+from .order_core import check, json_rationals, key_name
 from .plucker_lattices import PluckerLattice, pbw_lattice, pbw_to_ssyt, semistandard_lattice
 from .straightening import straighten_pair, straightening_terms
 
@@ -88,14 +88,14 @@ class ConeHRep:
         rows = []
         for ineq in self.inequalities:
             rows.append({
-                "terms": {_key_name(k): str(Fraction(c)) for k, c in ineq.form},
+                "terms": {key_name(k): str(Fraction(c)) for k, c in ineq.form},
                 "rel": ineq.relation,
             })
         return {
             "target": self.target,
             "label": self.label,
             "inequalities": rows,
-            "provenance": [[_key_name(x) for x in ineq.provenance]
+            "provenance": [[key_name(x) for x in ineq.provenance]
                            for ineq in self.inequalities],
         }
 
@@ -128,7 +128,7 @@ class _Encoded(dict):
 
     def __missing__(self, x):
         import json
-        text = _key_name(x)
+        text = key_name(x)
         got = self[x] = (text, json.dumps(text))
         return got
 
@@ -153,12 +153,6 @@ def _json_list(items, indent):
         return "[]"
     pad = " " * (indent + 2)
     return f"[\n{pad}" + f",\n{pad}".join(items) + "\n" + " " * indent + "]"
-
-
-def _key_name(key):
-    if isinstance(key, tuple):
-        return ",".join(map(str, key))
-    return str(key)
 
 
 def _form(*pairs):
@@ -634,15 +628,10 @@ def lead_is_initial_many(poly, lead, keys, W):
 
 
 def weights_from_json_obj(obj, keys):
-    out = {}
-    by_name = {key if isinstance(key, str) else ",".join(map(str, key)): key for key in keys}
-    for name, key in by_name.items():
-        if name not in obj:
-            raise KeyError(f"weights file is missing {name!r}")
-        out[key] = Fraction(obj[name])
-    return out
+    """The weight vector a ``weights_to_json_obj`` map names: one rational per ``key_name``."""
+    return json_rationals(obj, {key_name(key): key for key in keys}, "weights")
 
 
 def weights_to_json_obj(weights):
-    return {_key_name(k): str(Fraction(v)) for k, v in sorted(
-        weights.items(), key=lambda kv: _key_name(kv[0]))}
+    return {key_name(k): str(Fraction(v)) for k, v in sorted(
+        weights.items(), key=lambda kv: key_name(kv[0]))}

@@ -3,13 +3,17 @@
 Every structure fixes a canonical element order (height first, then id) and
 stores comparability as integer bitmasks over that order, so enumerations and
 serialized output are identical across runs and platforms.
+``IdealLattice.mask``/``element`` is every lattice's one conversion between an
+element and the bitmask of its ideal of join-irreducibles.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import isfinite
 
 IDEAL_CAPACITY = 62
 
@@ -37,7 +41,10 @@ class PosetError(ValueError):
 
 def json_object(text, what):
     """The JSON object in ``text``; ``PosetError`` if it holds any other JSON value."""
-    data = json.loads(text)
+    return _checked_object(json.loads(text), what)
+
+
+def _checked_object(data, what):
     if not isinstance(data, dict):
         raise PosetError(f"{what} JSON must be an object, got {type(data).__name__}")
     return data
@@ -58,6 +65,36 @@ def json_ids(data, field, default=None):
     if not isinstance(ids, list) or not all(map(_is_id, ids)):
         raise PosetError(f"{field!r} must be a list of strings or integers")
     return ids
+
+
+def json_rationals(data, names, what):
+    """``{key: Fraction}`` of the values the JSON object ``data`` holds under the names of ``names``.
+
+    ``names`` maps a name to its key.  A value is an integer, a finite number
+    or a string ``Fraction`` reads, such as ``"p/q"``; any other value, a
+    missing name or a ``data`` that is no object is a ``PosetError``.
+    """
+    _checked_object(data, what)
+    out = {}
+    for name, key in names.items():
+        if name not in data:
+            raise PosetError(f"{what} JSON is missing {name!r}")
+        value = data[name]
+        kind = type(value)  # a JSON true or false is no number
+        try:
+            if kind is int or kind is str or kind is float and isfinite(value):
+                out[key] = Fraction(value)
+                continue
+        except (ValueError, ZeroDivisionError):  # a string Fraction does not read
+            pass
+        raise PosetError(f"{what} value {name!r} must be an integer, a finite number "
+                         f"or a 'p/q' string, got {value!r}")
+    return out
+
+
+def key_name(key):
+    """The name of an element or a key in output: a tuple's entries joined by commas, else ``str``."""
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
 def _bits(mask):
@@ -391,9 +428,10 @@ class IdealLattice:
     P is ``ji_poset``, the poset of join-irreducibles.  Every operation works
     on one representation of an element, the bitmask of its ideal over
     ``ji_poset``: the order is mask inclusion, meet and join are intersection
-    and union, and the grade is the number of bits.  ``_mask`` and
-    ``_element`` convert between an element and its mask; here an element is
-    its mask, and a subclass that names its elements otherwise (such as
+    and union, and the grade is the number of bits.  ``mask`` and ``element``
+    convert between an element and its mask, and ``iota``/``from_ideal`` are
+    the same pair on ``OrderIdeal`` values; here an element is its mask, and
+    a subclass that names its elements otherwise (such as
     ``PluckerLattice``) overrides the two.  Pair-local operations work on a
     poset of any size; ``elements`` and the whole-lattice operations built on
     it enumerate every ideal on first use and raise ``CapacityError`` past
@@ -408,56 +446,49 @@ class IdealLattice:
         """All ideal masks by size, then as integers."""
         return tuple(ideal_masks(self.ji_poset))
 
-    def _mask(self, el):
+    def mask(self, el):
         return el
 
-    def _element(self, mask):
-        return mask
+    def element(self, bits):
+        return bits
 
     def weight_key(self, a):
         """The key of ``a`` in a weight vector."""
         return a
 
     def grade(self, a):
-        return self._mask(a).bit_count()
+        return self.mask(a).bit_count()
 
     def leq(self, a, b):
-        return self._mask(a) & ~self._mask(b) == 0
+        return self.mask(a) & ~self.mask(b) == 0
 
     def comparable(self, a, b):
-        ma, mb = self._mask(a), self._mask(b)
+        ma, mb = self.mask(a), self.mask(b)
         return ma & ~mb == 0 or mb & ~ma == 0
 
     def meet(self, a, b):
-        return self._element(self._mask(a) & self._mask(b))
+        return self.element(self.mask(a) & self.mask(b))
 
     def join(self, a, b):
-        return self._element(self._mask(a) | self._mask(b))
+        return self.element(self.mask(a) | self.mask(b))
 
     @property
     def minimum(self):
-        return self._element(0)
+        return self.element(0)
 
     @property
     def maximum(self):
-        return self._element((1 << len(self.ji_poset)) - 1)
+        return self.element((1 << len(self.ji_poset)) - 1)
 
     def iota(self, a):
         """The Birkhoff map: the order ideal of join-irreducibles below ``a``."""
-        return OrderIdeal(self.ji_poset, self._mask(a))
-
-    def iota_mask(self, a):
-        """The bits of ``iota(a)``, without building the ``OrderIdeal``."""
-        return self._mask(a)
+        return OrderIdeal(self.ji_poset, self.mask(a))
 
     def from_ideal(self, ideal):
-        return self.from_ideal_mask(ideal.poset, ideal.bits)
-
-    def from_ideal_mask(self, poset, bits):
-        """``from_ideal`` of the ideal ``bits`` of ``poset``, with no ``OrderIdeal`` built."""
-        if poset is not self.ji_poset:
+        """The inverse Birkhoff map: the element whose ideal of join-irreducibles is ``ideal``."""
+        if ideal.poset is not self.ji_poset:
             raise PosetError("ideal does not live on this lattice's join-irreducible poset")
-        return self._element(bits)
+        return self.element(ideal.bits)
 
     def covers(self, a, b):
         return self.grade(b) == self.grade(a) + 1 and self.leq(a, b)
@@ -466,7 +497,7 @@ class IdealLattice:
     def _levels(self):
         levels = {}
         for e in self.elements:
-            levels.setdefault(self._mask(e).bit_count(), []).append(e)
+            levels.setdefault(self.mask(e).bit_count(), []).append(e)
         return levels
 
     def cover_pairs(self):
@@ -481,7 +512,7 @@ class IdealLattice:
     def incomparable_pairs(self):
         """Unordered incomparable pairs (a, b), a before b in ``elements``."""
         elements = self.elements
-        masks = [self._mask(e) for e in elements]
+        masks = [self.mask(e) for e in elements]
         out = []
         for i, (a, ma) in enumerate(zip(elements, masks)):
             for b, mb in zip(elements[i + 1:], masks[i + 1:]):
@@ -495,7 +526,7 @@ class IdealLattice:
         # size form a diamond exactly when each has one element the other lacks
         out = []
         for _, level in sorted(self._levels.items()):
-            masks = [self._mask(a) for a in level]
+            masks = [self.mask(a) for a in level]
             for i, a in enumerate(level):
                 mask = masks[i]
                 for j in range(i + 1, len(level)):

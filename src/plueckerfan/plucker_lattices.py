@@ -10,10 +10,10 @@ element of either kind is its cell ideal, an order ideal of that grid, so a
 (``_ji_poset``) plus the column codec and the pair classification.  The
 column/mask conversions ``m_column_mask``, ``pbw_column_mask``,
 ``m_column_of_mask`` and ``pbw_column_of_mask`` are the only kind-specific
-part of the lattice operations, and the lattice isomorphism goes through
-them.  A lattice converts an element when it first meets it and keeps the
-result; it enumerates all its elements only when a whole-lattice operation
-first asks for them, up to n = ``MAX_FULL_N``.  The
+part of the lattice operations (``PluckerLattice.mask``/``element``), and the
+lattice isomorphism goes through them.  A lattice converts an element when
+it first meets it and keeps the result; it enumerates all its elements only
+when a whole-lattice operation first asks for them, up to n = ``MAX_FULL_N``.  The
 column formulas (``semistandard_leq``, ``column_meet``/``column_join``,
 ``pbw_two_column_leq``, ``m_cell_ideal``, ``pbw_cell_ideal``) are the
 references the masks are tested against.
@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import chain_order
-from .order_core import CapacityError, IdealLattice, Poset, check
+from .order_core import CapacityError, IdealLattice, Poset, check, key_name
 
 MAX_FULL_N = 12
 
@@ -297,15 +297,16 @@ class _KeyCodes(dict):
     garbage collector.
     """
 
-    def __init__(self, lattice):
+    def __init__(self, lattice, arrange):
         import weakref  # loaded at interpreter start; importing it here keeps it off this module's load
         super().__init__()
         self.lattice = weakref.ref(lattice)
+        self.arrange = arrange  # key -> element, as ``element_of_key`` would give it from this table
 
     def __missing__(self, key):
         lat = self.lattice()
-        el = lat.element_of_key(key)
-        value = self[key] = lat._mask(el), el, lat.signed_key(el)[0]
+        el = self.arrange(key)
+        value = self[key] = lat.mask(el), el, lat.signed_key(el)[0]
         return value
 
 
@@ -313,8 +314,8 @@ class PluckerLattice(IdealLattice):
     """Lattice of Pluecker variables of one kind ('M' or 'N') at a fixed n.
 
     The ``IdealLattice`` of the grid of join-irreducible cells, with each
-    element named by its column instead of its cell-ideal mask: ``_mask`` and
-    ``_element`` convert through the column formulas of the kind and keep
+    element named by its column instead of its cell-ideal mask: ``mask`` and
+    ``element`` convert through the column formulas of the kind and keep
     what they compute, so an element met once is one dict lookup afterwards.
     ``signed_key``/``element_of_key`` name an element's Pluecker variable,
     and ``key_codes[key]`` is ``(mask, element, sign)`` with
@@ -335,11 +336,9 @@ class PluckerLattice(IdealLattice):
         self._column_mask, self._column_of_mask, self._arrange = (
             (m_column_mask, m_column_of_mask, tuple) if kind == "M"  # an M element is its own key
             else (pbw_column_mask, pbw_column_of_mask, pbw_arrange))
-        # element -> mask, mask -> element, element -> (sign, key), key -> element:
+        # element -> (mask, (sign, key)), mask -> element and key -> (mask, element, sign):
         # each filled as its conversion meets a value, and completed by ``elements``
-        self._mask_of, self._element_of, self._signed_keys, self._elements_by_key = {}, {}, {}, {}
-        # key -> (mask, element, sign), filled as the kernels that work on keys meet them
-        self.key_codes = _KeyCodes(self)
+        self._codes, self._element_of, self.key_codes = {}, {}, _KeyCodes(self, self._arrange)
 
     @cached_property
     def elements(self):
@@ -358,10 +357,10 @@ class PluckerLattice(IdealLattice):
             for i, c in enumerate(self.ji_poset.elements):
                 check(masks[ji_columns[c]] == down[i],
                       f"the ideal of the join-irreducible column of {c} is not its down-set")
-        self._mask_of.update(masks)
+        signed = [_signed_sort(c) for c in columns]
+        self._codes.update((c, (masks[c], s)) for c, s in zip(columns, signed))
         self._element_of.update((m, e) for e, m in masks.items())
-        self._signed_keys.update((c, _signed_sort(c)) for c in columns)
-        self._elements_by_key.update(zip(keys, columns))
+        self.key_codes.update((k, (masks[c], c, s[0])) for k, c, s in zip(keys, columns, signed))
         return tuple(sorted(columns, key=lambda e: (masks[e].bit_count(), e)))
 
     def __len__(self):
@@ -371,7 +370,7 @@ class PluckerLattice(IdealLattice):
         return f"PluckerLattice(kind={self.kind!r}, n={self.n})"
 
     def __contains__(self, el):
-        if el in self._mask_of:
+        if el in self._codes:
             return True
         if not isinstance(el, tuple) or not 1 <= len(el) <= self.n - 1:
             return False
@@ -384,20 +383,25 @@ class PluckerLattice(IdealLattice):
             raise ValueError(f"{el!r} is not an element of {self!r}")
         return el
 
-    def _mask(self, el):
-        """The cell-ideal mask of an element; ``ValueError`` for anything else."""
-        mask = self._mask_of.get(el)
-        if mask is None:
-            mask = self._mask_of[el] = self._column_mask(self.check_element(el), self.n)
-        return mask
+    def _code(self, el):
+        """``(mask, (sign, key))`` of an element, kept once made; ``ValueError`` for anything else."""
+        code = self._codes.get(el)
+        if code is None:
+            mask = self._column_mask(self.check_element(el), self.n)
+            code = self._codes[el] = mask, _signed_sort(el)
+        return code
 
-    def _element(self, mask):
-        """The element whose cell ideal is ``mask``; ``ValueError`` unless it is an order ideal."""
-        el = self._element_of.get(mask)
+    def mask(self, el):
+        """The cell-ideal mask of an element; ``ValueError`` for anything else."""
+        return self._code(el)[0]
+
+    def element(self, bits):
+        """The element whose cell ideal is ``bits``; ``ValueError`` unless it is an order ideal."""
+        el = self._element_of.get(bits)
         if el is None:
-            if not self.ji_poset.is_down_closed(mask):
-                raise ValueError(f"cells {self.ji_poset.ids_of(mask)} are not an order ideal")
-            el = self._element_of[mask] = self._column_of_mask(mask, self.n)
+            if not self.ji_poset.is_down_closed(bits):
+                raise ValueError(f"cells {self.ji_poset.ids_of(bits)} are not an order ideal")
+            el = self._element_of[bits] = self._column_of_mask(bits, self.n)
         return el
 
     # perfbench names a method's span by the class whose namespace holds it,
@@ -408,16 +412,6 @@ class PluckerLattice(IdealLattice):
     def _cell_bit(self, cell):
         return 1 << self.ji_poset.index(cell)
 
-    def cell_ideal(self, a):
-        """Join-irreducible cells below ``a`` as a set of (r, s) pairs."""
-        return frozenset(self.ji_poset.ids_of(self._mask(a)))
-
-    def element_of_cell(self, cell):
-        return self._element(self.ji_poset.down[self.ji_poset.index(cell)])
-
-    def element_of_cell_ideal(self, cells):
-        return self._element(self.ji_poset.mask_of(cells))
-
     @cached_property
     def partition(self):
         """Diagonal cells are order elements, off-diagonal cells chain elements."""
@@ -425,21 +419,17 @@ class PluckerLattice(IdealLattice):
         off = [c for c in ji_cells(self.n) if c[0] != c[1]]
         return chain_order.ChainOrderPartition.from_sets(self.ji_poset, diag, off)
 
-    def odot(self, a, b):
-        return chain_order.odot_elements(self, self.partition, a, b)
-
     def meet_or_product(self, a, b):
         """The lower factor heading the straightening law of a, b: the meet (M), a . b (N)."""
-        return self.meet(a, b) if self.kind == "M" else self.odot(a, b)
+        if self.kind == "M":
+            return self.meet(a, b)
+        return chain_order.odot_elements(self, self.partition, a, b)
 
     # -- the Pluecker-variable codec -----------------------------------
 
     def signed_key(self, el):
         """``(sign, key)`` with X_el = sign * X_key, ``key`` the increasing column of el."""
-        signed = self._signed_keys.get(el)
-        if signed is None:
-            signed = self._signed_keys[el] = _signed_sort(el)
-        return signed
+        return self._code(el)[1]
 
     def weight_key(self, a):
         """Canonical Pluecker-variable key shared by both lattices."""
@@ -447,31 +437,25 @@ class PluckerLattice(IdealLattice):
 
     def element_of_key(self, key):
         """The element whose Pluecker variable has the canonical key ``key``."""
-        el = self._elements_by_key.get(key)
-        if el is None:
-            el = self._elements_by_key[key] = self._arrange(key)
-        return el
+        return self.key_codes[key][1]
 
     def hasse_json_obj(self):
         return {
             "kind": self.kind,
             "n": self.n,
-            "elements": [",".join(map(str, e)) for e in self.elements],
-            "covers": [
-                [",".join(map(str, a)), ",".join(map(str, b))]
-                for a, b in self.cover_pairs()
-            ],
+            "elements": [key_name(e) for e in self.elements],
+            "covers": [[key_name(a), key_name(b)] for a, b in self.cover_pairs()],
         }
 
     # -- classification ------------------------------------------------
 
     def classify_pair(self, a, b):
-        ma, mb = self._mask(a), self._mask(b)  # ValueError unless both are elements
+        ma, mb = self.mask(a), self.mask(b)  # ValueError unless both are elements
         if a == b:
             raise ComparablePairError("pair elements must be distinct")
         if ma & ~mb == 0 or mb & ~ma == 0:
             raise ComparablePairError(f"{a!r} and {b!r} are comparable")
-        meet, join = self._element(ma & mb), self._element(ma | mb)
+        meet, join = self.element(ma & mb), self.element(ma | mb)
         grade = ma.bit_count()
         is_diamond = (mb.bit_count() == grade
                       and (ma | mb).bit_count() == grade + 1
@@ -517,28 +501,28 @@ class PluckerLattice(IdealLattice):
     def _added_cells(self, a, b, meet):
         """The cells that ``a`` and ``b`` of a diamond pair add to their meet, the larger first."""
         cells = self.ji_poset.elements
-        mm = self._mask(meet)
-        added = [cells[(self._mask(x) & ~mm).bit_length() - 1] for x in (a, b)]
+        mm = self.mask(meet)
+        added = [cells[(self.mask(x) & ~mm).bit_length() - 1] for x in (a, b)]
         return sorted(added, reverse=True)
 
     def _check_special_ideals(self, a, b, meet, join, p1, q1):
         """Cross-check the tuple formulas against the cell-ideal description."""
         (s, t), (u, v) = self._added_cells(a, b, meet)
         check((u, v) == (s - 1, t + 1), "special pairs add a diagonally adjacent cell pair")
-        check(self._mask(p1) == self._mask(meet) & ~self._cell_bit((s - 1, t)),
+        check(self.mask(p1) == self.mask(meet) & ~self._cell_bit((s - 1, t)),
               "the lower factor of a special pair drops the cell under the added square")
-        check(self._mask(q1) == self._mask(join) | self._cell_bit((s, t + 1)),
+        check(self.mask(q1) == self.mask(join) | self._cell_bit((s, t + 1)),
               "the upper factor of a special pair adds the cell right of the added square")
 
     def _classify_n(self, a, b, meet, join):
-        below = self.odot(a, b)
+        below = chain_order.odot_elements(self, self.partition, a, b)
         (s, t), (u, v) = self._added_cells(a, b, meet)
         special = (u, v) == (s - 1, t + 1)
         if not special:
             return PairClassification("diamond_plain", (a, b), meet, join, below=below)
-        check(self._mask(below) == self._mask(meet) & ~self._cell_bit((s - 1, t)),
+        check(self.mask(below) == self.mask(meet) & ~self._cell_bit((s - 1, t)),
               "ideal product of a special pair drops the cell under the added square")
-        above = self._element(self._mask(join) | self._cell_bit((s, t + 1)))
+        above = self.element(self.mask(join) | self._cell_bit((s, t + 1)))
         return PairClassification("diamond_special", (a, b), meet, join,
                                   below=below, above=above, companion=meet)
 
@@ -555,11 +539,11 @@ def ssyt_to_pbw(mlat, a):
     """The lattice isomorphism from kind M to kind N: the PBW column of the same cell ideal."""
     if mlat.kind != "M":
         raise ValueError(f"ssyt_to_pbw maps from a kind-M lattice, got {mlat!r}")
-    return pbw_column_of_mask(mlat._mask(a), mlat.n)
+    return pbw_column_of_mask(mlat.mask(a), mlat.n)
 
 
 def pbw_to_ssyt(nlat, alpha):
     """Inverse isomorphism: the kind-M column of the same cell ideal."""
     if nlat.kind != "N":
         raise ValueError(f"pbw_to_ssyt maps from a kind-N lattice, got {nlat!r}")
-    return m_column_of_mask(nlat._mask(alpha), nlat.n)
+    return m_column_of_mask(nlat.mask(alpha), nlat.n)

@@ -12,10 +12,10 @@ Hibi binomials with their monomial-map exponents, and two independent
 ideal-membership oracles built on minor evaluation.
 
 Lattice elements and canonical columns meet only in the lattice's codec
-(``signed_key``, ``element_of_key``, ``key_codes``; ``canonicalize`` lives
-beside it in ``plucker_lattices``), and the one standardness rule is that a
-monomial's factors are pairwise comparable: their cell masks, found by key,
-nest.  ``is_standard_monomial`` states it; straightening applies it inline.
+(``mask``, ``signed_key``, ``element_of_key``, ``key_codes``; ``canonicalize``
+lives beside it in ``plucker_lattices``), and the one standardness rule is
+that a monomial's factors are pairwise comparable: their cell masks, found by
+key, nest.  ``is_standard_monomial`` states it; straightening applies it inline.
 The pivot is the only rule of straightening that depends on the lattice
 kind: the first slot where the semistandard or the PBW order fails.
 
@@ -303,7 +303,7 @@ def straighten_pair(lat, a, b):
     n <= 7 no pair pops more than a third of that (a test checks it), and a
     pivot rule that cycles ends in ``InvariantError`` once the count is spent.
     """
-    ma, mb = lat.iota_mask(a), lat.iota_mask(b)  # ValueError unless both are elements
+    ma, mb = lat.mask(a), lat.mask(b)  # ValueError unless both are elements
     if ma & ~mb == 0 or mb & ~ma == 0:
         raise ComparablePairError(f"{a!r} and {b!r} are comparable; nothing to straighten")
     sa, ca = lat.signed_key(a)

@@ -35,7 +35,7 @@ from .chain_order import (
     zeta_matrix,
     zeta_prime_matrix,
 )
-from .order_core import CapacityError, InvariantError, Poset, check
+from .order_core import CapacityError, InvariantError, Poset, check, key_name
 from .plucker_lattices import (
     PluckerLattice,
     pbw_lattice,
@@ -454,7 +454,7 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
 
     Rejection-samples against the exact H-representation and returns
     ``(W, rejected)``: ``W`` is the samples-by-keys matrix of the accepted
-    points, its columns the keys of ``center`` in ``cones._key_name`` order,
+    points, its columns the keys of ``center`` in ``key_name`` order,
     and ``rejected`` the number of rejected draws.  Candidates are drawn in
     blocks of at most the number still needed, and each block is tested at
     once by ``cones.contains_many``; the draws, and so the samples, are those
@@ -463,7 +463,7 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     """
     import numpy as np
     rng = random.Random(seed)
-    keys = sorted(center, key=cones._key_name)
+    keys = sorted(center, key=key_name)
     base = [scale * center[k] for k in keys]
     fits = all(type(v) is int and abs(v) + spread < cones._INT64_LIMIT for v in base)
     base_row = np.array(base, dtype=np.int64 if fits else object)
@@ -500,7 +500,7 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
     report.record(cones.contains(minimal, center), ("interior witness", target, n))
     W, rejected = sample_cone_points(minimal, center, CONE_SAMPLES, seed)
     report.notes["rejected_samples"] = rejected
-    keys = sorted(center, key=cones._key_name)  # the sampler's columns
+    keys = sorted(center, key=key_name)  # the sampler's columns
 
     def point(idx):  # a failing sample's weights, for its reproducer
         return dict(zip(keys, W[idx].tolist()))

@@ -5,7 +5,10 @@ and checks the lattice and distributivity axioms when it is built, fully for
 at most ``FULL_AXIOM_LIMIT`` elements and on ``AXIOM_SAMPLES`` seeded random
 triples above that.  The Birkhoff data (``join_irreducibles``,
 ``birkhoff_iso``, ``grading_of``) and ``diamond_pairs`` are computed from the
-tables alone, so they are independent of the library's bitmask formulas.
+tables alone, so they are independent of the library's bitmask formulas.  A
+``DistributiveLattice`` has the element codec of ``IdealLattice``
+(``ji_poset``, ``mask`` and ``element``), and ``cell_ideal`` and
+``element_of_cell_ideal`` read any lattice's codec as sets of join-irreducibles.
 """
 
 import random
@@ -114,14 +117,11 @@ class DistributiveLattice:
         return bottoms[0]
 
     @cached_property
-    def irreducible_poset(self):
+    def ji_poset(self):
         return join_irreducibles(self)
 
     def iota(self, a):
         return birkhoff_iso(self, a)
-
-    def iota_mask(self, a):
-        return self.iota(a).bits
 
     def from_ideal(self, ideal):
         """Inverse of the Birkhoff map: the join of the ideal's members."""
@@ -130,8 +130,11 @@ class DistributiveLattice:
             el = self.join(el, p)
         return el
 
-    def from_ideal_mask(self, poset, bits):
-        return self.from_ideal(OrderIdeal(poset, bits))
+    def mask(self, a):
+        return self.iota(a).bits
+
+    def element(self, bits):
+        return self.from_ideal(OrderIdeal(self.ji_poset, bits))
 
     @cached_property
     def grading(self):
@@ -197,7 +200,7 @@ def join_irreducibles(lattice):
 
 def birkhoff_iso(lattice, a):
     """The order ideal of join-irreducibles below ``a``."""
-    irr = lattice.irreducible_poset
+    irr = lattice.ji_poset
     members = [p for p in irr.elements if lattice.leq(p, a)]
     return OrderIdeal.from_members(irr, members)
 
@@ -211,6 +214,16 @@ def grading_of(lattice):
         if value[hi] != value[lo] + 1:
             raise LatticeError(f"cover {lo!r} -> {hi!r} is not grade-increasing by 1")
     return value
+
+
+def cell_ideal(lattice, a):
+    """The join-irreducibles below ``a`` as a set, read from the lattice's ``mask``."""
+    return frozenset(lattice.ji_poset.ids_of(lattice.mask(a)))
+
+
+def element_of_cell_ideal(lattice, cells):
+    """The element whose ideal of join-irreducibles is the set ``cells``, through ``element``."""
+    return lattice.element(lattice.ji_poset.mask_of(cells))
 
 
 def diamond_pairs(lattice):

@@ -367,7 +367,7 @@ class TestKSetMemo:
         nlat = pbw_lattice(n)
         part, poset = nlat.partition, nlat.ji_poset
         for a, b in nlat.incomparable_pairs():
-            nlat.odot(a, b)  # the ideal products fill the memo
+            odot_elements(nlat, part, a, b)  # the ideal products fill the memo
         ideals = [ideal.bits for ideal in enumerate_order_ideals(poset)]
         assert set(part.k_sets) <= set(ideals)
         for bits in ideals:
@@ -458,7 +458,7 @@ class TestOdot:
         monkeypatch.setattr(Poset, "is_down_closed",
                             lambda self, mask: scans.append(mask) or real(self, mask))
         for (a, b), ideal in expect.items():
-            assert nlat.iota(nlat.odot(a, b)) == ideal
+            assert nlat.iota(odot_elements(nlat, nlat.partition, a, b)) == ideal
         assert scans == []
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -470,8 +470,8 @@ class TestOdot:
         real = OrderIdeal.__post_init__
         monkeypatch.setattr(OrderIdeal, "__post_init__",
                             lambda self: built.append(self.bits) or real(self))
-        got = [nlat.iota_mask(odot_elements(nlat, nlat.partition, a, b)) for a, b in pairs]
-        assert [nlat.iota_mask(nlat.meet_or_product(a, b)) for a, b in pairs] == got
+        got = [nlat.mask(odot_elements(nlat, nlat.partition, a, b)) for a, b in pairs]
+        assert [nlat.mask(nlat.meet_or_product(a, b)) for a, b in pairs] == got
         assert built == []
         assert got == expect
 
@@ -489,8 +489,9 @@ class TestOdot:
 
     def test_products_need_the_lattice_poset(self):
         nlat, other = pbw_lattice(4), pbw_lattice(5)
+        a, b = nlat.diamond_pairs()[0]
         with pytest.raises(PosetError, match="join-irreducible poset"):
-            nlat.from_ideal_mask(other.ji_poset, 0)
+            odot_elements(nlat, other.partition, a, b)
 
     @pytest.mark.parametrize("broken_k, message", [
         (lambda part, bits: bits.bit_count(), "K-set sandwich violated"),
@@ -502,7 +503,7 @@ class TestOdot:
         a, b = nlat.diamond_pairs()[0]
         monkeypatch.setattr(chain_order, "_k_mask", broken_k)
         with pytest.raises(InvariantError, match=message):
-            nlat.odot(a, b)
+            odot_elements(nlat, nlat.partition, a, b)
 
 
 class TestDilationPoints:

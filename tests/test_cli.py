@@ -493,6 +493,32 @@ class TestPointsJson:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
 
+    MALFORMED_VALUES = {"list": "[1]", "object": '{"a": 1}', "null": "null", "true": "true",
+                        "zero-division": '"1/0"', "string": '"ab"', "overflow": "1e400"}
+
+    @pytest.mark.parametrize("flag", ["--weights", "--point"])
+    @pytest.mark.parametrize("case", [*MALFORMED_VALUES, "top-level-list", "top-level-string"])
+    def test_malformed_weights_and_points_are_usage_errors(self, capsys, tmp_path, flag, case):
+        path = tmp_path / "values.json"
+        if case == "top-level-list":
+            path.write_text("[1, 2]")
+        elif case == "top-level-string":
+            path.write_text('"ab"')
+        else:  # every name the command reads holds the value
+            names = ["p", "q"] if flag == "--point" else ["1", "2", "3", "1,2", "1,3", "2,3"]
+            value = self.MALFORMED_VALUES[case]
+            path.write_text("{" + ", ".join(f'"{k}": {value}' for k in names) + "}")
+        if flag == "--weights":
+            argv = ["check-point", "--n", "3", "--target", "SSYT", "--weights", str(path)]
+        else:
+            poset = tmp_path / "poset.json"
+            poset.write_text('{"elements": ["p", "q"], "covers": [["p", "q"]]}')
+            argv = ["polytope", "--poset", str(poset), "--t", "2", "--action", "decompose",
+                    "--point", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_out_file(self, capsys, tmp_path):
         from plueckerfan.chain_order import ChainOrderPartition, dilation_points
         poset_file, _, part = self.files(tmp_path, self.POSETS["escapes"])

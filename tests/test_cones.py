@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lattice_reference import cell_ideal
 from plueckerfan.cones import (
     ALL_TARGETS,
     ConeHRep,
@@ -24,6 +25,7 @@ from plueckerfan.cones import (
     in_K,
     initial_form,
     interior_witness,
+    key_name,
     lead_is_initial_many,
     rho_map,
     sigma_map,
@@ -207,8 +209,8 @@ class TestConvexClassification:
             _, a, b = iq.provenance
             cls = lat.classify_pair(a, b)
             cells = sorted(
-                [next(iter(lat.cell_ideal(cls.pair[0]) - lat.cell_ideal(cls.meet))),
-                 next(iter(lat.cell_ideal(cls.pair[1]) - lat.cell_ideal(cls.meet)))],
+                [next(iter(cell_ideal(lat, cls.pair[0]) - cell_ideal(lat, cls.meet))),
+                 next(iter(cell_ideal(lat, cls.pair[1]) - cell_ideal(lat, cls.meet)))],
                 reverse=True)
             (s, t), _ = cells
             assert res.kind == "meets_in_facet" and res.k_facet == (s - 1, t)
@@ -268,7 +270,7 @@ class TestMinimalImpliesRedundant:
         ]
         for minimal, redundant, center in cases:
             W, _ = verify.sample_cone_points(minimal, center, 50, seed=1)
-            keys = sorted(center, key=verify.cones._key_name)  # the sampler's columns
+            keys = sorted(center, key=key_name)  # the sampler's columns
             assert len(W) == 50
             for row in W.tolist():
                 assert contains(redundant, dict(zip(keys, row)))
@@ -365,7 +367,7 @@ class TestGenericLattices:
             h_cells = cone_hrep("GENHIBI", lattice=nlat)
 
             def as_mask(key):
-                return nlat.iota_mask(nlat.element_of_key(key))
+                return nlat.mask(nlat.element_of_key(key))
 
             rows_generic = {frozenset(iq.form) for iq in h_generic.inequalities}
             rows_cells = {frozenset((as_mask(k), c) for k, c in iq.form)
@@ -379,6 +381,13 @@ def test_weights_json_round_trip():
     w = {c: Fraction(i, 3) for i, c in enumerate(lat.elements)}
     obj = weights_to_json_obj(w)
     assert weights_from_json_obj(json.loads(json.dumps(obj)), lat.elements) == w
+
+
+def test_weights_json_values_and_names():
+    # ints, finite numbers and strings Fraction reads keep their values; any key is named by key_name
+    obj = json.loads('{"5": 3, "x": 0.5, "1,2": "2/6", "7": " -4 "}')
+    assert weights_from_json_obj(obj, [5, "x", (1, 2), 7]) == {
+        5: 3, "x": Fraction(1, 2), (1, 2): Fraction(1, 3), 7: -4}
 
 
 def test_hibi_binomial_initial_at_toric_point():
@@ -595,7 +604,7 @@ class TestConeWriter:
         covers = [(names[i, j], names[i + di, j + dj]) for i, j in names
                   for di, dj in ((1, 0), (0, 1)) if (i + di, j + dj) in names]
         lat = DistributiveLattice.from_poset(Poset.from_covers(list(names.values()), covers))
-        irr = lat.irreducible_poset
+        irr = lat.ji_poset
         part = ChainOrderPartition.from_masks(irr, 1)
         hreps = [cone_hrep("HIBI", lattice=lat), cone_hrep("HIBI_REDUNDANT", lattice=lat),
                  cone_hrep("GENHIBI_REDUNDANT", lattice=lat, partition=part)]

@@ -259,7 +259,8 @@ class TestIdealLattice:
         ref_covers = {(x.bits, y.bits) for x, y in ref.poset.cover_pairs()}
         for a in lat.elements:
             assert grade[to_ref[a]] == lat.grade(a)
-            assert lat.iota(a).bits == lat.iota_mask(a) == a
+            assert lat.iota(a).bits == lat.mask(a) == a
+            assert lat.element(a) == a
             assert lat.from_ideal(lat.iota(a)) == a
             for b in lat.elements:
                 assert lat.leq(a, b) == ref.leq(to_ref[a], to_ref[b])

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_reference import to_distributive_lattice
+from lattice_reference import cell_ideal, element_of_cell_ideal, to_distributive_lattice
 from plueckerfan import cones, plucker_lattices, verify
 from plueckerfan.order_core import CapacityError, OrderIdeal, Poset, PosetError
 from plueckerfan.plucker_lattices import (
@@ -34,7 +34,7 @@ from plueckerfan.plucker_lattices import (
 
 
 def enumerated(kind, n):
-    """A lattice that has enumerated its elements, so its four tables are full."""
+    """A lattice that has enumerated its elements, so its three tables are full."""
     lat = PluckerLattice(kind, n)
     lat.elements
     return lat
@@ -99,7 +99,7 @@ class TestSemistandardLattice:
         for n in (3, 4, 5):
             lat = semistandard_lattice(n)
             for a in lat.elements:
-                assert column_grade(a, n) == len(lat.cell_ideal(a))
+                assert column_grade(a, n) == len(cell_ideal(lat, a))
 
     def test_cover_patterns(self):
         # covers either bump one entry by one, or drop a trailing n
@@ -171,23 +171,23 @@ class TestPBWLattice:
             for a in lat.elements:
                 for b in lat.elements:
                     assert lat.leq(a, b) == (
-                        lat.cell_ideal(a) <= lat.cell_ideal(b))
+                        cell_ideal(lat, a) <= cell_ideal(lat, b))
 
     def test_tableau_from_ideal_examples(self):
         lat = pbw_lattice(3)
-        assert lat.element_of_cell_ideal(frozenset()) == (1,)
-        assert lat.element_of_cell_ideal(lat.cell_ideal((3, 2))) == (3, 2)
+        assert element_of_cell_ideal(lat, frozenset()) == (1,)
+        assert element_of_cell_ideal(lat, cell_ideal(lat, (3, 2))) == (3, 2)
         lat7 = pbw_lattice(7)
         red = {(2, 2), (3, 3), (4, 4), (1, 2), (2, 3), (3, 4), (4, 5),
                (1, 3), (2, 4), (3, 5), (1, 4), (2, 5), (3, 6), (1, 5),
                (2, 6), (1, 6), (1, 7)}
-        assert lat7.element_of_cell_ideal(frozenset(red)) == (7, 2, 6, 5)
+        assert element_of_cell_ideal(lat7, frozenset(red)) == (7, 2, 6, 5)
 
 
 class TestIsomorphism:
     def test_label_examples(self):
         m4 = semistandard_lattice(4)
-        by_ideal = {m4.cell_ideal(a): a for a in m4.elements}
+        by_ideal = {cell_ideal(m4, a): a for a in m4.elements}
         a = by_ideal[frozenset({(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)})]
         assert ssyt_to_pbw(m4, a) == (4, 3)
         assert ssyt_to_pbw(m4, by_ideal[frozenset()]) == (1,)
@@ -311,19 +311,19 @@ class TestLargerWorkedExample:
         # and only the two whose new cells sit diagonally adjacent are special
         lat = pbw_lattice(7)
         c = (7, 2, 6, 5)
-        ideal = lat.cell_ideal(c)
+        ideal = cell_ideal(lat, c)
         above = [e for e in lat.elements if lat.covers(c, e)]
-        added = {next(iter(lat.cell_ideal(e) - ideal)) for e in above}
+        added = {next(iter(cell_ideal(lat, e) - ideal)) for e in above}
         assert added == {(5, 5), (4, 6), (2, 7)}
-        by_cell = {next(iter(lat.cell_ideal(e) - ideal)): e for e in above}
+        by_cell = {next(iter(cell_ideal(lat, e) - ideal)): e for e in above}
         special = lat.classify_pair(by_cell[(5, 5)], by_cell[(4, 6)])
         assert special.verdict == "diamond_special"
         assert lat.classify_pair(by_cell[(5, 5)], by_cell[(2, 7)]).verdict == "diamond_plain"
         assert lat.classify_pair(by_cell[(4, 6)], by_cell[(2, 7)]).verdict == "diamond_plain"
         # the product element drops the cell under the added square and the
         # upper companion adds the cell right of it
-        assert lat.cell_ideal(special.below) == ideal - {(4, 5)}
-        assert lat.cell_ideal(special.above) == (
+        assert cell_ideal(lat, special.below) == ideal - {(4, 5)}
+        assert cell_ideal(lat, special.above) == (
             ideal | {(5, 5), (4, 6), (5, 6)})
 
 
@@ -366,18 +366,18 @@ class TestLazyLattice:
                 lat.check_element(foreign)
             with pytest.raises(ValueError):
                 lat.grade(foreign)
-            assert foreign not in lat._mask_of and "elements" not in lat.__dict__
+            assert foreign not in lat._codes and "elements" not in lat.__dict__
 
     @pytest.mark.parametrize("kind", ["M", "N"])
     def test_conversions_are_kept_as_met(self, kind):
         lat = PluckerLattice(kind, 20)
-        assert lat._mask_of == lat._element_of == {}
+        assert lat._codes == lat._element_of == lat.key_codes == {}
         a, b = lat.element_of_key((3, 4)), lat.element_of_key((2, 5))
         meet = lat.meet(a, b)
-        assert set(lat._mask_of) == {a, b}
-        assert lat._element_of == {lat._mask_of[a] & lat._mask_of[b]: meet}
-        assert lat.grade(meet) == len(lat.cell_ideal(meet))
-        assert set(lat._mask_of) == {a, b, meet}
+        assert set(lat._codes) == {a, b} and set(lat.key_codes) == {(3, 4), (2, 5)}
+        assert lat._element_of == {lat._codes[a][0] & lat._codes[b][0]: meet}
+        assert lat.grade(meet) == len(cell_ideal(lat, meet))
+        assert set(lat._codes) == {a, b, meet} and len(lat.key_codes) == 2
         assert "elements" not in lat.__dict__
 
     @pytest.mark.parametrize("kind", ["M", "N"])
@@ -446,14 +446,14 @@ def reference_operations(kind, n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_mask_operations_match_column_formulas(kind, n):
     lat = PluckerLattice(kind, n)
-    leq, meet, join, grade, cell_ideal = reference_operations(kind, n)
+    leq, meet, join, grade, reference_ideal = reference_operations(kind, n)
     for a in lat.elements:
         assert lat.grade(a) == grade(a)
-        assert lat.cell_ideal(a) == cell_ideal(a)
+        assert cell_ideal(lat, a) == reference_ideal(a)
         ideal = lat.iota(a)
-        assert set(ideal.members()) == cell_ideal(a)
+        assert set(ideal.members()) == reference_ideal(a)
         assert lat.from_ideal(ideal) == a
-        assert lat.element_of_cell_ideal(cell_ideal(a)) == a
+        assert element_of_cell_ideal(lat, reference_ideal(a)) == a
         for b in lat.elements:
             assert lat.leq(a, b) == leq(a, b), (a, b)
             assert lat.comparable(a, b) == (leq(a, b) or leq(b, a)), (a, b)
@@ -465,9 +465,9 @@ def test_mask_operations_match_column_formulas(kind, n):
 def test_mask_conversions_reject_non_ideals(kind):
     for lat in (enumerated(kind, 5), PluckerLattice(kind, 5)):
         with pytest.raises(ValueError):
-            lat.element_of_cell_ideal({(2, 4)})   # (1, 4) and (2, 3) are missing
+            element_of_cell_ideal(lat, {(2, 4)})   # (1, 4) and (2, 3) are missing
         with pytest.raises(ValueError):
-            lat.element_of_cell_ideal({(9, 9)})
+            element_of_cell_ideal(lat, {(9, 9)})
         with pytest.raises(ValueError):
             lat.leq((6,), lat.minimum)
         foreign = Poset.from_leq(ji_cells(5), plucker_lattices.cell_leq)
@@ -522,7 +522,7 @@ def test_one_lattice_shared_by_threads(kind):
         if i < 2:
             expect.insert(150, reference.elements)
         assert out == expect
-    assert lat._mask_of == reference._mask_of and lat._element_of == reference._element_of
+    assert lat._codes == reference._codes and lat._element_of == reference._element_of
 
 
 def test_minimum_and_maximum():
@@ -543,7 +543,7 @@ def test_largest_lattices_agree_with_lazy(kind, n):
     for _ in range(200):
         a, b = rng.sample(full.elements, 2)
         assert full.grade(a) == fresh.grade(a)
-        assert full.cell_ideal(a) == fresh.cell_ideal(a)
+        assert cell_ideal(full, a) == cell_ideal(fresh, a)
         assert full.leq(a, b) == fresh.leq(a, b)
         assert full.meet(a, b) == fresh.meet(a, b)
         assert full.join(a, b) == fresh.join(a, b)
@@ -566,8 +566,7 @@ def reference_codec(kind, el):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_codec_tables_match_the_column_formulas(kind, n):
     lat = enumerated(kind, n)
-    assert len(lat._signed_keys) == len(lat._elements_by_key) == 2 ** n - 2
-    assert len(lat._mask_of) == len(lat._element_of) == 2 ** n - 2
+    assert len(lat._codes) == len(lat._element_of) == len(lat.key_codes) == 2 ** n - 2
     for el in lat.elements:
         signed, back = reference_codec(kind, el)
         assert lat.signed_key(el) == signed
@@ -578,15 +577,15 @@ def test_codec_tables_match_the_column_formulas(kind, n):
 @pytest.mark.parametrize("kind", ["M", "N"])
 def test_lazy_codec_matches_the_column_formulas(kind):
     lat = PluckerLattice(kind, 20)
-    assert lat._signed_keys == lat._elements_by_key == {}
+    assert lat._codes == lat.key_codes == {}
     rng = random.Random(20)
     for _ in range(300):
         key = tuple(sorted(rng.sample(range(1, 21), rng.randint(1, 19))))
         el = key if kind == "M" else pbw_arrange(key)
         assert el in lat
         signed, back = reference_codec(kind, el)
-        assert lat.signed_key(el) == lat._signed_keys[el] == signed
-        assert lat.element_of_key(key) == lat._elements_by_key[key] == back == el
+        assert lat.signed_key(el) == lat._codes[el][1] == signed
+        assert lat.element_of_key(key) == lat.key_codes[key][1] == back == el
     assert "elements" not in lat.__dict__
 
 

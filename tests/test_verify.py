@@ -132,7 +132,7 @@ def test_sampler_raises_under_python_O(python_env):
 
 def reference_sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     rng = random.Random(seed)
-    keys = sorted(center, key=cones._key_name)
+    keys = sorted(center, key=cones.key_name)
     points = []
     rejected = 0
     attempts = 0
@@ -152,7 +152,7 @@ def reference_sample_cone_points(hrep, center, count, seed, scale=16, spread=12)
 def as_points(sampled, center):
     """The sampler's ``(W, rejected)`` with W's rows as weight dicts, as the reference returns."""
     W, rejected = sampled
-    keys = sorted(center, key=cones._key_name)
+    keys = sorted(center, key=cones.key_name)
     return [dict(zip(keys, row)) for row in W.tolist()], rejected
 
 
