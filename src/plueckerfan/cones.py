@@ -177,29 +177,9 @@ def contains(hrep, weights):
     return all(ineq.holds(weights) for ineq in hrep.inequalities)
 
 
-def contains_closure(hrep, weights):
-    return all(ineq.holds_nonstrict(weights) for ineq in hrep.inequalities)
-
-
 # -- batched twins of contains and initial_form ---------------------------------
 
 _INT64_LIMIT = 1 << 63
-
-
-def weight_matrix(points, keys):
-    """Weight dicts as a samples-by-keys array, column-major so each key's samples are contiguous.
-
-    The array is int64 when every weight is an ``int`` that fits, else an
-    ``object`` array of the exact values.
-    """
-    import numpy as np  # on first use, as in chain_order
-
-    def values():  # key by key, so the transpose of the filled array is column-major
-        return (w[k] for k in keys for w in points)
-
-    fits = all(type(v) is int and -_INT64_LIMIT < v < _INT64_LIMIT for v in values())
-    W = np.fromiter(values(), dtype=np.int64 if fits else object, count=len(points) * len(keys))
-    return W.reshape(len(keys), len(points)).T
 
 
 def _exact_columns(keys, W, l1):
@@ -437,7 +417,9 @@ class FacetCounts:
 
 
 def facet_count(n):
-    """Enumerated facet counts, cross-checked against the closed formulas."""
+    """Enumerated facet counts, cross-checked against the closed formulas; n >= 2."""
+    if n < 2:
+        raise ValueError(f"facet counts need n >= 2, got {n}")
     if n < 3:
         return FacetCounts(n, 0, 0, 0, 0)
     mlat = semistandard_lattice(n)

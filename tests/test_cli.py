@@ -91,6 +91,13 @@ class TestStraighten:
                            "--pair", "1,4 2,3", "--oracle", "symbolic")
         assert code == 3 and err.startswith("capacity:")
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "straighten", "--kind", "M", "--n", "4", "--pair", "1,4 2,3",
+                             "--oracle", "probabilistic", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must be at least 1, got {trials}\n"
+
 
 class TestCone:
     def test_ssyt3(self, capsys):
@@ -179,6 +186,12 @@ class TestVerifyAndFacets:
         code, out, _ = run(capsys, "facets", "--n", "4")
         assert json.loads(out) == {
             "n": 4, "ssyt_total": 8, "diamond": 5, "special": 3, "pbw_total": 8}
+
+    @pytest.mark.parametrize("n", ["1", "-1"])
+    def test_facets_below_two_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "facets", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: facet counts need n >= 2, got {n}\n"
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "counts", "--n", "4")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lattice_reference import cell_ideal
+from oracle_reference import weight_matrix
 from plueckerfan.cones import (
     ALL_TARGETS,
     ConeHRep,
@@ -17,7 +18,6 @@ from plueckerfan.cones import (
     classify_facet_vs_subcone,
     cone_hrep,
     contains,
-    contains_closure,
     contains_many,
     facet_count,
     facet_witness,
@@ -29,7 +29,6 @@ from plueckerfan.cones import (
     lead_is_initial_many,
     rho_map,
     sigma_map,
-    weight_matrix,
     weights_from_json_obj,
     weights_to_json_obj,
 )
@@ -82,7 +81,7 @@ class TestContains:
         h = cone_hrep("SSYT", n=3)
         zero = {c: 0 for c in semistandard_lattice(3).elements}
         assert not contains(h, zero)
-        assert contains_closure(h, zero)
+        assert all(ineq.holds_nonstrict(zero) for ineq in h.inequalities)  # in the closure
 
     def test_interior_witnesses(self):
         for n in (3, 4, 5):
@@ -143,6 +142,11 @@ class TestFacetCounts:
 
     def test_below_three(self):
         assert facet_count(2).ssyt_total == 0
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_below_two_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            facet_count(n)
 
 
 class TestParameterCone:

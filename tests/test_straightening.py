@@ -1,15 +1,25 @@
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_reference import (
+    append_columns,
+    apply_index_permutation,
+    exchange_relation_loop,
+    hibi_grevlex_initial,
+    plucker_eval,
+    standard_expansion_mod_p,
+)
 from plueckerfan.plucker_lattices import (
     ComparablePairError,
     PluckerLattice,
@@ -23,25 +33,21 @@ from plueckerfan import plucker_lattices, straightening, verify
 from plueckerfan.order_core import CapacityError, InvariantError
 from plueckerfan.straightening import (
     ORACLE_PRIME,
-    apply_index_permutation,
-    append_columns,
+    ShapeError,
     canonicalize,
     deg_vector,
     exchange_relation,
     hibi_generator,
-    hibi_grevlex_initial,
     ideal_membership,
     minor_mod_p,
     MinorTable,
     monomial,
     monomials_of_degree,
-    plucker_eval,
     psi_exponent,
     random_matrix,
     rank_mod_p,
     shuffle_relation,
     standard_basis_check,
-    standard_expansion_mod_p,
     straighten_pair,
     straightening_terms,
     symbolic_pi_expand,
@@ -56,6 +62,8 @@ from plueckerfan.straightening import (
     _shuffle_sums,
     _terms_mod_p,
 )
+
+TESTS = str(Path(__file__).resolve().parent)  # where oracle_reference lives
 
 EXAMPLE_GR24 = {
     monomial(((1, 4), (2, 3))): Fraction(1),
@@ -198,6 +206,28 @@ class TestExchangeRelation:
                        (exchange_relation((1, 3, 5), (2, 4), 1), 5)):
             assert ideal_membership(rel, n).member
 
+    def test_view_matches_the_exchange_loop(self):
+        count = 0
+        for n in range(2, 7):
+            for a, b in itertools.product(all_columns(n), repeat=2):
+                if len(a) < len(b):
+                    continue
+                for r in range(1, len(b) + 1):
+                    assert exchange_relation(a, b, r, n) == exchange_relation_loop(a, b, r, n)
+                    count += 1
+        assert count == 7416
+
+    def test_unsorted_columns_give_canonical_monomials(self):
+        rel = exchange_relation((4, 1), (3, 2), 1)
+        assert rel and all(list(col) == sorted(col) for mono in rel for col in mono)
+        assert rel[monomial(((1, 4), (2, 3)))] == 1
+        assert ideal_membership(rel, 4).member
+
+    @pytest.mark.parametrize("a, b, r", [((1,), (2, 3), 1), ((1, 2), (3,), 0), ((1, 2), (3,), 2)])
+    def test_shape_errors(self, a, b, r):
+        with pytest.raises(ShapeError):
+            exchange_relation(a, b, r)
+
 
 class TestShuffleRelation:
     def test_matches_grassmannian_example(self):
@@ -215,6 +245,12 @@ class TestShuffleRelation:
         rel = shuffle_relation((5, 1, 3), (4, 2), 2)
         assert rel[monomial(((1, 3, 5), (2, 4)))] == 1
         assert ideal_membership(rel, 5).member
+
+    @pytest.mark.parametrize("build", [shuffle_relation, exchange_relation])
+    def test_indices_out_of_range_rejected(self, build):
+        with pytest.raises(ValueError, match="index out of range"):
+            build((1, 9), (2, 3), 1, 4)
+        assert build((1, 9), (2, 3), 1)  # without n no range is known
 
     def test_membership_various(self):
         cases = [((1, 3, 5), (2, 4), 5, 2), ((2, 4), (1, 3), 4, 1), ((1, 2, 4), (3,), 4, 1)]
@@ -409,6 +445,13 @@ class TestMembership:
         for a, b in lat.incomparable_pairs():
             assert ideal_membership(straighten_pair(lat, a, b), 4).member
 
+    @pytest.mark.parametrize("mode", ["probabilistic", "symbolic"])
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, mode, trials):
+        for poly in (EXAMPLE_GR24, {}):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                ideal_membership(poly, 4, mode=mode, trials=trials)
+
     def test_standard_monomial_is_not_member(self):
         verdict = ideal_membership({monomial(((1, 2), (3, 4))): 1}, 4)
         assert not verdict.member
@@ -512,6 +555,16 @@ class TestSymbolicExpansion:
 
     def test_relation_expands_to_zero(self):
         assert symbolic_pi_expand(EXAMPLE_GR24, 4) == {}
+
+    def test_minor_terms_carry_permutation_parities(self):
+        for k in range(1, 7):
+            cols = tuple(range(2, k + 2))
+            minor = straightening._symbolic_minor(cols)
+            assert len(minor) == math.factorial(k)
+            for perm in itertools.permutations(range(k)):
+                cells = tuple(sorted((r + 1, cols[perm[r]]) for r in range(k)))
+                inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2))
+                assert minor[cells] == (-1) ** inversions
 
 
 class TestIndexPermutation:
@@ -802,21 +855,23 @@ def standard_rule_with_one_bad_pair():
 # a standard monomial of X14 X23 = X13 X24 - X12 X34 dropped from the candidates:
 # the evaluation system has no solution, under python -O too
 EXPANSION_WITHOUT_ONE_MONOMIAL = (
+    "import oracle_reference\n"
     "from plueckerfan import straightening\n"
     "from plueckerfan.order_core import InvariantError\n"
     "from plueckerfan.plucker_lattices import semistandard_lattice\n"
     "real = straightening.is_standard_monomial\n"
     "straightening.is_standard_monomial = lambda lat, m: m != ((1, 3), (2, 4)) and real(lat, m)\n"
     "try:\n"
-    "    straightening.standard_expansion_mod_p(semistandard_lattice(4), (1, 4), (2, 3))\n"
+    "    oracle_reference.standard_expansion_mod_p(semistandard_lattice(4), (1, 4), (2, 3))\n"
     "except InvariantError as exc:\n"
     "    print('InvariantError:', exc)\n")
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_expansion_without_a_standard_monomial_raises(python_env, flags):
+    env = dict(python_env, PYTHONPATH=os.pathsep.join([python_env["PYTHONPATH"], TESTS]))
     proc = subprocess.run([sys.executable, *flags, "-c", EXPANSION_WITHOUT_ONE_MONOMIAL],
-                          capture_output=True, text=True, timeout=120, env=python_env)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "InvariantError: evaluation system is inconsistent\n"
 
