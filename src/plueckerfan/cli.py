@@ -186,7 +186,7 @@ def _emit_points(poset, rows, args):
 def cmd_verify(args):
     report = verify.run_suite(args.suite, n=args.n, seed=args.seed)
     # wall time goes to stderr so repeated runs stay byte-identical on stdout
-    _emit(report.to_json_obj(with_timing=False), args)
+    _emit(report.to_json_obj(), args)
     print(f"{report.suite}: {report.checks} checks, {len(report.failures)} failures, "
           f"{report.elapsed_s:.1f}s", file=sys.stderr)
     return min(len(report.failures), 125)

@@ -32,12 +32,15 @@ pairs of the two factor lengths, so a pivot rule that cycles ends in
 ``InvariantError``.  The evaluation oracles (probabilistic membership and
 the standard-basis rank check) read products of top-justified minors from
 one minor table per random matrix.  A table computes a minor on first use
-and keeps it, in closed form for up to four columns and by ``minor_mod_p``
-for more; the tables of a seed's matrices are kept behind a small bounded
-cache and shared between calls.  Membership evaluates a relation in one loop
-over its tables and terms: ``int`` coefficients are reduced as they are, a
-table's sum is reduced once, and the loop stops at the first table where the
-relation does not vanish.
+and keeps it: a column of at most four entries by expansion along its last
+row over the table's own shorter minors, a longer one by ``minor_mod_p``.
+The first ``_KEPT_DRAWS`` (128) tables of a seed are the only ones there
+are; they are kept behind a small bounded cache and shared between calls,
+and a request for more is a ``CapacityError``.  Membership evaluates the
+whole relation in one loop over its tables and terms: ``int`` coefficients
+are reduced as they are, a table's sum is reduced once, and the loop stops
+at the first table where the relation does not vanish.  The symbolic oracle
+expands minors along the same last row, over cells instead of entries.
 
 The rank check runs one forward elimination over the oracle prime, with
 early exit at full rank; the standard-expansion solve of the test reference
@@ -57,12 +60,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 from .chain_order import k_set, odot_elements
 from .order_core import CapacityError, InvariantError, check
-from .plucker_lattices import ComparablePairError, _signed_sort, canonicalize
+from .plucker_lattices import ComparablePairError, canonicalize
 
 ORACLE_PRIME = (1 << 62) - 57  # 62-bit prime
 SYMBOLIC_DEGREE_LIMIT = 3
@@ -79,14 +82,6 @@ class ShapeError(ValueError):
 def monomial(columns):
     """Canonical monomial: columns sorted by (length descending, entries)."""
     return tuple(sorted(columns, key=lambda c: (-len(c), c)))
-
-
-def deg_vector(mono, n):
-    """Count of factors of each length 1..n-1."""
-    out = [0] * (n - 1)
-    for col in mono:
-        out[len(col) - 1] += 1
-    return tuple(out)
 
 
 def wt_vector(mono, n):
@@ -109,8 +104,8 @@ def poly_add_term(poly, mono, coeff):
 def _signature(mono):
     """The factor lengths and the entries of a monomial, each sorted.
 
-    Two monomials share their ``deg_vector`` and their ``wt_vector`` exactly
-    when they share this one value.
+    Two monomials share their multiset of factor lengths and their
+    ``wt_vector`` exactly when they share this one value.
     """
     if len(mono) == 2:  # every straightening term
         x, y = mono
@@ -420,8 +415,8 @@ def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
     Each elimination step replaces a row below the pivot row by pivot * row
     - factor * pivot row, which scales the determinant by the pivot; the
     product of those scales is divided out with one inverse at the end.
-    The one scalar minor evaluator; ``MinorTable`` uses it for columns longer
-    than four and the closed forms of ``_small_minor`` below that.
+    ``MinorTable`` uses it for columns longer than four, where a cofactor
+    expansion would grow like k!; its cost grows like k^3.
     """
     k = len(cols)
     sub = [[matrix[i][c - 1] % p for c in cols] for i in range(k)]
@@ -448,45 +443,14 @@ def minor_mod_p(matrix, cols, p=ORACLE_PRIME):
     return det * pow(scale, -1, p) % p
 
 
-def _small_minor(matrix, cols):
-    """The exact determinant of rows 1..k and the given columns, k <= 4, in closed form.
-
-    k = 1, 2, 3 are the entry, ad - bc and the expansion along the first row;
-    k = 4 is the Laplace expansion along rows 1-2, over the six 2x2 minors of
-    rows 1-2 and of rows 3-4.
-    """
-    k = len(cols)
-    r0 = matrix[0]
-    if k == 1:
-        return r0[cols[0] - 1]
-    r1 = matrix[1]
-    if k == 2:
-        i, j = cols[0] - 1, cols[1] - 1
-        return r0[i] * r1[j] - r0[j] * r1[i]
-    r2 = matrix[2]
-    if k == 3:
-        i, j, l = cols[0] - 1, cols[1] - 1, cols[2] - 1
-        a, b, c = r1[i], r1[j], r1[l]
-        d, e, f = r2[i], r2[j], r2[l]
-        return r0[i] * (b * f - c * e) - r0[j] * (a * f - c * d) + r0[l] * (a * e - b * d)
-    r3 = matrix[3]
-    i, j, l, m = cols[0] - 1, cols[1] - 1, cols[2] - 1, cols[3] - 1
-    a, b, c, d = r0[i], r0[j], r0[l], r0[m]
-    e, f, g, h = r1[i], r1[j], r1[l], r1[m]
-    w, x, y, z = r2[i], r2[j], r2[l], r2[m]
-    s, t, u, v = r3[i], r3[j], r3[l], r3[m]
-    return ((a * f - b * e) * (y * v - z * u) - (a * g - c * e) * (x * v - z * t)
-            + (a * h - d * e) * (x * u - y * t) + (b * g - c * f) * (w * v - z * s)
-            - (b * h - d * f) * (w * u - y * s) + (c * h - d * g) * (w * t - x * s))
-
-
 class MinorTable(dict):
     """Top-justified minors of one matrix mod p, keyed by canonical column.
 
     An entry is computed on its first lookup and kept, so the table holds
-    only the columns asked for: in closed form (``_small_minor``) for a
-    column of length <= 4, by ``minor_mod_p`` for a longer one.  The empty
-    column maps to 1.
+    only the columns asked for and, below five entries, their sub-columns:
+    a column of length k <= 4 is expanded along row k over the table's own
+    minors of its (k-1)-subsets, and a longer one goes to ``minor_mod_p``.
+    The empty column maps to 1.
     """
 
     def __init__(self, matrix, p=ORACLE_PRIME):
@@ -494,14 +458,18 @@ class MinorTable(dict):
         self.matrix, self.p = matrix, p
 
     def __missing__(self, col):
-        if len(col) <= 4:
-            value = self[col] = _small_minor(self.matrix, col) % self.p
+        k = len(col)
+        if k > 4:
+            value = minor_mod_p(self.matrix, col, self.p)
         else:
-            value = self[col] = minor_mod_p(self.matrix, col, self.p)
+            row = self.matrix[k - 1]
+            value = sum((-1) ** (k + j + 1) * row[c - 1] * self[col[:j] + col[j + 1:]]
+                        for j, c in enumerate(col)) % self.p
+        self[col] = value
         return value
 
 
-_KEPT_DRAWS = 1024  # minor tables kept per (n, seed)
+_KEPT_DRAWS = 128  # minor tables kept per (n, seed), and the most any call may ask for
 _DRAWS_LOCK = threading.Lock()  # kept draws must come off the generator in order
 
 
@@ -517,11 +485,11 @@ def _seed_minor_tables(n, seed, count):
     Every oracle call re-seeds its generator, so all calls at one seed see
     the same matrices.  Up to ``_KEPT_DRAWS`` tables per (n, seed), with the
     minors already computed in them, are kept behind a small bounded cache
-    and serve later calls; a longer request draws afresh and keeps nothing.
+    and serve later calls; a longer request is a ``CapacityError``.
     """
     if count > _KEPT_DRAWS:
-        rng = random.Random(seed)
-        return (MinorTable(random_matrix(n, rng)) for _ in range(count))
+        raise CapacityError(f"evaluation oracle limited to {_KEPT_DRAWS} random matrices "
+                            f"per seed, got {count}")
     rng, tables = _seed_draws(n, seed)
     with _DRAWS_LOCK:
         while len(tables) < count:
@@ -577,13 +545,22 @@ def random_matrix(n, rng, p=ORACLE_PRIME):
 
 
 def _symbolic_minor(cols):
-    """Leibniz expansion of the top-justified minor into (cells tuple) -> sign."""
+    """The top-justified minor as (sorted cells tuple) -> sign, a cell being (row, column).
+
+    The expansion of ``MinorTable`` along row k over the (k-1)-subsets, on
+    cells: every term of a (k-1)-subset lies in rows below k, so appending
+    the cell (k, c) keeps it sorted, and the entries of a canonical column
+    are distinct, so no two terms share their cells.
+    """
     k = len(cols)
+    if not k:
+        return {(): 1}
     out = {}
-    for perm in permutations(range(k)):
-        cells = tuple(sorted((r + 1, cols[perm[r]]) for r in range(k)))
-        out[cells] = out.get(cells, 0) + _signed_sort(perm)[0]
-    return {c: s for c, s in out.items() if s}
+    for j, c in enumerate(cols):
+        sign = (-1) ** (k + j + 1)
+        for cells, s in _symbolic_minor(cols[:j] + cols[j + 1:]).items():
+            out[cells + ((k, c),)] = sign * s
+    return out
 
 
 def symbolic_pi_expand(poly, n):
@@ -613,30 +590,26 @@ def ideal_membership(poly, n, mode="probabilistic", trials=20, seed=0):
 
     Symbolic mode expands products of minors exactly (guarded by size) and
     tests identical vanishing; probabilistic mode evaluates at seeded random
-    matrices over a 62-bit prime and reports the Schwartz-Zippel bound;
-    ``trials`` below 1 is a ``ValueError`` in either mode.
+    matrices over a 62-bit prime and reports the Schwartz-Zippel bound
+    (d/p)^trials, d the largest total degree of a term; ``trials`` below 1
+    is a ``ValueError`` in either mode, and above ``_KEPT_DRAWS`` a
+    ``CapacityError`` in probabilistic mode.  The whole polynomial is tested
+    at once: a factor of length k is a minor of rows 1..k, so parts with
+    different factor lengths have different row degrees in the matrix
+    entries, and their images cannot cancel.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not poly:
         return MembershipVerdict(True, mode, Fraction(0) if mode == "probabilistic" else None)
-    components = {}
-    for mono, coeff in poly.items():
-        components.setdefault(deg_vector(mono, n), {})[mono] = coeff
-    if len(components) > 1:
-        verdicts = [ideal_membership(c, n, mode, trials, seed) for c in components.values()]
-        bound = sum((v.failure_bound or Fraction(0) for v in verdicts), Fraction(0))
-        return MembershipVerdict(all(v.member for v in verdicts), mode,
-                                 bound if mode == "probabilistic" else None)
-    total_degree = sum(deg_vector(next(iter(poly)), n)[k] * (k + 1) for k in range(n - 1))
     if mode == "symbolic":
-        if sum(deg_vector(next(iter(poly)), n)) > SYMBOLIC_DEGREE_LIMIT or n > SYMBOLIC_N_LIMIT:
+        if max(map(len, poly)) > SYMBOLIC_DEGREE_LIMIT or n > SYMBOLIC_N_LIMIT:
             raise CapacityError("symbolic oracle limited to total degree <= "
                                 f"{SYMBOLIC_DEGREE_LIMIT} with n <= {SYMBOLIC_N_LIMIT}")
         return MembershipVerdict(not symbolic_pi_expand(poly, n), "symbolic")
     member = not _first_value(_terms_mod_p(poly), _seed_minor_tables(n, seed, trials))
-    bound = Fraction(total_degree, ORACLE_PRIME) ** trials
-    return MembershipVerdict(member, "probabilistic", bound)
+    degree = max(sum(map(len, mono)) for mono in poly)
+    return MembershipVerdict(member, "probabilistic", Fraction(degree, ORACLE_PRIME) ** trials)
 
 
 # -- rank over the oracle prime -------------------------------------------

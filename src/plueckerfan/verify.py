@@ -73,8 +73,9 @@ class SuiteReport:
     def ok(self):
         return not self.failures
 
-    def to_json_obj(self, with_timing=True):
-        out = {
+    def to_json_obj(self):
+        """The report without its wall time, so that equal runs give equal objects."""
+        return {
             "suite": self.suite,
             "n": self.n,
             "seed": self.seed,
@@ -82,9 +83,6 @@ class SuiteReport:
             "failures": [repr(f) for f in self.failures],
             "notes": {k: repr(v) for k, v in sorted(self.notes.items())},
         }
-        if with_timing:
-            out["elapsed_s"] = round(self.elapsed_s, 3)
-        return out
 
 
 def _size(n, default, least):
@@ -233,16 +231,18 @@ def stack_systems(hreps):
     """The inequality systems of ``hreps``, all over one poset, as int64 arrays (A, b).
 
     ``A`` has shape (P, R, size) and ``b`` shape (P, R), with R the row count
-    of the longest system; shorter systems are padded with zero rows (0 <= 0).
+    of the longest system; each system is its ``PolytopeHRep.arrays()``, and
+    shorter systems are padded with zero rows (0 <= 0).
     """
     import numpy as np
     depth = max(len(hrep.rows) for hrep in hreps)
-    zero = (0,) * len(hreps[0].poset)
-    A = np.array([[row for row, _ in hrep.rows] + [zero] * (depth - len(hrep.rows))
-                  for hrep in hreps], dtype=np.int64)
-    b = np.array([[bound for _, bound in hrep.rows] + [0] * (depth - len(hrep.rows))
-                  for hrep in hreps], dtype=np.int64)
-    return A.reshape(len(hreps), depth, len(zero)), b
+    A = np.zeros((len(hreps), depth, len(hreps[0].poset)), dtype=np.int64)
+    b = np.zeros((len(hreps), depth), dtype=np.int64)
+    for i, hrep in enumerate(hreps):
+        rows, bounds = hrep.arrays()
+        A[i, :len(bounds)] = rows
+        b[i, :len(bounds)] = bounds
+    return A, b
 
 
 def binding_rows(A, b):

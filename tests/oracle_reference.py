@@ -3,6 +3,7 @@
 - ``exchange_relation_loop`` is the classical exchange loop that
   ``straightening.exchange_relation`` replaced with a view of the shuffle core.
 - ``append_columns`` and ``apply_index_permutation`` transform relations.
+- ``deg_vector`` counts the factors of each length of a monomial.
 - ``hibi_grevlex_initial`` is the graded reverse lex initial term of a binomial.
 - ``plucker_eval`` evaluates a relation at one matrix.
 - ``standard_expansion_mod_p`` solves for a product of two lattice elements
@@ -26,12 +27,19 @@ from plueckerfan.straightening import (
     _seed_minor_tables,
     _terms_mod_p,
     assert_bihomogeneous,
-    deg_vector,
     monomial,
     monomials_of_degree,
     poly_add_term,
     wt_vector,
 )
+
+
+def deg_vector(mono, n):
+    """Count of factors of each length 1..n-1."""
+    out = [0] * (n - 1)
+    for col in mono:
+        out[len(col) - 1] += 1
+    return tuple(out)
 
 
 def exchange_relation_loop(col_a, col_b, r, n=None):

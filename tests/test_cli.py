@@ -4,7 +4,9 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +99,25 @@ class TestStraighten:
                              "--oracle", "probabilistic", "--trials", trials)
         assert (code, out) == (2, "")
         assert err == f"error: trials must be at least 1, got {trials}\n"
+
+    @pytest.mark.parametrize("trials", ["129", "231", "100000000"])
+    def test_trials_past_the_kept_draws_is_capacity(self, capsys, trials):
+        # refused before any draw, and before a bound whose denominator p^trials could not print
+        start = time.perf_counter()
+        code, out, err = run(capsys, "straighten", "--kind", "M", "--n", "4", "--pair", "1,4 2,3",
+                             "--oracle", "probabilistic", "--trials", trials)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("capacity: evaluation oracle limited to 128 random matrices per seed, "
+                       f"got {trials}\n")
+
+    def test_trials_at_the_kept_draws(self, capsys):
+        code, out, _ = run(capsys, "straighten", "--kind", "M", "--n", "4", "--pair", "1,4 2,3",
+                           "--oracle", "probabilistic", "--trials", "128")
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["member"] is True
+        assert oracle["failure_bound"] == str(Fraction(4, straightening.ORACLE_PRIME) ** 128)
 
 
 class TestCone:

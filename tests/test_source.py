@@ -45,6 +45,18 @@ def test_numpy_is_imported_on_first_use():
     assert found == []
 
 
+def test_oracle_helpers_left_the_library():
+    # deg_vector serves only the tests (tests/oracle_reference.py); short minors are expanded
+    # over the minor table, and the symbolic minor by the same expansion, with no permutations
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+    defined = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"deg_vector", "_small_minor"}.isdisjoint(defined)
+    imported = {alias.name for node in ast.walk(trees["straightening"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {"permutations", "_signed_sort"}.isdisjoint(imported)
+
+
 # public names kept as library API although nothing in src/ or scripts/ calls them
 API = {
     "straightening.shuffle_relation": "the Sylvester-Pluecker shuffle relations of the paper",

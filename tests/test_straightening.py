@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from oracle_reference import (
     append_columns,
     apply_index_permutation,
+    deg_vector,
     exchange_relation_loop,
     hibi_grevlex_initial,
     plucker_eval,
@@ -35,7 +36,6 @@ from plueckerfan.straightening import (
     ORACLE_PRIME,
     ShapeError,
     canonicalize,
-    deg_vector,
     exchange_relation,
     hibi_generator,
     ideal_membership,
@@ -55,6 +55,7 @@ from plueckerfan.straightening import (
     theta_to_psi,
     weyl_dimension,
     wt_vector,
+    _KEPT_DRAWS,
     _first_value,
     _monomial_value,
     _seed_draws,
@@ -465,15 +466,31 @@ class TestMembership:
         big = {monomial(((1, 2), (3, 4), (1, 3), (2, 4))): 1}
         with pytest.raises(CapacityError):
             ideal_membership(big, 4, mode="symbolic")
+        # the guard reads every term, not the first one
+        mixed = {monomial(((1, 2), (3, 4))): 1, monomial(((1,), (2,), (3,), (4,))): 1}
+        for poly in (mixed, dict(reversed(mixed.items()))):
+            with pytest.raises(CapacityError):
+                ideal_membership(poly, 4, mode="symbolic")
 
     def test_inhomogeneous_split(self):
+        # one polynomial of two deg_vectors is tested whole, under the bound of its largest degree
         mixed = dict(EXAMPLE_GR24)
         flag = straighten_pair(semistandard_lattice(4), (2, 4), (1,))
         for m, c in flag.items():
             mixed[m] = mixed.get(m, 0) + c
+        assert len({deg_vector(m, 4) for m in mixed}) == 2
         verdict = ideal_membership(mixed, 4)
         assert verdict.member
-        assert verdict.failure_bound > 0
+        assert verdict.failure_bound == Fraction(4, ORACLE_PRIME) ** 20
+
+    @pytest.mark.parametrize("seed, trials", [(0, 20), (1, 3), (7, 1)])
+    def test_inhomogeneous_non_member_is_refused(self, seed, trials):
+        # parts of different factor lengths live in different row degrees and cannot cancel
+        flag = straighten_pair(semistandard_lattice(4), (2, 4), (1,))
+        for member, other in ((EXAMPLE_GR24, {monomial(((1, 3), (2,))): 1}),
+                              (flag, {monomial(((1, 2), (3, 4))): 1})):
+            assert {deg_vector(m, 4) for m in member}.isdisjoint(deg_vector(m, 4) for m in other)
+            assert not ideal_membership({**member, **other}, 4, trials=trials, seed=seed).member
 
     def test_failure_bound_shape(self):
         verdict = ideal_membership(EXAMPLE_GR24, 4, trials=7, seed=3)
@@ -1063,17 +1080,24 @@ class TestMinorTable:
             assert sorted(table) == sorted(cols)
 
     def test_holds_only_queried_columns(self):
+        # a short column is expanded over its sub-columns, which the table keeps
         table = MinorTable(random_matrix(20, random.Random(0)))
         assert table[(2, 5, 11)] == minor_mod_p(table.matrix, (2, 5, 11))
-        assert sorted(table) == [(), (2, 5, 11)]
+        assert sorted(table) == sorted(sub for k in range(4)
+                                       for sub in itertools.combinations((2, 5, 11), k))
+        # a column of five entries is eliminated on its own
+        table = MinorTable(random_matrix(20, random.Random(1)))
+        assert table[(1, 4, 6, 9, 17)] == minor_mod_p(table.matrix, (1, 4, 6, 9, 17))
+        assert sorted(table) == [(), (1, 4, 6, 9, 17)]
 
     def test_seed_tables_use_the_seeded_matrices(self):
         rng = random.Random(4)
         expected = [random_matrix(5, rng) for _ in range(3)]
         assert [t.matrix for t in _seed_minor_tables(5, 4, 3)] == expected
-        # longer requests extend the kept draws; past the cap nothing is kept
+        # shorter requests read the kept draws; past the cap nothing is drawn or kept
         assert [t.matrix for t in _seed_minor_tables(5, 4, 2)] == expected[:2]
-        assert [t.matrix for t in itertools.islice(_seed_minor_tables(5, 4, 5000), 3)] == expected
+        with pytest.raises(CapacityError, match=f"limited to {_KEPT_DRAWS} random matrices"):
+            _seed_minor_tables(5, 4, _KEPT_DRAWS + 1)
         assert len(_seed_draws(5, 4)[1]) == 3
 
     def test_concurrent_draws_match_the_seeded_matrices(self):
@@ -1113,7 +1137,10 @@ class TestMinorTable:
         start = time.perf_counter()
         assert ideal_membership(rel, 20, seed=seed).member
         assert time.perf_counter() - start < 2.0
-        columns = {()} | {c for mono in rel for c in mono}
+        # a column of at most four entries also leaves its sub-columns in the table
+        columns = {sub for mono in rel for c in mono
+                   for k in (range(len(c) + 1) if len(c) <= 4 else (0, len(c)))
+                   for sub in itertools.combinations(c, k)}
         assert all(set(t) <= columns for t in _seed_minor_tables(20, seed, 20))
 
 
