@@ -481,13 +481,6 @@ class XiPoint:
     def c_dict(self):
         return dict(self.c)
 
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "z": {f"{s},{t}": str(Fraction(v)) for (s, t), v in self.z},
-            "c": {str(k): str(Fraction(v)) for k, v in self.c},
-        }
-
 
 def sigma_map(n, xi):
     """Weights on columns: sum of z over (row, entry) cells plus the length shift."""

@@ -24,7 +24,6 @@ element and its Pluecker variable (``canonicalize`` and ``pbw_arrange``), and
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -89,37 +88,19 @@ def is_pbw_column(alpha, n):
 
 
 SIGNED_SORT_MEMO = 1 << 12  # arrangements whose result ``canonicalize`` keeps
-_signed_sorts = {}
-_signed_sorts_lock = threading.Lock()  # the memo never passes its bound, threads or not
-
-
-def canonicalize(indices, n=None):
-    """Sort an index tuple, tracking the permutation sign; repeats give zero (None).
-
-    The first ``SIGNED_SORT_MEMO`` distinct arrangements met keep their
-    result, so the shuffle kernels sort each arrangement once; later ones
-    are sorted on every call.
-    """
-    indices = tuple(indices)
-    if n is not None and any(not 1 <= i <= n for i in indices):
-        raise ValueError(f"index out of range in {indices}")
-    try:
-        return _signed_sorts[indices]
-    except KeyError:
-        signed = _signed_sort(indices)
-        if len(_signed_sorts) < SIGNED_SORT_MEMO:
-            with _signed_sorts_lock:
-                if len(_signed_sorts) < SIGNED_SORT_MEMO:
-                    _signed_sorts[indices] = signed
-        return signed
 
 
 def _signed_sort(indices):
-    """``canonicalize`` without the range check and the memo: (sign, sorted tuple) or None."""
+    """Sort an index tuple, tracking the permutation sign; repeats give zero (None)."""
     if len(set(indices)) != len(indices):
         return None
     inversions = sum(x > y for i, x in enumerate(indices) for y in indices[i + 1:])
     return -1 if inversions % 2 else 1, tuple(sorted(indices))
+
+
+# The shuffle kernels meet each arrangement many times, so the signed sort
+# keeps its last ``SIGNED_SORT_MEMO`` results; the least recently used leaves first.
+canonicalize = lru_cache(maxsize=SIGNED_SORT_MEMO)(_signed_sort)
 
 
 def pbw_arrange(values):

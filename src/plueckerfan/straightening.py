@@ -23,8 +23,9 @@ kind: the first slot where the semistandard or the PBW order fails.
 One shuffle core, summing over cosets rather than permutations, serves both
 ``shuffle_relation`` (so ``exchange_relation``) and straightening.  It takes
 both sides of every coset from ``combinations`` and sorts each arrangement
-through ``canonicalize``, whose bounded memo sorts an arrangement once per
-process.  Straightening queues only non-standard pairs: each term of a
+through ``canonicalize``, a bounded ``lru_cache`` of the signed sort, so an
+arrangement met again is not sorted again while it is among the most
+recently used.  Straightening queues only non-standard pairs: each term of a
 shuffle is tested by the masks of its two keys, and a standard one goes
 straight into the result.  It checks its result's homogeneity with one
 signature per term, and it may pop as many pairs as the lattice has element
@@ -189,8 +190,8 @@ def shuffle_relation(col_a, col_b, r, n=None):
         raise ShapeError("first column must be at least as long")
     if not 1 <= r <= l:
         raise ShapeError(f"shuffle position {r} out of range")
-    if n is not None:
-        canonicalize(col_a, n), canonicalize(col_b, n)
+    if n is not None and not all(1 <= i <= n for i in col_a + col_b):
+        raise ValueError(f"index out of range in {col_a}, {col_b}")
     poly = {}
     for (ca, cb), c in _shuffle_sums(col_a, col_b, r).items():
         poly_add_term(poly, monomial((ca, cb)), c)
@@ -593,22 +594,21 @@ def ideal_membership(poly, n, mode="probabilistic", trials=20, seed=0):
     matrices over a 62-bit prime and reports the Schwartz-Zippel bound
     (d/p)^trials, d the largest total degree of a term; ``trials`` below 1
     is a ``ValueError`` in either mode, and above ``_KEPT_DRAWS`` a
-    ``CapacityError`` in probabilistic mode.  The whole polynomial is tested
+    ``CapacityError`` in probabilistic mode.  The limits hold for the zero
+    polynomial too, a member with bound 0.  The whole polynomial is tested
     at once: a factor of length k is a minor of rows 1..k, so parts with
     different factor lengths have different row degrees in the matrix
     entries, and their images cannot cancel.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if not poly:
-        return MembershipVerdict(True, mode, Fraction(0) if mode == "probabilistic" else None)
     if mode == "symbolic":
-        if max(map(len, poly)) > SYMBOLIC_DEGREE_LIMIT or n > SYMBOLIC_N_LIMIT:
+        if max(map(len, poly), default=0) > SYMBOLIC_DEGREE_LIMIT or n > SYMBOLIC_N_LIMIT:
             raise CapacityError("symbolic oracle limited to total degree <= "
                                 f"{SYMBOLIC_DEGREE_LIMIT} with n <= {SYMBOLIC_N_LIMIT}")
         return MembershipVerdict(not symbolic_pi_expand(poly, n), "symbolic")
     member = not _first_value(_terms_mod_p(poly), _seed_minor_tables(n, seed, trials))
-    degree = max(sum(map(len, mono)) for mono in poly)
+    degree = max((sum(map(len, mono)) for mono in poly), default=0)
     return MembershipVerdict(member, "probabilistic", Fraction(degree, ORACLE_PRIME) ** trials)
 
 

@@ -97,17 +97,6 @@ def _size(n, default, least):
     return n
 
 
-def _timed(fn):
-    def wrapper(n=None, seed=0):
-        start = time.perf_counter()
-        report = fn(n, seed)
-        report.elapsed_s = time.perf_counter() - start
-        return report
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 # -- straightening suites ----------------------------------------------------
 
 def _straightening_suite(name, kind, n, seed, trials=20):
@@ -146,13 +135,11 @@ def _log2_str(bound):
     return f"{(bound.numerator.bit_length() - bound.denominator.bit_length()):d}"
 
 
-@_timed
 def suite_strlaws(n, seed):
     """Straightening-law shape and membership over the semistandard order."""
     return _straightening_suite("strlaws", "M", _size(n, 5, 3), seed)
 
 
-@_timed
 def suite_pbwstrlaws(n, seed):
     """Straightening-law shape and membership over the PBW order."""
     return _straightening_suite("pbwstrlaws", "N", _size(n, 5, 3), seed)
@@ -160,7 +147,6 @@ def suite_pbwstrlaws(n, seed):
 
 # -- lattice isomorphism -------------------------------------------------------
 
-@_timed
 def suite_tau(n, seed):
     """Exhaustive bijectivity and order preservation of the relabelling map.
 
@@ -419,13 +405,11 @@ def _ehrhart_like(name, n, seed, check_decomposition):
     return report
 
 
-@_timed
 def suite_ehrhart(n, seed):
     """Partition-independent point counts and mutually inverse transfer maps."""
     return _ehrhart_like("ehrhart", n, seed, check_decomposition=False)
 
 
-@_timed
 def suite_minkowski(n, seed):
     """Every dilation point decomposes into polytope lattice points, via level sets."""
     return _ehrhart_like("minkowski", n, seed, check_decomposition=True)
@@ -542,31 +526,26 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
     return report
 
 
-@_timed
 def suite_hibi_cone(n, seed):
     """Hibi cone: sampled soundness against the redundant description plus witnesses."""
     return _cone_suite("hibi-cone", n, seed, "M", "HIBI", "HIBI_REDUNDANT", False)
 
 
-@_timed
 def suite_genhibi_cone(n, seed):
     """Generalized Hibi cone over the PBW lattice with its diagonal partition."""
     return _cone_suite("genhibi-cone", n, seed, "N", "GENHIBI", "GENHIBI_REDUNDANT", False)
 
 
-@_timed
 def suite_ssyt_cone(n, seed):
     """Semistandard maximal cone: soundness, initial forms and facet witnesses."""
     return _cone_suite("ssyt-cone", n, seed, "M", "SSYT", "SSYT_REDUNDANT", True)
 
 
-@_timed
 def suite_pbw_cone(n, seed):
     """PBW maximal cone: soundness, initial forms and facet witnesses."""
     return _cone_suite("pbw-cone", n, seed, "N", "PBW", "PBW_REDUNDANT", True)
 
 
-@_timed
 def suite_convex(n, seed):
     """Facet pullbacks: every facet either contains the toric subcone or meets a facet of it."""
     n = _size(n, 6, 2)
@@ -607,7 +586,6 @@ def suite_convex(n, seed):
     return report
 
 
-@_timed
 def suite_counts(n, seed):
     """Enumerated facet counts against the closed formulas for 3..n."""
     n = _size(n, 10, 3)
@@ -623,7 +601,6 @@ def suite_counts(n, seed):
     return report
 
 
-@_timed
 def suite_asl(n, seed):
     """Standard monomials span and are independent in every small multidegree.
 
@@ -674,6 +651,10 @@ SUITES = {
 
 
 def run_suite(name, n=None, seed=0):
+    """The report of one suite by name, with the run's wall time in ``elapsed_s``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    return SUITES[name](n=n, seed=seed)
+    start = time.perf_counter()
+    report = SUITES[name](n, seed)
+    report.elapsed_s = time.perf_counter() - start
+    return report

@@ -52,8 +52,8 @@ def exchange_relation_loop(col_a, col_b, r, n=None):
         raise ShapeError("first column must be at least as long")
     if not 1 <= r <= l:
         raise ShapeError(f"exchange position {r} out of range")
-    if n is not None:
-        canonicalize(col_a, n), canonicalize(col_b, n)
+    if n is not None and not all(1 <= i <= n for i in col_a + col_b):
+        raise ValueError(f"index out of range in {col_a}, {col_b}")
     poly = {}
     poly_add_term(poly, monomial((col_a, col_b)), 1)
     br = col_b[r - 1]

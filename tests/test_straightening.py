@@ -88,10 +88,6 @@ class TestCanonicalize:
     def test_repeat_gives_zero(self):
         assert canonicalize((2, 2)) is None
 
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            canonicalize((0, 2), n=4)
-
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_sign_is_permutation_parity(self, entries):
@@ -106,11 +102,8 @@ class TestCanonicalize:
             assert sign == (-1) ** inversions
 
 
-def insertion_sort_canonicalize(indices, n=None):
-    """``canonicalize`` as an insertion sort with no memo: the reference of the memoised one."""
-    indices = tuple(indices)
-    if n is not None and any(not 1 <= i <= n for i in indices):
-        raise ValueError(f"index out of range in {indices}")
+def insertion_sort_canonicalize(indices):
+    """``canonicalize`` as an insertion sort with no cache: the reference of the cached one."""
     if len(set(indices)) != len(indices):
         return None
     sign = 1
@@ -125,21 +118,23 @@ def insertion_sort_canonicalize(indices, n=None):
 
 
 class TestMemoisedCanonicalize:
-    """The memoised signed sort against the insertion sort it replaces."""
+    """The cached signed sort against the insertion sort it replaces."""
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(plucker_lattices, "_signed_sorts", {})
+    def empty_memo(self):
+        canonicalize.cache_clear()
+        yield
+        canonicalize.cache_clear()
 
     def test_every_arrangement_of_up_to_seven_distinct_indices(self):
-        # 2 x 5,914 arrangements: past the memo's bound, so both paths run, twice each
+        # 2 x 5,914 arrangements, each looked up twice: past the cache's bound, so it fills
         for k in range(8):
             for values in (range(1, k + 1), range(4, 4 + 3 * k, 3)):
                 for arrangement in itertools.permutations(values):
                     expected = insertion_sort_canonicalize(arrangement)
                     assert canonicalize(arrangement) == expected
-                    assert canonicalize(list(arrangement)) == expected
-        assert len(plucker_lattices._signed_sorts) == plucker_lattices.SIGNED_SORT_MEMO
+                    assert canonicalize(arrangement) == expected
+        assert canonicalize.cache_info().currsize == plucker_lattices.SIGNED_SORT_MEMO
 
     def test_tuples_with_a_repeat(self):
         for k in range(2, 6):
@@ -148,27 +143,32 @@ class TestMemoisedCanonicalize:
                     assert canonicalize(indices) == insertion_sort_canonicalize(indices)
 
     def test_range_check_runs_on_memoised_arrangements(self):
-        for indices in [(2, 5), (5, 2), (0, 3), (3, 3), (1, 4, 2)]:
-            for n in (None, 4, 5):
-                try:
-                    expected = insertion_sort_canonicalize(indices, n)
-                except ValueError:
+        # shuffle_relation checks its indices itself, also when every sort is a cache hit
+        for a, b in [((2, 5), (1,)), ((0, 3), (1,)), ((1, 4, 2), (3, 6))]:
+            rel = shuffle_relation(a, b, 1)  # without n no range is known
+            for n in (4, 5, 6):
+                misses = canonicalize.cache_info().misses
+                if min(a + b) < 1 or max(a + b) > n:
                     with pytest.raises(ValueError, match="index out of range"):
-                        canonicalize(indices, n)
+                        shuffle_relation(a, b, 1, n)
                 else:
-                    assert canonicalize(indices, n) == expected
+                    assert shuffle_relation(a, b, 1, n) == rel
+                assert canonicalize.cache_info().misses == misses
 
-    def test_the_memo_never_exceeds_its_bound(self, monkeypatch):
-        monkeypatch.setattr(plucker_lattices, "SIGNED_SORT_MEMO", 16)
-        seen = []
-        for arrangement in itertools.permutations(range(1, 6)):
-            assert canonicalize(arrangement) == insertion_sort_canonicalize(arrangement)
-            seen.append(len(plucker_lattices._signed_sorts))
-        assert seen == [min(i + 1, 16) for i in range(120)]
+    def test_the_least_recently_used_arrangement_leaves_first(self):
+        bound = plucker_lattices.SIGNED_SORT_MEMO
+        arrangements = list(itertools.islice(itertools.permutations(range(1, 9)), bound + 1))
+        for arrangement in arrangements:
+            canonicalize(arrangement)
+        info = canonicalize.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, bound + 1, bound)
+        assert canonicalize(arrangements[-1]) == insertion_sort_canonicalize(arrangements[-1])
+        assert canonicalize.cache_info().hits == 1
+        assert canonicalize(arrangements[0]) == insertion_sort_canonicalize(arrangements[0])
+        assert canonicalize.cache_info().misses == bound + 2
 
-    def test_concurrent_misses_keep_the_bound(self, monkeypatch):
-        monkeypatch.setattr(plucker_lattices, "SIGNED_SORT_MEMO", 50)
-        arrangements = list(itertools.permutations(range(1, 6)))
+    def test_concurrent_misses_keep_the_bound(self):
+        arrangements = list(itertools.permutations(range(1, 8)))
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -181,15 +181,24 @@ class TestMemoisedCanonicalize:
         finally:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(plucker_lattices._signed_sorts) == 50
+        assert canonicalize.cache_info().currsize == plucker_lattices.SIGNED_SORT_MEMO
         assert all(canonicalize(a) == insertion_sort_canonicalize(a) for a in arrangements)
 
     @pytest.mark.parametrize("kind", ["M", "N"])
     def test_lattice_enumeration_stays_off_the_memo(self, kind):
         lat = PluckerLattice(kind, 7)
         assert len(lat.elements) == 126
-        assert plucker_lattices._signed_sorts == {}
+        assert canonicalize.cache_info().currsize == 0
         assert all(lat.signed_key(e) == insertion_sort_canonicalize(e) for e in lat.elements)
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    def test_straightening_at_n8_sorts_few_arrangements(self, kind):
+        # the pairs of M(8) meet 5,449 distinct arrangements and those of N(8) 7,377, more than
+        # the cache holds; a first-come memo of the same bound sorts 44,284 (M) and 24,587 (N) times
+        lat = PluckerLattice(kind, 8)
+        for a, b in lat.incomparable_pairs():
+            straighten_pair(lat, a, b)
+        assert canonicalize.cache_info().misses < 10_000
 
 
 class TestExchangeRelation:
@@ -246,6 +255,10 @@ class TestShuffleRelation:
         rel = shuffle_relation((5, 1, 3), (4, 2), 2)
         assert rel[monomial(((1, 3, 5), (2, 4)))] == 1
         assert ideal_membership(rel, 5).member
+
+    def test_range_check(self):
+        with pytest.raises(ValueError, match="index out of range"):
+            shuffle_relation((0, 2), (1,), 1, n=4)
 
     @pytest.mark.parametrize("build", [shuffle_relation, exchange_relation])
     def test_indices_out_of_range_rejected(self, build):
@@ -453,6 +466,14 @@ class TestMembership:
             with pytest.raises(ValueError, match="trials must be at least 1"):
                 ideal_membership(poly, 4, mode=mode, trials=trials)
 
+    @pytest.mark.parametrize("poly", [EXAMPLE_GR24, {}])
+    def test_trials_past_the_kept_draws_rejected(self, poly):
+        # the empty polynomial asks for its tables too, so the cap holds for every relation
+        verdict = ideal_membership(poly, 4, trials=128)
+        assert verdict.member and verdict.failure_bound < Fraction(1, 2 ** 7000)
+        with pytest.raises(CapacityError, match="limited to 128 random matrices"):
+            ideal_membership(poly, 4, trials=129)
+
     def test_standard_monomial_is_not_member(self):
         verdict = ideal_membership({monomial(((1, 2), (3, 4))): 1}, 4)
         assert not verdict.member
@@ -471,6 +492,10 @@ class TestMembership:
         for poly in (mixed, dict(reversed(mixed.items()))):
             with pytest.raises(CapacityError):
                 ideal_membership(poly, 4, mode="symbolic")
+        # the zero polynomial is a member within the guard and meets it like any other
+        assert ideal_membership({}, 4, mode="symbolic").member
+        with pytest.raises(CapacityError):
+            ideal_membership({}, 7, mode="symbolic")
 
     def test_inhomogeneous_split(self):
         # one polynomial of two deg_vectors is tested whole, under the bound of its largest degree
