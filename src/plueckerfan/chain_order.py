@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from operator import itemgetter
 
 from .order_core import (
     CapacityError,
-    IDEAL_CAPACITY,
     OrderIdeal,
     PosetError,
     _bits,
@@ -41,6 +41,8 @@ from .order_core import (
     ideal_masks,
     json_rationals,
 )
+
+DILATION_CAPACITY = 1 << 24  # point coordinates of one dilation table
 
 
 @dataclass(frozen=True)
@@ -362,12 +364,12 @@ def dilation_table(part, t):
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     poset = part.poset
-    if len(poset) > IDEAL_CAPACITY:
-        raise CapacityError(f"poset has {len(poset)} > {IDEAL_CAPACITY} elements")
+    n = len(poset)
+    masks = ideal_masks(poset)  # CapacityError past IDEAL_CAPACITY elements
+    if comb(len(masks) + t - 1, t) * n > DILATION_CAPACITY:  # points <= size-t multisets of ideals
+        raise CapacityError(f"the {t}-dilation may exceed {DILATION_CAPACITY} point coordinates")
     import numpy as np  # on first use, see PolytopeHRep.arrays
     A, b = interpolating_hrep(poset, part).arrays()
-    n = len(poset)
-    masks = ideal_masks(poset)
     K = np.array([_k_mask(part, m) for m in masks], dtype=np.int64)[:, None] >> np.arange(n) & 1
     bits = np.array(masks, dtype=np.int64)
     points = np.zeros((1, n), dtype=np.int64)

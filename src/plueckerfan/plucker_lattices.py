@@ -320,6 +320,7 @@ class PluckerLattice(IdealLattice):
         # element -> (mask, (sign, key)), mask -> element and key -> (mask, element, sign):
         # each filled as its conversion meets a value, and completed by ``elements``
         self._codes, self._element_of, self.key_codes = {}, {}, _KeyCodes(self, self._arrange)
+        self.normal_forms = {}  # slot-ordered key pair -> its standard polynomial, see straighten_pair
 
     @cached_property
     def elements(self):

@@ -7,8 +7,8 @@ shuffle lead met for n <= 7 is +-1, so straightening stays in ``int``).
 A monomial is a sorted tuple of canonical columns (strictly increasing index
 tuples); sign normalization absorbs column reorderings into coefficients.
 The module provides the shuffle relations, with the classical exchange
-relations as a view of them, worklist straightening against either lattice
-order, Hibi and generalized Hibi binomials with their monomial-map exponents,
+relations as a view of them, straightening against either lattice order,
+Hibi and generalized Hibi binomials with their monomial-map exponents,
 ideal membership by minor evaluation (an exact symbolic expansion or seeded
 evaluation) and the standard-basis rank check.
 
@@ -23,13 +23,11 @@ kind: the first slot where the semistandard or the PBW order fails.
 One shuffle core, summing over cosets rather than permutations, serves both
 ``shuffle_relation`` (so ``exchange_relation``) and straightening.  It takes
 both sides of every coset from ``combinations`` and sorts each arrangement
-through ``canonicalize``, a bounded ``lru_cache`` of the signed sort, so an
-arrangement met again is not sorted again while it is among the most
-recently used.  Straightening queues only non-standard pairs: each term of a
-shuffle is tested by the masks of its two keys, and a standard one goes
-straight into the result.  It checks its result's homogeneity with one
-signature per term, and it may pop as many pairs as the lattice has element
-pairs of the two factor lengths, so a pivot rule that cycles ends in
+through ``canonicalize``, a bounded ``lru_cache`` of the signed sort.
+Straightening is the straightening law of the Hodge algebra as one memoised
+rule: a non-standard pair's normal form is the rest of the shuffle at its
+pivot over minus its coefficient there, each non-standard term replaced by
+its own normal form, which the lattice keeps; a cycle is an
 ``InvariantError``.  The evaluation oracles (probabilistic membership and
 the standard-basis rank check) read products of top-justified minors from
 one minor table per random matrix.  A table computes a minor on first use
@@ -62,7 +60,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement
-from math import comb
 
 from .chain_order import k_set, odot_elements
 from .order_core import CapacityError, InvariantError, check
@@ -233,55 +230,55 @@ def _pivot_n(alpha, beta):
     return None
 
 
+def _normal_form(lat, pair, pivot, busy):
+    """The standard polynomial that a non-standard slot-ordered key pair equals.
+
+    Minus the rest of the shuffle at the pair's pivot over the pair's own
+    coefficient there, each non-standard term replaced by its normal form from
+    ``lat.normal_forms``, built and kept there once complete (threads that
+    build one entry at once write equal values).  ``busy`` holds the pairs
+    this call has started, so meeting one of them again is a cycle.
+    """
+    codes, table = lat.key_codes, lat.normal_forms
+    alpha, beta = codes[pair[0]][1], codes[pair[1]][1]
+    r = pivot(alpha, beta)
+    check(r is not None, "non-standard pair must have a violated position")
+    raw = _shuffle_sums(alpha, beta, r)
+    pivot_term = raw.pop(pair, None)
+    check(pivot_term, "pivot monomial must survive the shuffle")
+    busy.add(pair)
+    out = {}
+    for key, c in raw.items():
+        x, y = key
+        mx, my = codes[x][0], codes[y][0]
+        if mx & ~my and my & ~mx:  # neither cell ideal contains the other
+            if key not in table:
+                check(key not in busy, "straightening cycles: a normal form depends on itself")
+                table[key] = _normal_form(lat, key, pivot, busy)
+            for mono, d in table[key].items():
+                poly_add_term(out, mono, c * d)
+        else:
+            poly_add_term(out, key if (-len(x), x) <= (-len(y), y) else (y, x), c)
+    return {mono: _quotient(-c, pivot_term) for mono, c in out.items()}
+
+
 def straighten_pair(lat, a, b):
     """The unique relation expressing X_a X_b in standard monomials of the lattice order.
 
-    Maintains a worklist of the non-standard slot-ordered quadratic monomials
-    still to cancel.  It pops the least and cancels it against the multiple
-    of the shuffle relation at its least violated position whose pair term is
-    the popped coefficient (one exact quotient by the shuffle's lead scales
-    every term).  Each other term of that multiple is tested by the cell
-    masks of its two keys: a standard term (comparable factors) goes straight
-    into the result and only a non-standard one is queued.  Coefficients stay
-    ``int`` while every shuffle lead divides them.  Every popped pair is a
-    pair of lattice elements of the two factor lengths k and l, and the loop
-    may pop as many pairs as the lattice has of them, C(n, k) C(n, l); for
-    n <= 7 no pair pops more than a third of that (a test checks it), and a
-    pivot rule that cycles ends in ``InvariantError`` once the count is spent.
+    With X_a X_b = s X_lead (s the sign of the two keys, lead their slot-ordered
+    pair) it is s X_lead - s NF(lead).  Only the normal forms that other pairs'
+    shuffles asked for are kept, so a lead is read from the table when one did.
     """
     ma, mb = lat.mask(a), lat.mask(b)  # ValueError unless both are elements
     if ma & ~mb == 0 or mb & ~ma == 0:
         raise ComparablePairError(f"{a!r} and {b!r} are comparable; nothing to straighten")
     sa, ca = lat.signed_key(a)
     sb, cb = lat.signed_key(b)
-    pivot = _pivot_m if lat.kind == "M" else _pivot_n
-    codes = lat.key_codes
     lead = (ca, cb) if (-len(ca), ca) <= (-len(cb), cb) else (cb, ca)  # monomial((ca, cb))
-    pops_left = comb(lat.n, len(lead[0])) * comb(lat.n, len(lead[1]))
-    work = {lead: sa * sb}
-    # work + (X_a X_b - result) stays congruent to X_a X_b throughout
-    result = {lead: sa * sb}
-    while work:
-        pops_left -= 1
-        if pops_left < 0:  # inline: the loop pays no call for its guard
-            raise InvariantError("straightening did not terminate")
-        pair = min(work)
-        coeff = work.pop(pair)
-        alpha, beta = codes[pair[0]][1], codes[pair[1]][1]
-        r = pivot(alpha, beta)
-        check(r is not None, "non-standard pair must have a violated position")
-        raw = _shuffle_sums(alpha, beta, r)
-        pivot_term = raw.pop(pair, None)
-        check(pivot_term, "pivot monomial must survive the shuffle")
-        q = _quotient(coeff, pivot_term)
-        for key, c in raw.items():
-            x, y = key
-            mx, my = codes[x][0], codes[y][0]
-            if mx & ~my and my & ~mx:  # neither cell ideal contains the other
-                poly_add_term(work, key, -q * c)
-            else:
-                poly_add_term(result, key if (-len(x), x) <= (-len(y), y) else (y, x), q * c)
-    check(result.get(lead) == sa * sb, "straightening must keep the coefficient of X_a X_b")
+    nf = lat.normal_forms.get(lead)
+    if nf is None:
+        nf = _normal_form(lat, lead, _pivot_m if lat.kind == "M" else _pivot_n, set())
+    result = {lead: sa * sb} | {mono: -sa * sb * c for mono, c in nf.items()}
     assert_bihomogeneous(result, lat.n)
     return result
 

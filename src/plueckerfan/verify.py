@@ -492,8 +492,8 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
     key = lat.weight_key
     # (kind, a, b, polynomial) whose initial form must be the monomial of (a, b) alone
     polys = []
-    if relations:
-        polys += [("initial form", a, b, straightening.straighten_pair(lat, a, b))
+    if relations:  # on the redundant description's lattice, so its normal forms are reused
+        polys += [("initial form", a, b, straightening.straighten_pair(redundant.lattice, a, b))
                   for a, b in lat.incomparable_pairs()]
     else:  # the Hibi binomials, generalized over the cone's partition if it has one
         for a, b in lat.incomparable_pairs():

@@ -2,20 +2,24 @@
 
 - ``exchange_relation_loop`` is the classical exchange loop that
   ``straightening.exchange_relation`` replaced with a view of the shuffle core.
+- ``straighten_pair_worklist`` is the worklist straightening that
+  ``straightening.straighten_pair`` replaced with one memoised normal-form rule.
 - ``append_columns`` and ``apply_index_permutation`` transform relations.
 - ``deg_vector`` counts the factors of each length of a monomial.
 - ``hibi_grevlex_initial`` is the graded reverse lex initial term of a binomial.
 - ``plucker_eval`` evaluates a relation at one matrix.
 - ``standard_expansion_mod_p`` solves for a product of two lattice elements
-  in standard monomials over the oracle prime, an oracle independent of the
-  straightening worklist.
+  in standard monomials over the oracle prime, an oracle independent of
+  straightening.
 - ``weight_matrix`` stacks weight dicts into the array that
   ``cones.contains_many`` and ``cones.lead_is_initial_many`` read.
 """
 
+from math import comb
+
 from plueckerfan import straightening
 from plueckerfan.cones import _INT64_LIMIT
-from plueckerfan.order_core import check
+from plueckerfan.order_core import InvariantError, check
 from plueckerfan.plucker_lattices import canonicalize
 from plueckerfan.straightening import (
     ORACLE_PRIME,
@@ -24,6 +28,7 @@ from plueckerfan.straightening import (
     _eliminate,
     _first_value,
     _monomial_value,
+    _quotient,
     _seed_minor_tables,
     _terms_mod_p,
     assert_bihomogeneous,
@@ -67,6 +72,44 @@ def exchange_relation_loop(col_a, col_b, r, n=None):
     if n is not None:
         assert_bihomogeneous(poly, n)
     return poly
+
+
+def straighten_pair_worklist(lat, a, b):
+    """The relation of ``straighten_pair``, by a worklist of non-standard pairs still to cancel.
+
+    It pops the least pair and cancels it against the multiple of the shuffle
+    at its pivot whose pair term is the popped coefficient; a standard term of
+    that multiple goes into the result and a non-standard one back into the
+    worklist.  It may pop as many pairs as the lattice has element pairs of
+    the two factor lengths, C(n, k) C(n, l).  The shuffle core and the pivot
+    rules are read from ``straightening`` at call time, so a test can replace them.
+    """
+    sa, ca = lat.signed_key(a)
+    sb, cb = lat.signed_key(b)
+    pivot = straightening._pivot_m if lat.kind == "M" else straightening._pivot_n
+    codes = lat.key_codes
+    lead = (ca, cb) if (-len(ca), ca) <= (-len(cb), cb) else (cb, ca)
+    pops_left = comb(lat.n, len(lead[0])) * comb(lat.n, len(lead[1]))
+    work = {lead: sa * sb}
+    # work + (X_a X_b - result) stays congruent to X_a X_b throughout
+    result = {lead: sa * sb}
+    while work:
+        pops_left -= 1
+        if pops_left < 0:
+            raise InvariantError("straightening did not terminate")
+        pair = min(work)
+        coeff = work.pop(pair)
+        alpha, beta = codes[pair[0]][1], codes[pair[1]][1]
+        raw = straightening._shuffle_sums(alpha, beta, pivot(alpha, beta))
+        q = _quotient(coeff, raw.pop(pair))
+        for key, c in raw.items():
+            x, y = key
+            mx, my = codes[x][0], codes[y][0]
+            if mx & ~my and my & ~mx:  # neither cell ideal contains the other
+                poly_add_term(work, key, -q * c)
+            else:
+                poly_add_term(result, monomial(key), q * c)
+    return result
 
 
 def append_columns(poly, extra, n=None):

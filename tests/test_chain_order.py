@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plueckerfan.chain_order import (
+    DILATION_CAPACITY,
     ChainOrderPartition,
     _as_point,
     _k_mask,
@@ -31,6 +32,7 @@ from plueckerfan.chain_order import (
     zeta_prime_matrix,
 )
 from plueckerfan.order_core import (
+    CapacityError,
     IdealLattice,
     InvariantError,
     OrderIdeal,
@@ -40,8 +42,8 @@ from plueckerfan.order_core import (
     enumerate_order_ideals,
 )
 from plueckerfan.cones import facet_count
-from plueckerfan.plucker_lattices import PluckerLattice, pbw_lattice
-from plueckerfan import verify
+from plueckerfan.plucker_lattices import PluckerLattice, _ji_poset, pbw_lattice
+from plueckerfan import chain_order, verify
 
 
 def two_chain():
@@ -127,22 +129,27 @@ def full_redundant_system(poset, part):
     return rows
 
 
-def contains_full(rows, vec, t):
-    return all(sum(c * x for c, x in zip(row, vec)) <= bound * t
-               for row, bound in rows)
+def cut_by(A, b, V, t):
+    """For each row of V, whether it satisfies A x <= t b: one exact int64 product."""
+    return (V @ A.T <= t * b).all(axis=1)
 
 
 class TestHRepPruning:
     def test_minimal_system_cuts_same_points(self):
+        # every vector of the box {-1..t+1}^n, through both systems at once
         rng = random.Random(17)
         for _ in range(10):
             poset = verify.random_poset(rng, max_size=5)
+            n = len(poset)
+            boxes = {t: np.array(list(itertools.product(range(-1, t + 2), repeat=n)), dtype=np.int64)
+                     for t in (1, 2)}
             for part in all_partitions(poset):
                 full = full_redundant_system(poset, part)
-                hrep = interpolating_hrep(poset, part)
-                for t in (1, 2):
-                    for vec in itertools.product(range(-1, t + 2), repeat=len(poset)):
-                        assert hrep.contains(vec, t) == contains_full(full, vec, t)
+                F = np.array([row for row, _ in full], dtype=np.int64).reshape(len(full), n)
+                g = np.array([bound for _, bound in full], dtype=np.int64)
+                A, b = interpolating_hrep(poset, part).arrays()
+                for t, V in boxes.items():
+                    assert np.array_equal(cut_by(A, b, V, t), cut_by(F, g, V, t))
 
 
 def admissible_chains(part):
@@ -813,3 +820,24 @@ def test_broken_k_sets_raise_under_both_modes(python_env, flags):
     assert proc.stdout.splitlines() == [
         "InvariantError: chain point escapes the dilated polytope",
         "InvariantError: decomposition must sum to the input point"]
+
+
+class TestDilationCap:
+    """``dilation_table`` refuses a dilation past ``DILATION_CAPACITY`` coordinates up front."""
+
+    def test_grid_n7_passes_at_t3_and_stops_at_t4(self, monkeypatch):
+        class PastTheCap(Exception):
+            pass
+
+        def stop(*args):
+            raise PastTheCap
+
+        # the bound at t=3 is C(128, 3) * 26 = 341,376 * 26 coordinates, under 2^24; the
+        # enumeration itself is left out (0.6 s): the system builder stops the run past the cap
+        monkeypatch.setattr(chain_order, "interpolating_hrep", stop)
+        part = ChainOrderPartition.order_polytope(_ji_poset(7))
+        assert DILATION_CAPACITY == 1 << 24
+        with pytest.raises(PastTheCap):
+            dilation_table(part, 3)
+        with pytest.raises(CapacityError, match="the 4-dilation may exceed"):
+            dilation_table(part, 4)

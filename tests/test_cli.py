@@ -171,6 +171,20 @@ class TestPolytope:
                            "--action", "points")
         assert json.loads(out) == [{"p": "0", "q": "0"}]
 
+    @pytest.mark.parametrize("t", ["5", "100000", "1000000000000"])
+    def test_t_past_the_dilation_cap_is_capacity(self, capsys, chain_file, chain_partition, t):
+        # a two-element chain has 3 ideals, so the t-dilation has up to C(t + 2, t) points of 2
+        # coordinates; 5 passes, and past the cap it stops before anything is allocated
+        start = time.perf_counter()
+        code, out, err = run(capsys, "polytope", "--poset", chain_file,
+                             "--partition", chain_partition, "--t", t, "--action", "points")
+        assert time.perf_counter() - start < 1.0
+        if t == "5":
+            assert code == 0 and len(json.loads(out)) == 21
+        else:
+            assert (code, out) == (3, "")
+            assert err == f"capacity: the {t}-dilation may exceed 16777216 point coordinates\n"
+
     def test_order_hrep_default_partition(self, capsys, chain_file):
         code, out, _ = run(capsys, "polytope", "--poset", chain_file,
                            "--action", "hrep")
