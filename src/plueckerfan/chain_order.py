@@ -365,7 +365,9 @@ def dilation_table(part, t):
         raise ValueError("dilation factor must be nonnegative")
     poset = part.poset
     n = len(poset)
-    masks = ideal_masks(poset)  # CapacityError past IDEAL_CAPACITY elements
+    # each ideal is a point of every t >= 1, so a longer list fails the cap below;
+    # the one point of t = 0 needs the empty ideal alone
+    masks = ideal_masks(poset, DILATION_CAPACITY // max(n, 1)) if t else [0]
     if comb(len(masks) + t - 1, t) * n > DILATION_CAPACITY:  # points <= size-t multisets of ideals
         raise CapacityError(f"the {t}-dilation may exceed {DILATION_CAPACITY} point coordinates")
     import numpy as np  # on first use, see PolytopeHRep.arrays

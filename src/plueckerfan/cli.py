@@ -123,7 +123,7 @@ def cmd_cone(args):
 def cmd_check_point(args):
     hrep = _cone(args)
     with open(args.weights) as fh:
-        obj = json.load(fh)
+        obj = json_object(fh.read(), "weights")
     keys = {k for ineq in hrep.inequalities for k, _ in ineq.form}
     weights = cones.weights_from_json_obj(obj, keys)
     member = cones.contains(hrep, weights)
@@ -166,7 +166,7 @@ def cmd_polytope(args):
     if args.point is None:
         raise ValueError("decompose needs --point FILE")
     with open(args.point) as fh:
-        point = chain_order.point_from_json_obj(json.load(fh), poset)
+        point = chain_order.point_from_json_obj(json_object(fh.read(), "point"), poset)
     pieces = chain_order.minkowski_decompose(part, point, args.t)
     _emit_points(poset, [[p[e] for e in poset.elements] for p in pieces], args)
     return 0

@@ -5,9 +5,10 @@ Targets cover the Hibi cone of any distributive lattice, its generalized
 with redundant companions, and the two toric subcone descriptions assembled
 from straightening data.  All arithmetic is exact; weight vectors are plain
 dicts keyed by canonical column tuples (or lattice element ids for generic
-lattices).  ``contains_many`` and ``lead_is_initial_many`` are the batched
-twins of ``contains`` and ``initial_form`` over many weight vectors at once;
-the scalar forms are the reference they are tested against.
+lattices).  ``contains_many`` is the batched twin of ``contains`` over many
+weight vectors at once.  A redundant row is X_lead - X_m for one pair's
+lead and another monomial m of its relation (Hibi binomial), so in the cone
+each lead is the ``initial_form``.
 
 The semistandard (PBW) cone is the Hibi cone of M(n) (the generalized Hibi
 cone of N(n)) plus one row per special pair, from one diamond-row builder.
@@ -177,33 +178,25 @@ def contains(hrep, weights):
     return all(ineq.holds(weights) for ineq in hrep.inequalities)
 
 
-# -- batched twins of contains and initial_form ---------------------------------
+# -- the batched twin of contains --------------------------------------------
 
 _INT64_LIMIT = 1 << 63
-
-
-def _exact_columns(keys, W, l1):
-    """The columns of ``W`` by key, exact under forms of l1 norm at most ``l1``.
-
-    int64 columns are kept only while max|w| * l1 < 2**63, so no sum of such
-    a form can overflow; otherwise the same code runs on Python integers.
-    """
-    import numpy as np
-    if W.dtype != object and W.size:
-        top = max(int(W.max()), -int(W.min()))
-        if type(l1) is not int or top * l1 >= _INT64_LIMIT:
-            W = W.astype(object)
-    return dict(zip(keys, np.ascontiguousarray(W.T)))
 
 
 def contains_many(hrep, keys, W):
     """``contains`` on every row of the samples-by-keys weight matrix ``W``, as a bool array.
 
-    Each inequality is evaluated once, as one exact column over all samples.
+    Each inequality is evaluated once, as one exact column over all samples:
+    int64 while max|w| times the largest l1 norm of a form is below 2**63,
+    so no sum can overflow, and Python integers otherwise.
     """
     import numpy as np
     l1 = max((sum(abs(c) for _, c in iq.form) for iq in hrep.inequalities), default=0)
-    columns = _exact_columns(keys, W, l1)
+    if W.dtype != object and W.size:
+        top = max(int(W.max()), -int(W.min()))
+        if type(l1) is not int or top * l1 >= _INT64_LIMIT:
+            W = W.astype(object)
+    columns = dict(zip(keys, np.ascontiguousarray(W.T)))
     ok = np.ones(len(W), dtype=bool)
     for ineq in hrep.inequalities:
         value = sum(coeff * columns[key] for key, coeff in ineq.form)
@@ -582,24 +575,6 @@ def initial_form(poly, weights):
             raise KeyError(f"weight vector missing key {exc}") from None
     least = min(values.values())
     return {m: c for m, c in poly.items() if values[m] == least}
-
-
-def lead_is_initial_many(poly, lead, keys, W):
-    """``set(initial_form(poly, w)) == {lead}`` for every row ``w`` of the weight matrix ``W``.
-
-    Each monomial's weight is one exact column over all samples; ``lead``
-    must weigh strictly less than every other term.
-    """
-    import numpy as np
-    if lead not in poly:
-        return np.zeros(len(W), dtype=bool)
-    columns = _exact_columns(keys, W, max(len(mono) for mono in poly))
-    least = sum(columns[c] for c in lead)
-    ok = np.ones(len(W), dtype=bool)
-    for mono in poly:
-        if mono != lead:
-            ok &= sum(columns[c] for c in mono) > least
-    return ok
 
 
 def weights_from_json_obj(obj, keys):

@@ -40,8 +40,12 @@ class PosetError(ValueError):
 
 
 def json_object(text, what):
-    """The JSON object in ``text``; ``PosetError`` if it holds any other JSON value."""
-    return _checked_object(json.loads(text), what)
+    """The JSON object in ``text``; ``PosetError`` if it holds any other value or nests too deeply."""
+    try:
+        data = json.loads(text)
+    except RecursionError:  # nesting past the parser's depth, which is no ValueError
+        raise PosetError(f"{what} JSON nests too deeply") from None
+    return _checked_object(data, what)
 
 
 def _checked_object(data, what):
@@ -404,14 +408,16 @@ class OrderIdeal:
         return f"OrderIdeal{self.members()!r}"
 
 
-def ideal_masks(poset):
-    """The bitmasks of all order ideals, sorted by cardinality then bit pattern."""
+def ideal_masks(poset, most=None):
+    """The bitmasks of all order ideals by cardinality, then bit pattern; ``CapacityError`` past ``most``."""
     if len(poset) > IDEAL_CAPACITY:
         raise CapacityError(f"poset has {len(poset)} > {IDEAL_CAPACITY} elements")
     ideals = [0]
     for i in range(len(poset)):
         # canonical order is a linear extension, so everything below i is already placed
         need = poset.down[i] & ~(1 << i)
+        if most is not None and len(ideals) + sum(m & need == need for m in ideals) > most:
+            raise CapacityError(f"poset has more than {most} order ideals")
         ideals += [m | (1 << i) for m in ideals if m & need == need]
     ideals.sort(key=lambda m: (m.bit_count(), m))
     return ideals

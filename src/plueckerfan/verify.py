@@ -12,9 +12,10 @@ float32 (BLAS), exact for the small bounded coordinates involved, which a
 check guards, and ``STACK_BYTES`` bounds every stacked temporary.  The
 records keep the order of checking one partition at one t at a time.  A run
 builds each box of side t+1 once per poset size and t, and drops it when the
-run ends.  The cone suites check all their samples at once through the
-batched twins in ``cones``, on the samples-by-keys matrix the sampler
-returns.  numpy is imported on first use, by the box, the transfer checks
+run ends.  The cone suites check all their samples at once through
+``cones.contains_many``, on the samples-by-keys matrix the sampler returns,
+and check once per pair, exactly, that the redundant rows are its
+polynomial's lead against each other term.  numpy is imported on first use, by the box, the transfer checks
 and the cone suites, so the exact suites (``strlaws``, ``pbwstrlaws``,
 ``tau``, ``convex``, ``counts``, ``asl``) never load it.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -469,8 +471,24 @@ def sample_cone_points(hrep, center, count, seed, scale=16, spread=12):
     return np.concatenate(blocks), drawn - accepted
 
 
+def _lead_rows(lead, poly):
+    """The strict rows X_lead - X_m, one per monomial m of ``poly`` but ``lead``, by key counts."""
+    rows = Counter()
+    for mono in poly:
+        if mono != lead:
+            diff = Counter(lead)
+            diff.subtract(mono)
+            rows[tuple(sorted(item for item in diff.items() if item[1])), cones.STRICT] += 1
+    return rows
+
+
 def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
-    """Soundness, initial forms (straightening ``relations`` or Hibi binomials) and witnesses."""
+    """Soundness, the rows of each pair against its polynomial, and facet witnesses.
+
+    The redundant rows naming a pair (a, b) must be the strict rows X_ab - X_m,
+    one per other monomial m of its straightening relation (``relations``) or
+    Hibi binomial; then X_ab is the initial form at every weight of the cone.
+    """
     import numpy as np
     n = _size(n, 6, 2)
     report = SuiteReport(name, n, seed)
@@ -485,37 +503,28 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
     W, rejected = sample_cone_points(minimal, center, CONE_SAMPLES, seed)
     report.notes["rejected_samples"] = rejected
     keys = sorted(center, key=key_name)  # the sampler's columns
-
-    def point(idx):  # a failing sample's weights, for its reproducer
-        return dict(zip(keys, W[idx].tolist()))
-
-    key = lat.weight_key
-    # (kind, a, b, polynomial) whose initial form must be the monomial of (a, b) alone
-    polys = []
-    if relations:  # on the redundant description's lattice, so its normal forms are reused
-        polys += [("initial form", a, b, straightening.straighten_pair(redundant.lattice, a, b))
-                  for a, b in lat.incomparable_pairs()]
-    else:  # the Hibi binomials, generalized over the cone's partition if it has one
-        for a, b in lat.incomparable_pairs():
-            gen = straightening.hibi_generator(lat, a, b, minimal.partition)
-            polys.append(("initial binomial", a, b,
-                          {straightening.monomial(tuple(map(key, m))): c for m, c in gen.items()}))
-    # every check runs over all samples at once; a failure's reproducer is
-    # rebuilt by the scalar path, and failures keep the per-sample order
-    failed = []
+    # all samples at once; a failure's reproducer is rebuilt by the scalar path
     for idx in np.flatnonzero(~cones.contains_many(redundant, keys, W)).tolist():
-        bad = [iq.provenance for iq in redundant.inequalities if not iq.holds(point(idx))]
-        failed.append((idx, 0, ("redundant description", idx, bad[:3])))
-    for slot, (kind, a, b, poly) in enumerate(polys, 1):
+        w = dict(zip(keys, W[idx].tolist()))
+        bad = [iq.provenance for iq in redundant.inequalities if not iq.holds(w)]
+        report.failures.append(("redundant description", idx, bad[:3]))
+    report.checks += len(W)
+    rows = {}  # (a, b) -> the (form, relation) multiset of the rows its provenance names
+    for iq in redundant.inequalities:
+        rows.setdefault(iq.provenance[1:3], Counter())[iq.form, iq.relation] += 1
+    key = lat.weight_key
+    for a, b in lat.incomparable_pairs():
+        if relations:  # on the redundant description's lattice, so its normal forms are reused
+            check_name = "relation rows"
+            poly = straightening.straighten_pair(redundant.lattice, a, b)
+        else:  # the Hibi binomial, generalized over the cone's partition if it has one
+            check_name = "binomial rows"
+            gen = straightening.hibi_generator(lat, a, b, minimal.partition)
+            poly = {straightening.monomial(tuple(map(key, m))): c for m, c in gen.items()}
         lead = straightening.monomial((key(a), key(b)))
-        for idx in np.flatnonzero(~cones.lead_is_initial_many(poly, lead, keys, W)).tolist():
-            if kind == "initial form":
-                reproducer = (kind, idx, a, b, sorted(cones.initial_form(poly, point(idx))))
-            else:
-                reproducer = (kind, idx, a, b)
-            failed.append((idx, slot, reproducer))
-    report.checks += len(W) * (1 + len(polys))
-    report.failures += [reproducer for _, _, reproducer in sorted(failed, key=lambda f: f[:2])]
+        got = rows.get((a, b), Counter())
+        report.record(lead in poly and got == _lead_rows(lead, poly),
+                      (check_name, a, b, sorted(poly), sorted(got.elements())))
     for fid in minimal.facet_ids():
         witness = cones.facet_witness(minimal, fid)
         own = minimal.inequality(fid)
@@ -527,7 +536,7 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
 
 
 def suite_hibi_cone(n, seed):
-    """Hibi cone: sampled soundness against the redundant description plus witnesses."""
+    """Hibi cone: sampled soundness, the rows of each Hibi binomial, facet witnesses."""
     return _cone_suite("hibi-cone", n, seed, "M", "HIBI", "HIBI_REDUNDANT", False)
 
 
@@ -537,12 +546,12 @@ def suite_genhibi_cone(n, seed):
 
 
 def suite_ssyt_cone(n, seed):
-    """Semistandard maximal cone: soundness, initial forms and facet witnesses."""
+    """Semistandard maximal cone: soundness, the rows of each relation, facet witnesses."""
     return _cone_suite("ssyt-cone", n, seed, "M", "SSYT", "SSYT_REDUNDANT", True)
 
 
 def suite_pbw_cone(n, seed):
-    """PBW maximal cone: soundness, initial forms and facet witnesses."""
+    """PBW maximal cone: soundness, the rows of each relation, facet witnesses."""
     return _cone_suite("pbw-cone", n, seed, "N", "PBW", "PBW_REDUNDANT", True)
 
 

@@ -12,7 +12,7 @@
   in standard monomials over the oracle prime, an oracle independent of
   straightening.
 - ``weight_matrix`` stacks weight dicts into the array that
-  ``cones.contains_many`` and ``cones.lead_is_initial_many`` read.
+  ``cones.contains_many`` reads.
 """
 
 from math import comb

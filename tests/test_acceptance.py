@@ -128,7 +128,8 @@ def test_criterion_07_cone_soundness():
             checks += report.checks
     _report(7, failures == 0,
             f"1000 sampled interior points per cone and n satisfy the redundant "
-            f"descriptions and initial-form expectations ({checks} checks)")
+            f"descriptions, whose rows are exactly each pair's lead against its "
+            f"other terms ({checks} checks)")
 
 
 def test_criterion_08_irredundancy_witnesses():

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import shlex
 import subprocess
@@ -10,8 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plueckerfan import cli, cones, straightening
+from plueckerfan.order_core import key_name
 from plueckerfan.plucker_lattices import PluckerLattice, semistandard_lattice
 
 
@@ -185,6 +189,22 @@ class TestPolytope:
             assert (code, out) == (3, "")
             assert err == f"capacity: the {t}-dilation may exceed 16777216 point coordinates\n"
 
+    @pytest.mark.parametrize("t", ["0", "1"])
+    def test_a_large_antichain_stops_before_listing_its_ideals(self, capsys, tmp_path, t):
+        # 2^40 ideals: at t = 1 the listing stops once it would pass 2^24 // 40 masks, each
+        # one point of 40 coordinates; the one point of t = 0 lists none
+        path = tmp_path / "antichain.json"
+        path.write_text(json.dumps({"elements": [f"a{i}" for i in range(40)], "covers": []}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "polytope", "--poset", str(path), "--t", t,
+                             "--action", "points")
+        assert time.perf_counter() - start < 1.0
+        if t == "0":
+            assert code == 0 and json.loads(out) == [{f"a{i}": "0" for i in range(40)}]
+        else:
+            assert (code, out) == (3, "")
+            assert err == f"capacity: poset has more than {(1 << 24) // 40} order ideals\n"
+
     def test_order_hrep_default_partition(self, capsys, chain_file):
         code, out, _ = run(capsys, "polytope", "--poset", chain_file,
                            "--action", "hrep")
@@ -267,13 +287,13 @@ GOLDEN_STDOUT = {
     "verify --suite minkowski --n 4":
         "3614d2c707e3bd1167514e1af44684aa9e2c7404dd917f7ee14c88d4fce7ca98",
     "verify --suite hibi-cone --n 4":
-        "886dee6092136af67d7197497b337445df743b56a775d2ebcbf27fdab4bcdb57",
+        "60a8dbb77e4417279dce561d99aa08fe610a49f518e3d9473e9eb5565ba6da70",
     "verify --suite genhibi-cone --n 4":
-        "e9b5472bae0b658d6082a5d9f0c96b96f5dd7bac6b4b065ee1414d75e642b17c",
+        "ae7c431c46c32cb8f938d023eb78c1cd359c14f8c3457a490b1ff6ad9d23ffd1",
     "verify --suite ssyt-cone --n 4":
-        "6fb5ed5a1f6f17621a9ca27c3ba985acf43c24345d99927151757576ebe4c7eb",
+        "a4ee517103435268a5d2786befd0438aef2c942c66fb473194913d9aeeaf8617",
     "verify --suite pbw-cone --n 4":
-        "fa323ad4192f6a8d6ec4e3ab6ab50f087c7bfb246351334a18fcd3f1b07bcd74",
+        "3982c7e9c0f7d00d427ab9a05425ef020c5af0b30776a0615c7fdb0ce8ea8dec",
     "verify --suite counts --n 6":
         "edb26aba630eb42c750c0c98759fcf83f33b6923365652f89d34724dfec1d5cb",
     "facets --n 7":
@@ -667,3 +687,90 @@ def test_exact_commands_never_load_numpy(python_env, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert [json.loads(line) for line in proc.stdout.splitlines()] == [
         [[0] * len(NUMPY_FREE), False], [[0] * len(ARRAY_PATH), True]]
+
+
+# -- the file options under well-formed and malformed input ------------------------
+
+# texts no JSON reader should get past: broken syntax, other JSON shapes, non-UTF-8
+# bytes and nesting past the parser's recursion limit
+MALFORMED_TEXTS = [b"", b"{", b'{"a": }', b"[1, 2", b"null", b"true", b"0", b'"text"', b"[]",
+                   b"[[]]", b"NaN", b"\xff\xfe", b"[" * 100_000, b'{"a": ' * 100_000]
+# values that fit no field: wrong types, unreadable numbers, a huge integer
+MALFORMED_VALUES = [None, True, False, [], {}, [[1]], "", "x", "1/0", "1/2/3", float("inf"),
+                    float("nan"), 1e300, 10 ** 40]
+GOOD_VALUES = [0, 1, 2, -1, "1/2", "2", 1.0, 0.5]
+NAMES = ["a", "b", "c", "d", "e", "f", 1, 2, "1"]  # 1 and "1" share a name
+
+
+def _mangled(draw, obj, fields):
+    """``obj``, or now and then ``obj`` with one of ``fields`` dropped or malformed."""
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            obj.pop(field, None)
+        else:
+            obj[field] = draw(st.sampled_from(MALFORMED_VALUES))
+    return obj
+
+
+def _file_text(draw, obj):
+    """The JSON of ``obj``, or now and then a malformed text instead."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(MALFORMED_TEXTS))
+    return json.dumps(obj).encode()
+
+
+@st.composite
+def file_option_runs(draw):
+    """(argv, {file name: bytes}) of one ``polytope`` or ``check-point`` run."""
+    files = {}
+    if draw(st.integers(0, 3)) == 0:
+        kind, target = draw(st.sampled_from(["M", "N"])), draw(st.sampled_from(cones.ALL_TARGETS))
+        names = [key_name(k) for k in cones.interior_witness(PluckerLattice(kind, 3))]
+        weights = {name: draw(st.sampled_from(GOOD_VALUES)) for name in names}
+        files["weights"] = _file_text(draw, _mangled(draw, weights, names + ["extra"]))
+        return ["check-point", "--target", target, "--kind", kind, "--n", "3",
+                "--weights", "weights"], files
+    names = draw(st.lists(st.sampled_from(NAMES), max_size=6, unique=True))
+    forward = [(x, y) for i, x in enumerate(names) for y in names[i + 1:]]
+    anywhere = [(x, y) for x in names + ["z"] for y in names]  # cycles, self-loops, strangers
+    covers = draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
+    if names and draw(st.integers(0, 5)) == 0:
+        covers.append(draw(st.sampled_from(anywhere)))
+    files["poset"] = _file_text(draw, _mangled(
+        draw, {"elements": names, "covers": [list(c) for c in covers]}, ["elements", "covers"]))
+    action = draw(st.sampled_from(["hrep", "points", "decompose"]))
+    argv = ["polytope", "--poset", "poset", "--action", action,
+            "--t", str(draw(st.integers(-2, 4)))]
+    if draw(st.booleans()):
+        order = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+        chain = [x for x in names if x not in order]
+        files["partition"] = _file_text(draw, _mangled(
+            draw, {"order": order, "chain": chain}, ["order", "chain"]))
+        argv += ["--partition", "partition"]
+    if action == "decompose" and draw(st.integers(0, 5)):
+        point = {str(x): draw(st.sampled_from([0, 0, 1, 1, 2, *GOOD_VALUES])) for x in names}
+        files["point"] = _file_text(draw, _mangled(draw, point, [*map(str, names), "extra"]))
+        argv += ["--point", "point"]
+    return argv, files
+
+
+@given(file_option_runs())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_file_options_end_in_an_exit_code(tmp_path_factory, run):
+    # every run, on any input, is a result or one error line: exit 0-3, never a traceback
+    argv, files = run
+    folder = tmp_path_factory.mktemp("files", numbered=True)
+    for name, text in files.items():
+        (folder / name).write_bytes(text)
+    argv = [str(folder / arg) if arg in files else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert 0 <= code <= 3, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code >= 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -18,6 +18,7 @@ from plueckerfan.order_core import (
     Poset,
     PosetError,
     enumerate_order_ideals,
+    ideal_masks,
 )
 from plueckerfan.plucker_lattices import PluckerLattice, semistandard_lattice
 
@@ -112,6 +113,20 @@ class TestOrderIdeals:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             enumerate_order_ideals(antichain(63))
+
+    @given(random_posets())
+    @settings(max_examples=40, deadline=None)
+    def test_a_listing_stops_before_it_holds_more_than_most(self, p):
+        # a poset with k ideals lists them under most = k and stops under most = k - 1
+        k = len(ideal_masks(p))
+        assert ideal_masks(p, k) == ideal_masks(p)
+        with pytest.raises(CapacityError, match=f"more than {k - 1} order ideals"):
+            ideal_masks(p, k - 1)
+
+    def test_a_capped_antichain_stops_at_its_cap(self):
+        # 2^40 ideals; the cap stops the listing at 2^11 of them, at once
+        with pytest.raises(CapacityError, match="more than 3000 order ideals"):
+            ideal_masks(antichain(40), 3000)
 
     def test_non_ideal_rejected(self):
         p = chain(2)

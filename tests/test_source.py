@@ -70,6 +70,7 @@ API = {
     "plucker_lattices.m_cell_ideal": "the cell ideal of a column of M(n), by its definition",
     "plucker_lattices.pbw_cell_ideal": "the cell ideal of a column of N(n), by its definition",
     "cones.weights_to_json_obj": "the inverse of the reader of the --weights file",
+    "cones.initial_form": "the scalar initial form that the cone suites' row checks imply",
     "chain_order.dilation_points": "a perfbench span names it",
     "order_core.enumerate_order_ideals": "a perfbench span names it",
 }

@@ -1366,8 +1366,8 @@ class TestNormalForms:
 
     @pytest.mark.parametrize("suite, most", [("ssyt-cone", 715), ("pbw-cone", 705)])
     def test_cone_suites_share_the_redundant_table(self, monkeypatch, suite, most):
-        # the initial forms are straightened on the lattice of the redundant description,
-        # so the normal forms its rows built are not built again
+        # the relations the row checks read are straightened on the lattice of the redundant
+        # description, so the normal forms its rows built are not built again
         calls = []
         real = straightening._shuffle_sums
         monkeypatch.setattr(straightening, "_shuffle_sums",

@@ -204,7 +204,7 @@ def test_batched_sampler_on_the_zero_centre_gives_up_like_the_reference(n, count
         assert got == sampler_outcome(reference_sample_cone_points, *args)
 
 
-# -- the per-sample cone suite loop, kept as the reference of the batched one ----
+# -- the per-sample cone suite loop and a row scan per pair, kept as the reference ----
 
 def reference_cone_suite(name, n, seed, target, redundant_target, relation_kind):
     report = verify.SuiteReport(name, n, seed)
@@ -223,32 +223,27 @@ def reference_cone_suite(name, n, seed, target, redundant_target, relation_kind)
     points, rejected = as_points(
         verify.sample_cone_points(minimal, center, verify.CONE_SAMPLES, seed), center)
     report.notes["rejected_samples"] = rejected
-    relations = None
-    if relation_kind:
-        relations = [(a, b, straightening.straighten_pair(lat, a, b))
-                     for a, b in lat.incomparable_pairs()]
-    binomials = [(a, b, straightening.hibi_generator(
-        lat, a, b, None if target == "HIBI" else lat.partition))
-        for a, b in lat.incomparable_pairs()] if target in ("HIBI", "GENHIBI") else None
     for idx, w in enumerate(points):
         if not cones.contains(redundant, w):
             bad = [iq.provenance for iq in redundant.inequalities if not iq.holds(w)]
             report.record(False, ("redundant description", idx, bad[:3]))
         else:
             report.record(True, None)
-        if relations is not None:
-            for a, b, rel in relations:
-                inf = cones.initial_form(rel, w)
-                lead = straightening.monomial(
-                    (lat.weight_key(a), lat.weight_key(b)))
-                report.record(set(inf) == {lead}, ("initial form", idx, a, b, sorted(inf)))
-        if binomials is not None:
-            for a, b, gen in binomials:
-                key = lat.weight_key
-                inf = cones.initial_form(
-                    {straightening.monomial(tuple(map(key, m))): c for m, c in gen.items()}, w)
-                lead = straightening.monomial((key(a), key(b)))
-                report.record(set(inf) == {lead}, ("initial binomial", idx, a, b))
+    key = lat.weight_key
+    for a, b in lat.incomparable_pairs():
+        if relation_kind:
+            kind, poly = "relation rows", straightening.straighten_pair(lat, a, b)
+        else:
+            kind = "binomial rows"
+            gen = straightening.hibi_generator(
+                lat, a, b, None if target == "HIBI" else lat.partition)
+            poly = {straightening.monomial(tuple(map(key, m))): c for m, c in gen.items()}
+        lead = straightening.monomial((key(a), key(b)))
+        rows = sorted((iq.form, iq.relation) for iq in redundant.inequalities
+                      if iq.provenance[1:3] == (a, b))
+        expect = sorted((cones._form(*[(k, 1) for k in lead], *[(k, -1) for k in m]), cones.STRICT)
+                        for m in poly if m != lead)
+        report.record(lead in poly and rows == expect, (kind, a, b, sorted(poly), rows))
     for fid in minimal.facet_ids():
         witness = cones.facet_witness(minimal, fid)
         own = minimal.inequality(fid)
@@ -343,18 +338,71 @@ def test_broken_redundant_cone_fails_like_reference(broken_redundant):
 
 
 def test_wrong_lead_fails_like_reference(wrong_leads):
-    for name, kind in (("pbw-cone", "initial form"), ("hibi-cone", "initial binomial")):
-        kinds = failure_kinds(assert_same_report(name, 4, 0))
-        assert 0 < kinds.count(kind) < verify.CONE_SAMPLES, name
+    # the redundant rows stay those of the true relation, so the one pair whose
+    # polynomial gained a term fails its row check, once, whatever the samples
+    for name, kind in (("pbw-cone", "relation rows"), ("hibi-cone", "binomial rows")):
+        report = assert_same_report(name, 4, 0)
+        lat = verify.PluckerLattice("N" if name == "pbw-cone" else "M", 4)
+        assert [f[:3] for f in report.failures] == [(kind, *wrong_pair(lat)[:2])], name
 
 
 def test_mixed_failures_keep_the_per_sample_order(broken_redundant, wrong_leads):
     report = assert_same_report("ssyt-cone", 4, 0)
     kinds = failure_kinds(report)
-    assert 0 < kinds.count("redundant description") < verify.CONE_SAMPLES
-    assert 0 < kinds.count("initial form") < verify.CONE_SAMPLES
-    samples = [f[1] for f in report.failures]
-    assert samples == sorted(samples) and kinds != sorted(kinds, reverse=True)
+    samples = kinds.count("redundant description")
+    assert 0 < samples < verify.CONE_SAMPLES
+    assert kinds == ["redundant description"] * samples + ["relation rows"] * (len(kinds) - samples)
+    assert samples < len(kinds)
+    pairs = verify.PluckerLattice("M", 4).incomparable_pairs()
+    at_sample = [f[1] for f in report.failures[:samples]]
+    at_pair = [pairs.index(f[1:3]) for f in report.failures[samples:]]
+    assert at_sample == sorted(at_sample) and at_pair == sorted(at_pair)
+
+
+# each redundant description of a cone suite loses its last 5 rows, has one row's
+# first coefficient doubled, or has one row made non-strict; the samples pass
+# every one of these, and the row check of each touched pair must fail
+CONE_SUITES_WITH_BROKEN_ROWS = (
+    "import dataclasses, sys\n"
+    "from plueckerfan import cones, verify\n"
+    "build = cones.cone_hrep\n"
+    "def broken(target, **kwargs):\n"
+    "    hrep = build(target, **kwargs)\n"
+    "    if not target.endswith('_REDUNDANT'):\n"
+    "        return hrep\n"
+    "    rows, mid = list(hrep.inequalities), len(hrep.inequalities) // 2\n"
+    "    if sys.argv[1] == 'dropped':\n"
+    "        del rows[-5:]\n"
+    "    elif sys.argv[1] == 'coefficient':\n"
+    "        (key, c), *rest = rows[mid].form\n"
+    "        rows[mid] = dataclasses.replace(rows[mid], form=((key, 2 * c), *rest))\n"
+    "    else:\n"
+    "        rows[mid] = dataclasses.replace(rows[mid], relation=cones.NONSTRICT)\n"
+    "    return dataclasses.replace(hrep, inequalities=tuple(rows))\n"
+    "cones.cone_hrep = broken\n"
+    "for name in ('hibi-cone', 'genhibi-cone', 'ssyt-cone', 'pbw-cone'):\n"
+    "    report = verify.run_suite(name, n=4)\n"
+    "    kinds = [f[0] for f in report.failures]\n"
+    "    print(name, kinds.count('redundant description'), len(kinds))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("mutant, failures", [
+    ("dropped", {"hibi-cone": 5, "genhibi-cone": 5, "ssyt-cone": 3, "pbw-cone": 3}),
+    ("coefficient", dict.fromkeys(CONE_SUITES, 1)),
+    ("nonstrict", dict.fromkeys(CONE_SUITES, 1))])
+def test_cone_suites_find_broken_redundant_rows(python_env, flags, mutant, failures):
+    # the pair failures, after the sample failures; a doubled coefficient may fail samples too
+    proc = subprocess.run([sys.executable, *flags, "-c", CONE_SUITES_WITH_BROKEN_ROWS, mutant],
+                          capture_output=True, text=True, timeout=120, env=python_env)
+    assert proc.returncode == 0, proc.stderr
+    got = {}
+    for line in proc.stdout.splitlines():
+        name, samples, total = line.split()
+        got[name] = int(total) - int(samples)
+        if mutant != "coefficient":  # the cone only grows, so every sample passes
+            assert samples == "0", line
+    assert got == failures
 
 
 # -- the per-(partition, t) loop, kept as the reference of the stacked checks -----
