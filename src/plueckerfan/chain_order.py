@@ -9,8 +9,8 @@ the lattice points of dilations together with their Minkowski decompositions.
 ``dilation_points`` the same points as dicts, and ``points_to_json`` renders
 rows as the JSON of ``point_to_json_obj`` maps without building them.
 
-``zeta_matrix``, ``zeta_prime_matrix`` and ``k_matrix`` are the batched
-forms of ``zeta``, ``zeta_prime`` and ``k_set``.  They map a stack of
+``zeta_matrix`` and ``zeta_prime_matrix`` are the batched forms of ``zeta``
+and ``zeta_prime``.  They map a stack of
 partitions of one poset at once: a partitions-by-points-by-elements numpy
 array, with ``chain_matrix`` marking each partition's chain elements, so one
 partition is the one-element stack.  ``PolytopeHRep.arrays`` gives an
@@ -21,7 +21,7 @@ against.
 ``interpolating_hrep`` works on bitmasks and visits only the chains that
 can give a row.  Each partition keeps the K-sets of the ideals it has met
 (``ChainOrderPartition.k_sets``), so the ideal products of a lattice compute
-each ideal's K-set once.
+each ideal's K-set once; ``k_vectors`` gives them as 0/1 rows.
 """
 
 from __future__ import annotations
@@ -284,18 +284,6 @@ def zeta_prime_matrix(poset, chain, X):
     return best
 
 
-def k_matrix(poset, chain, J):
-    """K-set indicators of a stack of 0/1 ideal arrays, laid out as for ``zeta_matrix``.
-
-    For float ``J`` the count of ideal elements above each element is a BLAS
-    product, exact since every count is at most the poset size.
-    """
-    # entry (p, x, q): the elements of J_x strictly above q
-    above_in_j = J @ poset.strict_order_matrix.T.astype(J.dtype)
-    # order elements of J_x all count, chain elements only when nothing of J_x lies above
-    return ((J > 0) & (~chain[:, None, :] | (above_in_j == 0))).astype(J.dtype)
-
-
 def k_set(part, ideal):
     """Support of zeta applied to the indicator vector of an order ideal."""
     poset = part.poset
@@ -316,6 +304,13 @@ def _k_mask(part, bits):
     if k is None:
         k = part.k_sets[bits] = (bits & part.order_mask) | part.poset.maximal_of(bits, part.chain_mask)
     return k
+
+
+def k_vectors(part, masks):
+    """One int64 row of 0/1 per mask of ``masks``: its K-set by ``_k_mask``, over ``poset.elements``."""
+    import numpy as np  # on first use, see PolytopeHRep.arrays
+    ks = np.array([_k_mask(part, m) for m in masks], dtype=np.int64)
+    return ks[:, None] >> np.arange(len(part.poset)) & 1
 
 
 def odot_ideals(part, ideal1, ideal2):
@@ -372,7 +367,7 @@ def dilation_table(part, t):
         raise CapacityError(f"the {t}-dilation may exceed {DILATION_CAPACITY} point coordinates")
     import numpy as np  # on first use, see PolytopeHRep.arrays
     A, b = interpolating_hrep(poset, part).arrays()
-    K = np.array([_k_mask(part, m) for m in masks], dtype=np.int64)[:, None] >> np.arange(n) & 1
+    K = k_vectors(part, masks)
     bits = np.array(masks, dtype=np.int64)
     points = np.zeros((1, n), dtype=np.int64)
     if t:
@@ -411,13 +406,10 @@ def minkowski_decompose(part, point, t):
     parts = []
     total = [0] * n
     for i in range(1, t + 1):
-        mask = 0
-        for j in range(n):
-            if level[j] >= i:
-                mask |= 1 << j
+        mask = sum(1 << j for j in range(n) if level[j] >= i)
         check(poset.is_down_closed(mask), "level set of the transfer image must be an ideal")
         kmask = _k_mask(part, mask)
-        piece = tuple(1 if kmask >> j & 1 else 0 for j in range(n))
+        piece = tuple(kmask >> j & 1 for j in range(n))
         check(hrep.contains(piece, 1), "every piece must lie in the polytope")
         parts.append(_as_point(poset, piece))
         total = [x + y for x, y in zip(total, piece)]
@@ -453,5 +445,10 @@ def points_to_json(poset, rows):
 
 
 def point_from_json_obj(obj, poset):
-    """The point a ``point_to_json_obj`` map names: one rational coordinate per element's ``str``."""
-    return json_rationals(obj, {str(el): el for el in poset.elements}, "point")
+    """The point a ``point_to_json_obj`` map names: a rational per element's ``str``, no other key."""
+    names = {str(el): el for el in poset.elements}
+    point = json_rationals(obj, names, "point")
+    stray = [name for name in obj if name not in names]
+    if stray:
+        raise PosetError(f"point JSON names no element {stray[0]!r}")
+    return point

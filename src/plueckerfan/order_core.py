@@ -287,18 +287,6 @@ class Poset:
             out.append(m)
         return tuple(out)
 
-    @cached_property
-    def strict_order_matrix(self):
-        """Read-only boolean matrix whose (i, j) entry says element i lies strictly below element j.
-
-        Its memory is an immutable ``bytes`` object, so neither the matrix nor
-        its base array can have its ``writeable`` flag set back to True.
-        """
-        import numpy as np  # on first use, see chain_order.PolytopeHRep.arrays
-        n = len(self)
-        rows = bytes(i != j and up >> j & 1 for i, up in enumerate(self.up) for j in range(n))
-        return np.frombuffer(rows, dtype=bool).reshape(n, n)
-
     def cover_pairs(self):
         out = []
         for i in range(len(self)):

@@ -12,7 +12,8 @@ float32 (BLAS), exact for the small bounded coordinates involved, which a
 check guards, and ``STACK_BYTES`` bounds every stacked temporary.  The
 records keep the order of checking one partition at one t at a time.  A run
 builds each box of side t+1 once per poset size and t, and drops it when the
-run ends.  The cone suites check all their samples at once through
+run ends.  ``minkowski`` reads each level set's piece from tables over the
+poset's ideals, built once per poset.  The cone suites check all their samples at once through
 ``cones.contains_many``, on the samples-by-keys matrix the sampler returns,
 and check once per pair, exactly, that the redundant rows are its
 polynomial's lead against each other term.  numpy is imported on first use, by the box, the transfer checks
@@ -33,11 +34,11 @@ from .chain_order import (
     ChainOrderPartition,
     chain_matrix,
     interpolating_hrep,
-    k_matrix,
+    k_vectors,
     zeta_matrix,
     zeta_prime_matrix,
 )
-from .order_core import CapacityError, InvariantError, Poset, check, key_name
+from .order_core import CapacityError, InvariantError, Poset, check, ideal_masks, key_name
 from .plucker_lattices import (
     PluckerLattice,
     pbw_lattice,
@@ -287,8 +288,7 @@ def _check_names(t, check_decomposition):
     return names
 
 
-def _transfer_checks(poset, chain, At, b, order_at, order_b, X, reference, t,
-                     check_decomposition):
+def _transfer_checks(poset, chain, At, b, order_at, order_b, X, reference, t, pieces):
     """The transfer checks of a stack of partitions at one t > 0, as a bool array.
 
     ``X`` holds each partition's points, as many for every partition of the
@@ -297,6 +297,7 @@ def _transfer_checks(poset, chain, At, b, order_at, order_b, X, reference, t,
     ``order_b`` the order polytope's; ``reference`` holds the order
     polytope's points, shared by all partitions.  The result has a row per
     partition and a column per check, in ``_check_names`` order.
+    ``pieces`` holds ``_check_poset``'s ideal tables and partitions of the stack.
 
     The inequality products run in float32, where numpy uses BLAS.  They are
     exact: the rows come from ``interpolating_hrep``, with entries in
@@ -316,15 +317,19 @@ def _transfer_checks(poset, chain, At, b, order_at, order_b, X, reference, t,
     del Z, R  # the reference side is done: keep it out of the decomposition's peak memory
     Y = Y.astype(np.float32)
     outcomes.append((Y @ order_at <= t * order_b).all(axis=(1, 2)))
-    if check_decomposition:
-        lt = poset.strict_order_matrix.astype(np.float32)
-        total = np.zeros_like(Y)
+    if pieces is not None:
+        slot, K, inside, parts = pieces
+        rows = np.arange(len(X))[:, None]
+        total = np.zeros_like(X)
         for i in range(1, t + 1):
-            J = (Y >= i).astype(np.float32)
-            # (J @ lt.T)[p, x, q] counts elements of J_x strictly above q
-            outcomes.append(((J > 0) | (J @ lt.T == 0)).all(axis=(1, 2)))
-            piece = k_matrix(poset, chain, J)
-            outcomes.append((piece @ At <= b).all(axis=(1, 2)))
+            level = (Y >= i) @ (1 << np.arange(len(poset)))  # each level set as a mask
+            ideal = slot[level]
+            outcomes.append((ideal >= 0).all(axis=1))
+            piece, kept = K[rows, ideal], inside[rows, ideal]
+            for p, x in zip(*np.nonzero(ideal < 0)):  # no ideal: a check has failed
+                piece[p, x] = k_vectors(parts[p], [int(level[p, x])])
+                kept[p, x] = (piece[p, x] @ At[p] <= b[p]).all()
+            outcomes.append(kept.all(axis=1))
             total += piece
         outcomes.append((total == X).all(axis=(1, 2)))
     return np.stack(outcomes, axis=1)
@@ -348,7 +353,13 @@ def _check_poset(report, poset, parts, box, check_decomposition):
     order_rows = binding_rows(order_A, order_b)
     rows, bounds = binding_rows(A, b)
     chain = chain_matrix(poset, parts)
-    width = A.shape[1]
+    if check_decomposition:  # the ideal tables the level sets read
+        masks = ideal_masks(poset)
+        slot = np.full(1 << size, -1)  # a mask's index in masks, -1 if it is no ideal
+        slot[masks] = np.arange(len(masks))
+        K = np.stack([k_vectors(part, masks) for part in parts])  # [p, j]: ideal j's K-vector
+        inside = np.array([(k @ a.T <= c).all(axis=1)  # K[p, j] in p's polytope, exact int64
+                           for k, a, c in zip(K, A, b)])
     # the transfer checks' systems: transposed for the products, in float32
     At = A.transpose(0, 2, 1).astype(np.float32, order="C")
     b = b[:, None, :].astype(np.float32)
@@ -361,7 +372,7 @@ def _check_poset(report, poset, parts, box, check_decomposition):
         counts.append([])
         outcomes.append([])
         # a partition has as many points as the order polytope, unless a check fails
-        step = max(1, STACK_BYTES // (4 * width * len(reference)))
+        step = max(1, STACK_BYTES // (4 * A.shape[1] * len(reference)))
         for lo in range(0, len(parts), step):
             got, points = integer_points(rows[:, lo:lo + step], bounds[:, lo:lo + step], t, box[t])
             counts[t] += got
@@ -374,9 +385,10 @@ def _check_poset(report, poset, parts, box, check_decomposition):
                 X = points[first:first + (j - i) * got[i]].reshape(j - i, got[i], size)
                 first += (j - i) * got[i]
                 run = slice(lo + i, lo + j)
+                pieces = (slot, K[run], inside[run], parts[run]) if check_decomposition else None
                 outcomes[t] += _transfer_checks(
                     poset, chain[run], At[run], b[run], order_at, order_b,
-                    X, reference, t, check_decomposition).tolist()
+                    X, reference, t, pieces).tolist()
     names = [_check_names(t, check_decomposition) for t in range(EHRHART_MAX_T + 1)]
     for p, part in enumerate(parts):
         label = part.to_json_obj()

@@ -18,8 +18,8 @@ from plueckerfan.chain_order import (
     dilation_points,
     dilation_table,
     interpolating_hrep,
-    k_matrix,
     k_set,
+    k_vectors,
     minkowski_decompose,
     odot_elements,
     odot_ideals,
@@ -672,21 +672,17 @@ class TestVectorizedAgreesWithScalar:
                     assert zeta(part, x) == as_point(poset, zrow)
                     assert zeta_prime(part, x) == as_point(poset, zprow)
 
-    def test_k_matrix(self):
+    def test_k_vectors(self):
         rng = random.Random(8)
         for poset, parts in batched_cases(rng):
             ideals = enumerate_order_ideals(poset)
-            rows = [[1 if e in ideal.members() else 0 for e in poset.elements] for ideal in ideals]
-            chain = chain_matrix(poset, parts)
-            for dtype in (np.int64, np.float64):  # float64 takes the BLAS product
-                J = np.array(rows, dtype=dtype)[None].repeat(len(parts), axis=0)
-                K = k_matrix(poset, chain, J)
-                assert K.dtype == dtype and K.shape == J.shape
-                for part, block in zip(parts, K):
-                    for ideal, krow in zip(ideals, block):
-                        expect = set(k_set(part, ideal))
-                        got = {e for e, v in zip(poset.elements, krow) if v}
-                        assert got == expect
+            for part in parts:
+                K = k_vectors(part, [ideal.bits for ideal in ideals])
+                assert K.dtype == np.int64 and K.shape == (len(ideals), len(poset))
+                for ideal, krow in zip(ideals, K):
+                    expect = set(k_set(part, ideal))
+                    got = {e for e, v in zip(poset.elements, krow) if v}
+                    assert got == expect
 
     def test_one_partition_is_the_one_element_stack(self):
         poset = grid_poset(4)
@@ -700,22 +696,6 @@ class TestVectorizedAgreesWithScalar:
     def test_chain_matrix_rejects_a_foreign_partition(self):
         with pytest.raises(PosetError):
             chain_matrix(two_chain(), [ChainOrderPartition.order_polytope(two_chain())])
-
-
-def test_strict_order_matrix_is_memoised_and_read_only():
-    poset = grid_poset(4)
-    lt = poset.strict_order_matrix
-    assert lt is poset.strict_order_matrix
-    assert lt.tolist() == [[i != j and bool(poset.up[i] >> j & 1) for j in range(len(poset))]
-                           for i in range(len(poset))]
-    with pytest.raises(ValueError):
-        lt[0, 1] = not lt[0, 1]
-    # the flag sticks: neither the matrix nor any base array can be made writeable again
-    base = lt
-    while isinstance(base, np.ndarray):
-        with pytest.raises(ValueError):
-            base.flags.writeable = True
-        base = base.base
 
 
 @pytest.mark.parametrize("value", [0, 1, -3, 10 ** 30, True, False,

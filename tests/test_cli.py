@@ -221,6 +221,17 @@ class TestPolytope:
         assert code == 0
         assert json.loads(out) == [{"p": "0", "q": "1"}, {"p": "1", "q": "0"}]
 
+    def test_decompose_rejects_a_key_that_names_no_element(self, capsys, tmp_path):
+        poset = tmp_path / "chain.json"
+        poset.write_text(json.dumps({"elements": ["a", "b", "c"],
+                                     "covers": [["a", "b"], ["b", "c"]]}))
+        point = tmp_path / "pt.json"
+        point.write_text(json.dumps({"a": 1, "b": 1, "c": 0, "d": 5}))
+        code, out, err = run(capsys, "polytope", "--poset", str(poset), "--t", "2",
+                             "--action", "decompose", "--point", str(point))
+        assert (code, out) == (2, "")
+        assert err == "error: point JSON names no element 'd'\n"
+
 
 class TestVerifyAndFacets:
     def test_counts_suite(self, capsys):

@@ -45,6 +45,15 @@ def test_numpy_is_imported_on_first_use():
     assert found == []
 
 
+def test_order_core_never_imports_numpy():
+    # posets and ideals are bitmasks; the arrays over them live in chain_order and verify
+    tree = ast.parse((PACKAGE / "order_core.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and any(name.split(".")[0] == "numpy" for name in imported_modules(node))]
+    assert found == []
+
+
 def test_oracle_helpers_left_the_library():
     # deg_vector serves only the tests (tests/oracle_reference.py); short minors are expanded
     # over the minor table, and the symbolic minor by the same expansion, with no permutations

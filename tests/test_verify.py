@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plueckerfan import cones, straightening, verify
+from plueckerfan import chain_order, cones, straightening, verify
 from plueckerfan.chain_order import ChainOrderPartition, chain_matrix, interpolating_hrep
 from lattice_reference import DistributiveLattice, LatticeError
 from plueckerfan.order_core import (
@@ -433,13 +433,14 @@ def reference_combo(report, part, label, arrays, order_arrays, reference, t,
     report.record(bool((Y @ Ao.T <= t * bo).all()), ("zeta_prime image", label, t))
     if not check_decomposition:
         return
-    lt = part.poset.strict_order_matrix.astype(np.int64)
+    size = len(part.poset)
     total = np.zeros_like(points)
     for i in range(1, t + 1):
-        J = (Y >= i).astype(np.int64)
-        not_down_closed = ((J == 0) & ((J @ lt.T) > 0)).any()
-        report.record(not bool(not_down_closed), ("level sets are ideals", label, t, i))
-        piece = one_block("k_matrix", part, J)
+        masks = ((Y >= i) * (1 << np.arange(size))).sum(axis=1).tolist()
+        k_sets = {m: chain_order._k_mask(part, m) for m in set(masks)}
+        report.record(all(map(part.poset.is_down_closed, k_sets)),
+                      ("level sets are ideals", label, t, i))
+        piece = np.array([k_sets[m] for m in masks], dtype=np.int64)[:, None] >> np.arange(size) & 1
         report.record(bool((piece @ A.T <= b).all()), ("piece membership", label, t, i))
         total += piece
     report.record(bool((total == points).all()), ("decomposition sum", label, t))
@@ -493,13 +494,27 @@ def test_ragged_stacks_match_the_reference(monkeypatch, name):
     assert counts and len(report.failures) > len(counts)
 
 
-def test_level_sets_as_pieces_fail_like_the_reference(monkeypatch):
+MINKOWSKI_WITH_LEVEL_SETS_AS_PIECES = (
+    "import json\n"
+    "from plueckerfan import chain_order, verify\n"
+    "chain_order._k_mask = lambda part, bits: bits\n"
+    "print(json.dumps(verify.run_suite('minkowski', n=4).to_json_obj()))\n")
+
+
+def test_level_sets_as_pieces_fail_like_the_reference(monkeypatch, python_env):
     # pieces that are the level sets themselves, not their K-sets: chain
     # elements below another element of the level set break the chain rows
-    monkeypatch.setattr(verify, "k_matrix", lambda poset, chain, J: J)
-    report = assert_same_ehrhart_report("minkowski", 4, 0)
-    kinds = {f[0] for f in report.failures}
-    assert kinds == {"piece membership", "decomposition sum"}
+    monkeypatch.setattr(chain_order, "_k_mask", lambda part, bits: bits)
+    report = reference_ehrhart_like("minkowski", 4, 0)
+    assert {f[0] for f in report.failures} == {"piece membership", "decomposition sum"}
+    expect = report.to_json_obj()
+    for flags in ([], ["-O"]):  # every check stays live under python -O
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", MINKOWSKI_WITH_LEVEL_SETS_AS_PIECES],
+            capture_output=True, text=True, timeout=120, env=python_env)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert (got["checks"], got["failures"]) == (expect["checks"], expect["failures"]), flags
 
 
 def test_one_corrupted_system_fails_only_its_own_records(monkeypatch):
