@@ -125,7 +125,8 @@ def cmd_check_point(args):
     with open(args.weights) as fh:
         obj = json_object(fh.read(), "weights")
     keys = {k for ineq in hrep.inequalities for k, _ in ineq.form}
-    weights = cones.weights_from_json_obj(obj, keys)
+    lat = hrep.lattice  # a weights file may name every element, also those no row reads
+    weights = cones.weights_from_json_obj(obj, keys, map(lat.weight_key, lat.elements))
     member = cones.contains(hrep, weights)
     violated = [iq.provenance for iq in hrep.inequalities if not iq.holds(weights)]
     _emit({"target": hrep.label, "member": member,

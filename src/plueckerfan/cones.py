@@ -18,6 +18,7 @@ cone of N(n)) plus one row per special pair, from one diamond-row builder.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,8 @@ from .straightening import straighten_pair, straightening_terms
 STRICT = "<"
 NONSTRICT = "<="
 EQUALITY = "="
+# a form's value against zero under each relation: an int, a Fraction or a numpy column
+HOLDS = {STRICT: operator.lt, NONSTRICT: operator.le, EQUALITY: operator.eq}
 
 MINIMAL_TARGETS = ("HIBI", "GENHIBI", "SSYT", "PBW")
 REDUNDANT_TARGETS = ("HIBI_REDUNDANT", "GENHIBI_REDUNDANT", "SSYT_REDUNDANT", "PBW_REDUNDANT")
@@ -49,16 +52,12 @@ class LinearInequality:
         return sum(c * weights[k] for k, c in self.form)
 
     def holds(self, weights):
-        v = self.value(weights)
-        if self.relation == STRICT:
-            return v < 0
-        if self.relation == NONSTRICT:
-            return v <= 0
-        return v == 0
+        return HOLDS[self.relation](self.value(weights), 0)
 
     def holds_nonstrict(self, weights):
-        v = self.value(weights)
-        return v == 0 if self.relation == EQUALITY else v <= 0
+        """``holds`` with a strict row relaxed to its closure."""
+        relation = NONSTRICT if self.relation == STRICT else self.relation
+        return HOLDS[relation](self.value(weights), 0)
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,7 @@ class ConeHRep:
         return list(range(len(self.inequalities)))
 
     def inequality(self, facet_id):
-        if isinstance(facet_id, int):
-            return self.inequalities[facet_id]
-        for ineq in self.inequalities:
-            if ineq.provenance == tuple(facet_id):
-                return ineq
-        raise KeyError(f"no inequality with provenance {facet_id!r}")
+        return self.inequalities[facet_id]
 
     def to_json_obj(self):
         rows = []
@@ -199,13 +193,7 @@ def contains_many(hrep, keys, W):
     columns = dict(zip(keys, np.ascontiguousarray(W.T)))
     ok = np.ones(len(W), dtype=bool)
     for ineq in hrep.inequalities:
-        value = sum(coeff * columns[key] for key, coeff in ineq.form)
-        if ineq.relation == STRICT:
-            ok &= value < 0
-        elif ineq.relation == NONSTRICT:
-            ok &= value <= 0
-        else:
-            ok &= value == 0
+        ok &= HOLDS[ineq.relation](sum(coeff * columns[key] for key, coeff in ineq.form), 0)
     return ok
 
 
@@ -577,9 +565,14 @@ def initial_form(poly, weights):
     return {m: c for m, c in poly.items() if values[m] == least}
 
 
-def weights_from_json_obj(obj, keys):
-    """The weight vector a ``weights_to_json_obj`` map names: one rational per ``key_name``."""
-    return json_rationals(obj, {key_name(key): key for key in keys}, "weights")
+def weights_from_json_obj(obj, keys, allowed=None):
+    """The weight vector a ``weights_to_json_obj`` map names: one rational per ``key_name``.
+
+    Every key of ``keys`` must be named; a name of no key of ``allowed`` (by
+    default ``keys``) is refused.
+    """
+    return json_rationals(obj, {key_name(key): key for key in keys}, "weights",
+                          None if allowed is None else set(map(key_name, allowed)))
 
 
 def weights_to_json_obj(weights):

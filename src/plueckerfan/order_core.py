@@ -71,12 +71,13 @@ def json_ids(data, field, default=None):
     return ids
 
 
-def json_rationals(data, names, what):
+def json_rationals(data, names, what, allowed=None):
     """``{key: Fraction}`` of the values the JSON object ``data`` holds under the names of ``names``.
 
     ``names`` maps a name to its key.  A value is an integer, a finite number
     or a string ``Fraction`` reads, such as ``"p/q"``; any other value, a
-    missing name or a ``data`` that is no object is a ``PosetError``.
+    missing name, a name of ``data`` outside ``allowed`` (by default the names
+    of ``names``) or a ``data`` that is no object is a ``PosetError``.
     """
     _checked_object(data, what)
     out = {}
@@ -93,6 +94,10 @@ def json_rationals(data, names, what):
             pass
         raise PosetError(f"{what} value {name!r} must be an integer, a finite number "
                          f"or a 'p/q' string, got {value!r}")
+    allowed = names if allowed is None else allowed
+    for name in data:
+        if name not in allowed:
+            raise PosetError(f"{what} JSON names no element {name!r}")
     return out
 
 

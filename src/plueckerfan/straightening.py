@@ -330,25 +330,13 @@ def hibi_generator(lattice, a, b, part=None):
         lower = lattice.meet(a, b)
     else:
         lower = odot_elements(lattice, part, a, b)
-        theta_a = theta_exponent(lattice, part, (a,))
-        theta_b = theta_exponent(lattice, part, (b,))
-        theta_lo = theta_exponent(lattice, part, (lower,))
-        theta_hi = theta_exponent(lattice, part, (lattice.join(a, b),))
-        check(_merge_exponents(theta_a, theta_b) == _merge_exponents(theta_lo, theta_hi),
+        check(theta_exponent(lattice, part, (a, b))
+              == theta_exponent(lattice, part, (lower, lattice.join(a, b))),
               "binomial must lie in the kernel of the monomial map")
     poly = {}
     poly_add_term(poly, tuple(sorted((a, b))), 1)
     poly_add_term(poly, tuple(sorted((lower, lattice.join(a, b)))), -1)
     return poly
-
-
-def _merge_exponents(e1, e2):
-    out = dict(e1)
-    for k, v in e2.items():
-        out[k] = out.get(k, 0) + v
-        if out[k] == 0:
-            del out[k]
-    return out
 
 
 def theta_exponent(lattice, part, mono):
@@ -359,7 +347,7 @@ def theta_exponent(lattice, part, mono):
         for p in k_set(part, lattice.iota(a)):
             key = ("z", p)
             out[key] = out.get(key, 0) + 1
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def psi_exponent(alpha, n):
@@ -379,22 +367,16 @@ def theta_to_psi(exponent):
     Diagonal cells (k, k) become z_k / z_(k-1) and the deg marker t becomes z_1.
     """
     out = {}
-
-    def bump(key, v):
-        out[key] = out.get(key, 0) + v
-        if out[key] == 0:
-            del out[key]
-
     for key, v in exponent.items():
         if key == "t":
-            bump(("zdiag", 1), v)
+            poly_add_term(out, ("zdiag", 1), v)
         else:
             _, (r, s) = key
             if r == s:
-                bump(("zdiag", r), v)
-                bump(("zdiag", r - 1), -v)
+                poly_add_term(out, ("zdiag", r), v)
+                poly_add_term(out, ("zdiag", r - 1), -v)
             else:
-                bump(("zcell", (r, s)), v)
+                poly_add_term(out, ("zcell", (r, s)), v)
     return out
 
 

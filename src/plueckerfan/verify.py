@@ -1,8 +1,11 @@
 """Named verification suites bundling the library's invariants.
 
-Each suite runs a block of exact checks with a fixed seed and returns a
-``SuiteReport``; a failure record always carries a minimal reproducer.  Only
-the checks and the brute-force box oracle ``integer_points`` live here.
+``SUITES`` is the one table of suites: each name's body, its arguments, its
+default size and its least size.  ``run_suite`` resolves the size, builds the
+``SuiteReport``, runs the body on it with a fixed seed and times it; a body
+only records checks, and a failure record always carries a minimal
+reproducer.  Only the checks and the brute-force box oracle
+``integer_points`` live here.
 
 ``ehrhart`` and ``minkowski`` check all the partitions of a poset together.
 For each t, one product of the stacked inequality systems against the box
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,6 +57,7 @@ EHRHART_MAX_T = 3
 RANDOM_POSETS = 50
 PARTITION_SAMPLES = 20
 CONE_SAMPLES = 1000
+MEMBERSHIP_TRIALS = 20  # evaluation draws per relation of the straightening suites
 STACK_BYTES = 1 << 19  # bytes of the largest stacked float32 temporary of ehrhart/minkowski
 
 
@@ -88,23 +92,12 @@ class SuiteReport:
         }
 
 
-def _size(n, default, least):
-    """The size a suite runs at: ``default`` when ``n`` is None.
-
-    ``least`` is the smallest size at which the suite builds its objects and
-    makes at least one check; below it the size is a usage error.
-    """
-    n = default if n is None else n
-    if n < least:
-        raise ValueError(f"n must be at least {least}, got {n}")
-    return n
-
-
 # -- straightening suites ----------------------------------------------------
 
-def _straightening_suite(name, kind, n, seed, trials=20):
+def _straightening_suite(report, kind):
+    """Straightening-law shape and membership over the semistandard (M) or PBW (N) order."""
+    n, seed = report.n, report.seed
     lat = PluckerLattice(kind, n)
-    report = SuiteReport(name, n, seed)
     bound = Fraction(0)
     observed_m = {}
     for a, b in lat.incomparable_pairs():
@@ -123,13 +116,12 @@ def _straightening_suite(name, kind, n, seed, trials=20):
             else:
                 ok = lat.leq(lo, meet) and lat.leq(top, hi) and hi != top
             report.record(ok, ("tail dominance", a, b, (lo, hi)))
-        verdict = straightening.ideal_membership(rel, n, trials=trials, seed=seed)
+        verdict = straightening.ideal_membership(rel, n, trials=MEMBERSHIP_TRIALS, seed=seed)
         bound += verdict.failure_bound
         report.record(verdict.member, ("membership", a, b))
     report.notes["aggregate_failure_bound"] = bound
     report.notes["aggregate_failure_bound_log2"] = _log2_str(bound)
     report.notes["observed_tail_counts"] = dict(sorted(observed_m.items()))
-    return report
 
 
 def _log2_str(bound):
@@ -138,19 +130,9 @@ def _log2_str(bound):
     return f"{(bound.numerator.bit_length() - bound.denominator.bit_length()):d}"
 
 
-def suite_strlaws(n, seed):
-    """Straightening-law shape and membership over the semistandard order."""
-    return _straightening_suite("strlaws", "M", _size(n, 5, 3), seed)
-
-
-def suite_pbwstrlaws(n, seed):
-    """Straightening-law shape and membership over the PBW order."""
-    return _straightening_suite("pbwstrlaws", "N", _size(n, 5, 3), seed)
-
-
 # -- lattice isomorphism -------------------------------------------------------
 
-def suite_tau(n, seed):
+def suite_tau(report):
     """Exhaustive bijectivity and order preservation of the relabelling map.
 
     Both lattices order their elements by cell-ideal masks, on which the map
@@ -158,8 +140,7 @@ def suite_tau(n, seed):
     the two column rules themselves, the semistandard rule on kind-M columns
     against the two-column PBW rule on their images.
     """
-    n = _size(n, 7, 2)
-    report = SuiteReport("tau", n, seed)
+    n = report.n
     mlat, nlat = semistandard_lattice(n), pbw_lattice(n)
     image = {a: ssyt_to_pbw(mlat, a) for a in mlat.elements}
     report.record(sorted(image.values()) == sorted(nlat.elements), ("bijectivity", n))
@@ -170,7 +151,6 @@ def suite_tau(n, seed):
             if semistandard_leq(a, b) != pbw_two_column_leq(image[b], image[a]):
                 report.record(False, ("order", a, b))
     report.checks += len(mlat.elements) ** 2
-    return report
 
 
 # -- transfer / Ehrhart machinery ----------------------------------------------
@@ -404,29 +384,22 @@ def _check_poset(report, poset, parts, box, check_decomposition):
                                         if not ok]
 
 
-def _ehrhart_like(name, n, seed, check_decomposition):
-    n = _size(n, EHRHART_MAX_ELEMENTS, 1)
+def _ehrhart_like(report, check_decomposition):
+    """Partition-independent point counts and mutually inverse transfer maps.
+
+    With ``check_decomposition`` (``minkowski``), also that every dilation
+    point decomposes into polytope lattice points, via level sets.
+    """
+    n, seed = report.n, report.seed
     if n > EHRHART_MAX_ELEMENTS:
-        raise CapacityError(
-            f"suite {name} enumerates boxes of side t+1; poset size capped at {EHRHART_MAX_ELEMENTS}")
-    report = SuiteReport(name, n, seed)
+        raise CapacityError(f"suite {report.suite} enumerates boxes of side t+1; "
+                            f"poset size capped at {EHRHART_MAX_ELEMENTS}")
     boxes = {}  # size -> the boxes of t = 0..EHRHART_MAX_T, kept for this run only
     for label, idx, poset in ehrhart_posets(n, seed):
         if len(poset) not in boxes:
             boxes[len(poset)] = [box_points(len(poset), t) for t in range(EHRHART_MAX_T + 1)]
         _check_poset(report, poset, partitions_of(poset, seed + idx), boxes[len(poset)],
                      check_decomposition)
-    return report
-
-
-def suite_ehrhart(n, seed):
-    """Partition-independent point counts and mutually inverse transfer maps."""
-    return _ehrhart_like("ehrhart", n, seed, check_decomposition=False)
-
-
-def suite_minkowski(n, seed):
-    """Every dilation point decomposes into polytope lattice points, via level sets."""
-    return _ehrhart_like("minkowski", n, seed, check_decomposition=True)
 
 
 # -- cone suites ----------------------------------------------------------------
@@ -494,19 +467,20 @@ def _lead_rows(lead, poly):
     return rows
 
 
-def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
+def _cone_suite(report, target):
     """Soundness, the rows of each pair against its polynomial, and facet witnesses.
 
-    The redundant rows naming a pair (a, b) must be the strict rows X_ab - X_m,
-    one per other monomial m of its straightening relation (``relations``) or
-    Hibi binomial; then X_ab is the initial form at every weight of the cone.
+    ``target`` is a minimal cone of ``cones.MINIMAL_TARGETS``: HIBI and SSYT
+    lie over M(n), GENHIBI and PBW over N(n).  The redundant rows naming a
+    pair (a, b) must be the strict rows X_ab - X_m, one per other monomial m
+    of its straightening relation (SSYT, PBW) or Hibi binomial (HIBI,
+    GENHIBI); then X_ab is the initial form at every weight of the cone.
     """
     import numpy as np
-    n = _size(n, 6, 2)
-    report = SuiteReport(name, n, seed)
-    lat = PluckerLattice(kind, n)
+    n, seed = report.n, report.seed
+    lat = PluckerLattice("M" if target in ("HIBI", "SSYT") else "N", n)
     minimal = cones.cone_hrep(target, n=n, lattice=lat)
-    redundant = cones.cone_hrep(redundant_target, n=n, lattice=lat)
+    redundant = cones.cone_hrep(target + "_REDUNDANT", n=n, lattice=lat)
     if minimal.partition is None:
         center = cones.interior_witness(lat)
     else:  # the generalized cones
@@ -526,7 +500,8 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
         rows.setdefault(iq.provenance[1:3], Counter())[iq.form, iq.relation] += 1
     key = lat.weight_key
     for a, b in lat.incomparable_pairs():
-        if relations:  # on the redundant description's lattice, so its normal forms are reused
+        if target in ("SSYT", "PBW"):
+            # on the redundant description's lattice, so its normal forms are reused
             check_name = "relation rows"
             poly = straightening.straighten_pair(redundant.lattice, a, b)
         else:  # the Hibi binomial, generalized over the cone's partition if it has one
@@ -544,33 +519,11 @@ def _cone_suite(name, n, seed, kind, target, redundant_target, relations):
             iq.holds_nonstrict(witness)
             for j, iq in enumerate(minimal.inequalities) if j != fid)
         report.record(ok, ("facet witness", target, n, own.provenance))
-    return report
 
 
-def suite_hibi_cone(n, seed):
-    """Hibi cone: sampled soundness, the rows of each Hibi binomial, facet witnesses."""
-    return _cone_suite("hibi-cone", n, seed, "M", "HIBI", "HIBI_REDUNDANT", False)
-
-
-def suite_genhibi_cone(n, seed):
-    """Generalized Hibi cone over the PBW lattice with its diagonal partition."""
-    return _cone_suite("genhibi-cone", n, seed, "N", "GENHIBI", "GENHIBI_REDUNDANT", False)
-
-
-def suite_ssyt_cone(n, seed):
-    """Semistandard maximal cone: soundness, the rows of each relation, facet witnesses."""
-    return _cone_suite("ssyt-cone", n, seed, "M", "SSYT", "SSYT_REDUNDANT", True)
-
-
-def suite_pbw_cone(n, seed):
-    """PBW maximal cone: soundness, the rows of each relation, facet witnesses."""
-    return _cone_suite("pbw-cone", n, seed, "N", "PBW", "PBW_REDUNDANT", True)
-
-
-def suite_convex(n, seed):
+def suite_convex(report):
     """Facet pullbacks: every facet either contains the toric subcone or meets a facet of it."""
-    n = _size(n, 6, 2)
-    report = SuiteReport("convex", n, seed)
+    n = report.n
     for target in ("SSYT", "PBW"):
         hrep = cones.cone_hrep(target, n=n)
         for fid in hrep.facet_ids():
@@ -588,7 +541,7 @@ def suite_convex(n, seed):
                               ("special facet", target, iq.provenance, res))
     # instance checks of the parametrized toric points
     m = min(n, 5)
-    rng = random.Random(seed)
+    rng = random.Random(report.seed)
     skipped = 0
     for trial in range(5):
         z = {(s, t): (t - s) ** 2 * 4 + (rng.randint(0, 1) if s < t else 0)
@@ -604,14 +557,11 @@ def suite_convex(n, seed):
                       ("rho image", trial))
     if skipped:
         report.notes["skipped_toric_trials"] = f"{skipped} sampled points fell outside the parameter cone"
-    return report
 
 
-def suite_counts(n, seed):
+def suite_counts(report):
     """Enumerated facet counts against the closed formulas for 3..n."""
-    n = _size(n, 10, 3)
-    report = SuiteReport("counts", n, seed)
-    for m in range(3, n + 1):
+    for m in range(3, report.n + 1):
         # facet_count checks the counts against the closed formulas itself
         try:
             cones.facet_count(m)
@@ -619,25 +569,21 @@ def suite_counts(n, seed):
             report.record(False, ("facet count", m, str(exc)))
         else:
             report.record(True, ("facet count", m))
-    return report
 
 
-def suite_asl(n, seed):
+def suite_asl(report):
     """Standard monomials span and are independent in every small multidegree.
 
     Per (kind, lam): the standard count equals the evaluation rank of every
     weight block at every seed, and the Weyl dimension of the degree-lam component.
     """
-    n = _size(n, 5, 2)
-    report = SuiteReport("asl", n, seed)
-    lams = _multidegrees(n, 3)
+    lams = _multidegrees(report.n, 3)
     for kind in ("M", "N"):
-        lat = PluckerLattice(kind, n)
+        lat = PluckerLattice(kind, report.n)
         for lam in lams:
             report.record(straightening.standard_basis_check(lat, lam)
                           == straightening.weyl_dimension(lam),
                           ("standard basis", kind, lam))
-    return report
 
 
 def _multidegrees(n, max_total):
@@ -655,27 +601,40 @@ def _multidegrees(n, max_total):
     return sorted(out)
 
 
+# A suite: its body, run as ``body(report, *args)``, the size an omitted ``n``
+# selects, and the least size at which it builds its objects and makes a check.
+Suite = namedtuple("Suite", "body args default least")
+
+
 SUITES = {
-    "strlaws": suite_strlaws,
-    "pbwstrlaws": suite_pbwstrlaws,
-    "tau": suite_tau,
-    "ehrhart": suite_ehrhart,
-    "minkowski": suite_minkowski,
-    "hibi-cone": suite_hibi_cone,
-    "genhibi-cone": suite_genhibi_cone,
-    "ssyt-cone": suite_ssyt_cone,
-    "pbw-cone": suite_pbw_cone,
-    "convex": suite_convex,
-    "counts": suite_counts,
-    "asl": suite_asl,
+    "strlaws": Suite(_straightening_suite, ("M",), 5, 3),
+    "pbwstrlaws": Suite(_straightening_suite, ("N",), 5, 3),
+    "tau": Suite(suite_tau, (), 7, 2),
+    "ehrhart": Suite(_ehrhart_like, (False,), EHRHART_MAX_ELEMENTS, 1),
+    "minkowski": Suite(_ehrhart_like, (True,), EHRHART_MAX_ELEMENTS, 1),
+    "hibi-cone": Suite(_cone_suite, ("HIBI",), 6, 2),
+    "genhibi-cone": Suite(_cone_suite, ("GENHIBI",), 6, 2),
+    "ssyt-cone": Suite(_cone_suite, ("SSYT",), 6, 2),
+    "pbw-cone": Suite(_cone_suite, ("PBW",), 6, 2),
+    "convex": Suite(suite_convex, (), 6, 2),
+    "counts": Suite(suite_counts, (), 10, 3),
+    "asl": Suite(suite_asl, (), 5, 2),
 }
 
 
 def run_suite(name, n=None, seed=0):
-    """The report of one suite by name, with the run's wall time in ``elapsed_s``."""
+    """The report of one suite by name, with the run's wall time in ``elapsed_s``.
+
+    An omitted ``n`` is the suite's default; a size below its least is a ``ValueError``.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
+    body, args, default, least = SUITES[name]
+    n = default if n is None else n
+    if n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
+    report = SuiteReport(name, n, seed)
     start = time.perf_counter()
-    report = SUITES[name](n, seed)
+    body(report, *args)
     report.elapsed_s = time.perf_counter() - start
     return report

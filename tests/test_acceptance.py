@@ -65,8 +65,8 @@ def test_criterion_03_straightening_suites():
     failures = 0
     checks = 0
     for n in (3, 4, 5):
-        for suite in (verify.suite_strlaws, verify.suite_pbwstrlaws):
-            report = suite(n=n, seed=0)
+        for suite in ("strlaws", "pbwstrlaws"):
+            report = verify.run_suite(suite, n=n, seed=0)
             failures += len(report.failures)
             checks += report.checks
             total_bound += report.notes["aggregate_failure_bound"]
@@ -100,7 +100,7 @@ def test_criterion_04_oracle_equivalence():
 
 def test_criterion_05_tau_isomorphism():
     start = time.time()
-    report = verify.suite_tau(n=7, seed=0)
+    report = verify.run_suite("tau", n=7, seed=0)
     elapsed = time.time() - start
     ok = report.ok and elapsed < 10
     _report(5, ok, f"order isomorphism exhaustive at n=7 "
@@ -109,8 +109,8 @@ def test_criterion_05_tau_isomorphism():
 
 def test_criterion_06_ehrhart_transfer():
     start = time.time()
-    ehr = verify.suite_ehrhart(n=8, seed=0)
-    mink = verify.suite_minkowski(n=8, seed=0)
+    ehr = verify.run_suite("ehrhart", n=8, seed=0)
+    mink = verify.run_suite("minkowski", n=8, seed=0)
     elapsed = time.time() - start
     ok = ehr.ok and mink.ok and elapsed < 120
     _report(6, ok, f"partition-independent counts, transfer round trips and "
@@ -121,9 +121,8 @@ def test_criterion_07_cone_soundness():
     failures = 0
     checks = 0
     for n in (3, 4, 5):
-        for suite in (verify.suite_hibi_cone, verify.suite_genhibi_cone,
-                      verify.suite_ssyt_cone, verify.suite_pbw_cone):
-            report = suite(n=n, seed=0)
+        for suite in ("hibi-cone", "genhibi-cone", "ssyt-cone", "pbw-cone"):
+            report = verify.run_suite(suite, n=n, seed=0)
             failures += len(report.failures)
             checks += report.checks
     _report(7, failures == 0,

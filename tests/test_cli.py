@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plueckerfan import cli, cones, straightening
+from plueckerfan import cli, cones, straightening, verify
 from plueckerfan.order_core import key_name
 from plueckerfan.plucker_lattices import PluckerLattice, semistandard_lattice
 
@@ -138,6 +138,25 @@ class TestCone:
         code, out, _ = run(capsys, "check-point", "--target", "SSYT", "--n", "3",
                            "--weights", str(path))
         assert code == 0 and json.loads(out)["member"] is True
+
+    def test_check_point_reads_the_elements_no_row_names(self, capsys, tmp_path):
+        # the Hibi rows name neither the lattice's minimum nor its maximum
+        lat = semistandard_lattice(3)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(cones.weights_to_json_obj(cones.interior_witness(lat))))
+        code, out, _ = run(capsys, "check-point", "--target", "HIBI", "--n", "3",
+                           "--weights", str(path))
+        assert code == 0 and json.loads(out)["member"] is True
+
+    def test_check_point_rejects_a_key_that_names_no_element(self, capsys, tmp_path):
+        lat = semistandard_lattice(3)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({**cones.weights_to_json_obj(dict.fromkeys(lat.elements, 1)),
+                                    "typo": -100}))
+        code, out, err = run(capsys, "check-point", "--target", "SSYT", "--n", "3",
+                             "--weights", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: weights JSON names no element 'typo'\n"
 
     def test_check_point_zero_fails(self, capsys, tmp_path):
         lat = semistandard_lattice(3)
@@ -362,6 +381,13 @@ class TestVerifySizes:
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
         assert code == 2 and out == ""
         assert err.startswith("error: n must be at least")
+
+    @pytest.mark.parametrize("suite", sorted(verify.SUITES))
+    def test_a_size_below_the_least_is_a_usage_error(self, capsys, suite):
+        least = verify.SUITES[suite].least
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(least - 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be at least {least}, got {least - 1}\n"
 
     @pytest.mark.parametrize("suite, default", [("counts", 10), ("tau", 7), ("asl", 5)])
     def test_omitted_size_is_the_default(self, capsys, suite, default):

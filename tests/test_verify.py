@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,14 @@ def test_suite_registry_is_complete():
     assert sorted(verify.SUITES) == [
         "asl", "convex", "counts", "ehrhart", "genhibi-cone", "hibi-cone",
         "minkowski", "pbw-cone", "pbwstrlaws", "ssyt-cone", "strlaws", "tau"]
+
+
+def test_readme_suite_table_names_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \| (?:n=)?(\d+) \|", section, re.M)
+    assert {name: int(n) for name, n in rows} == {
+        name: suite.default for name, suite in verify.SUITES.items()}
 
 
 def test_unknown_suite():
