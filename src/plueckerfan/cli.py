@@ -107,8 +107,8 @@ def cmd_straighten(args):
 
 
 def _cone(args):
-    # the Hibi targets read the --kind lattice, the others build theirs from n
-    return cones.cone_hrep(args.target, n=args.n, lattice=PluckerLattice(args.kind, args.n))
+    # a Pluecker target is built over the lattice of its kind, a Hibi target over --kind's
+    return cones.cone_hrep(args.target, PluckerLattice(cones.KIND.get(args.target, args.kind), args.n))
 
 
 def cmd_cone(args):
@@ -127,8 +127,8 @@ def cmd_check_point(args):
     keys = {k for ineq in hrep.inequalities for k, _ in ineq.form}
     lat = hrep.lattice  # a weights file may name every element, also those no row reads
     weights = cones.weights_from_json_obj(obj, keys, map(lat.weight_key, lat.elements))
-    member = cones.contains(hrep, weights)
     violated = [iq.provenance for iq in hrep.inequalities if not iq.holds(weights)]
+    member = not violated
     _emit({"target": hrep.label, "member": member,
            "violated": [[key_name(x) for x in v] for v in violated[:20]]}, args)
     return 0 if member else 1

@@ -10,8 +10,10 @@ weight vectors at once.  A redundant row is X_lead - X_m for one pair's
 lead and another monomial m of its relation (Hibi binomial), so in the cone
 each lead is the ``initial_form``.
 
-The semistandard (PBW) cone is the Hibi cone of M(n) (the generalized Hibi
-cone of N(n)) plus one row per special pair, from one diamond-row builder.
+``cone_hrep`` builds every target over its caller's lattice, of the kind
+``KIND`` names for a Pluecker target, and keeps nothing.  The semistandard
+(PBW) cone is the Hibi cone of M(n) (the generalized Hibi cone of N(n)) plus
+one row per special pair, from one diamond-row builder.
 ``ConeHRep.to_json`` writes a description's JSON straight from its rows;
 ``to_json_obj`` is the dict form it is tested against.
 """
@@ -21,11 +23,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .chain_order import odot_elements
 from .order_core import check, json_rationals, key_name
-from .plucker_lattices import PluckerLattice, pbw_lattice, pbw_to_ssyt, semistandard_lattice
+from .plucker_lattices import PluckerLattice, pbw_lattice, semistandard_lattice
 from .straightening import straighten_pair, straightening_terms
 
 STRICT = "<"
@@ -38,6 +39,9 @@ MINIMAL_TARGETS = ("HIBI", "GENHIBI", "SSYT", "PBW")
 REDUNDANT_TARGETS = ("HIBI_REDUNDANT", "GENHIBI_REDUNDANT", "SSYT_REDUNDANT", "PBW_REDUNDANT")
 TORIC_TARGETS = ("TORIC_GT", "TORIC_FFLV")
 ALL_TARGETS = MINIMAL_TARGETS + REDUNDANT_TARGETS + TORIC_TARGETS
+# the lattice kind of each Pluecker target: the semistandard M(n) or the PBW N(n)
+KIND = {"SSYT": "M", "SSYT_REDUNDANT": "M", "TORIC_GT": "M",
+        "PBW": "N", "PBW_REDUNDANT": "N", "TORIC_FFLV": "N"}
 
 
 @dataclass(frozen=True)
@@ -199,31 +203,32 @@ def contains_many(hrep, keys, W):
 
 # -- H-representation builders ----------------------------------------------
 
-def cone_hrep(target, *, n=None, lattice=None, partition=None):
-    """Build the named cone description.
+def cone_hrep(target, lattice, partition=None):
+    """Build the named cone description over ``lattice``.
 
-    ``SSYT``/``PBW``/``*_REDUNDANT``/``TORIC_*`` need ``n``; ``HIBI`` and
-    ``GENHIBI`` need ``lattice`` (plus ``partition`` unless the lattice
-    carries one).
+    A Pluecker target is built over the ``PluckerLattice`` of the kind
+    ``KIND`` names, and a lattice of another kind is a ``ValueError``.  A Hibi
+    target is built over any distributive lattice; ``GENHIBI`` also needs
+    ``partition`` unless the lattice carries one.
     """
     if target not in ALL_TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {ALL_TARGETS}")
-    if target in ("HIBI", "HIBI_REDUNDANT", "GENHIBI", "GENHIBI_REDUNDANT"):
-        if lattice is None:
-            raise ValueError(f"target {target} needs a lattice")
-        part = None
-        if target.startswith("GENHIBI"):
-            part = partition if partition is not None else getattr(lattice, "partition", None)
-            if part is None:
-                raise ValueError("GENHIBI needs a partition over the join-irreducibles")
-        return _hibi_hrep(target, lattice, part)
-    if n is None:
-        raise ValueError(f"target {target} needs n")
-    if target in ("SSYT", "PBW"):
-        return _minimal_plucker_hrep(target, n)
-    if target in ("SSYT_REDUNDANT", "PBW_REDUNDANT"):
-        return _expansion_hrep(target, n, equalities=False)
-    return _expansion_hrep(target, n, equalities=True)
+    if target in KIND:
+        _check_kind(lattice, KIND[target], f"target {target}")
+        if target in ("SSYT", "PBW"):
+            return _minimal_plucker_hrep(target, lattice)
+        return _expansion_hrep(target, lattice)
+    part = None
+    if target.startswith("GENHIBI"):
+        part = partition if partition is not None else getattr(lattice, "partition", None)
+        if part is None:
+            raise ValueError("GENHIBI needs a partition over the join-irreducibles")
+    return _hibi_hrep(target, lattice, part)
+
+
+def _check_kind(lattice, kind, user):
+    if not (isinstance(lattice, PluckerLattice) and lattice.kind == kind):
+        raise ValueError(f"{user} needs a kind-{kind} PluckerLattice, got {lattice!r}")
 
 
 def _hibi_hrep(target, lattice, part):
@@ -246,10 +251,8 @@ def _hibi_hrep(target, lattice, part):
     return ConeHRep(target, f"{target}({label})", ineqs, lattice, part)
 
 
-@lru_cache(maxsize=None)
-def _minimal_plucker_hrep(target, n):
+def _minimal_plucker_hrep(target, lat):
     """The Hibi rows of M(n) (SSYT) or generalized Hibi rows of N(n) (PBW), plus special rows."""
-    lat = semistandard_lattice(n) if target == "SSYT" else pbw_lattice(n)
     hibi = _hibi_hrep(target, lat, None if target == "SSYT" else lat.partition)
     ineqs = []
     for row in hibi.inequalities:
@@ -260,14 +263,13 @@ def _minimal_plucker_hrep(target, n):
             lower = cls.below if target == "SSYT" else cls.companion  # the PBW one is the meet
             ineqs.append(LinearInequality(
                 _pair_form(a, b, lower, cls.above, lat.weight_key), STRICT, ("special", a, b)))
-    return ConeHRep(target, f"{target}({n})", tuple(ineqs), lat, hibi.partition)
+    return ConeHRep(target, f"{target}({lat.n})", tuple(ineqs), lat, hibi.partition)
 
 
-@lru_cache(maxsize=None)
-def _expansion_hrep(target, n, equalities):
-    lat = PluckerLattice("M" if target in ("SSYT_REDUNDANT", "TORIC_GT") else "N", n)
+def _expansion_hrep(target, lat):
+    """A row per pair and other term of its straightening relation; a TORIC target's first is an equation."""
     key = lat.weight_key
-    first_rel = EQUALITY if equalities else STRICT
+    first_rel = EQUALITY if target in TORIC_TARGETS else STRICT
     ineqs = []
     for a, b in lat.incomparable_pairs():
         rows = straightening_terms(lat, straighten_pair(lat, a, b), a, b, keys=True)
@@ -275,7 +277,7 @@ def _expansion_hrep(target, n, equalities):
         for i, (lo, hi, _) in enumerate(rows):
             ineqs.append(LinearInequality(_pair_form(ka, kb, lo, hi),
                                           first_rel if i == 0 else STRICT, ("expansion", a, b, i)))
-    return ConeHRep(target, f"{target}({n})", tuple(ineqs), lat)
+    return ConeHRep(target, f"{target}({lat.n})", tuple(ineqs), lat)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -314,12 +316,8 @@ def facet_witness(hrep, facet_id):
         return _square_witness(lat, a, b)
     if kind == "diamond":
         return _power_witness(lat, a, b, odot_elements(lat, hrep.partition, a, b))
-    if hrep.target == "SSYT" and kind == "special":
+    if kind == "special":
         return _ladder_witness(lat, a, b)
-    if hrep.target == "PBW" and kind == "special":
-        mlat = semistandard_lattice(lat.n)
-        hat = _ladder_witness(mlat, pbw_to_ssyt(lat, a), pbw_to_ssyt(lat, b))
-        return {lat.weight_key(c): hat[pbw_to_ssyt(lat, c)] for c in lat.elements}
     raise KeyError(f"target {hrep.target} has no witness rule for facet kind {kind!r}")
 
 
@@ -350,29 +348,29 @@ def _power_witness(lattice, a, b, below):
     return out
 
 
-def _ladder_witness(mlat, a, b):
-    """Six-level assignment around a special pair of the semistandard lattice."""
-    cls = mlat.classify_pair(a, b)
+def _ladder_witness(lat, a, b):
+    """Six-level assignment around a special pair of M(n) or N(n), alike on their cell ideals."""
+    cls = lat.classify_pair(a, b)
     check(cls.verdict == "diamond_special", "the ladder witness needs a special pair")
     a, b = cls.pair
     join, below, above = cls.join, cls.below, cls.above
-    m = mlat.grade(a)
+    m = lat.grade(a)
     out = {}
-    for c in mlat.elements:
-        g = mlat.grade(c)
+    for c in lat.elements:
+        g = lat.grade(c)
         if g == m + 2:
             val = 0 if c == above else 2
         elif g == m + 1:
             if c == join:
                 val = 1
-            elif mlat.leq(c, above):
+            elif lat.leq(c, above):
                 val = 0
             else:
                 val = 1
         elif g == m:
-            if mlat.leq(c, join):
+            if lat.leq(c, join):
                 val = 1
-            elif mlat.leq(c, above):
+            elif lat.leq(c, above):
                 val = 0
             else:
                 val = 1
@@ -382,7 +380,7 @@ def _ladder_witness(mlat, a, b):
             val = 1 if c == below else 2
         else:
             val = 2 ** abs(g - m)
-        out[mlat.weight_key(c)] = val
+        out[lat.weight_key(c)] = val
     return out
 
 
@@ -463,18 +461,18 @@ class XiPoint:
         return dict(self.c)
 
 
-def sigma_map(n, xi):
-    """Weights on columns: sum of z over (row, entry) cells plus the length shift."""
+def sigma_map(lat, xi):
+    """Weights on the columns of M(n): sum of z over (row, entry) cells plus the length shift."""
+    _check_kind(lat, "M", "sigma")
     z, c = xi.z_dict(), xi.c_dict()
-    lat = semistandard_lattice(n)
     return {col: sum(z[(r + 1, v)] for r, v in enumerate(col)) + c[len(col)]
             for col in lat.elements}
 
 
-def rho_map(n, xi):
-    """Weights on PBW columns: minus the cell sum plus the length shift."""
+def rho_map(lat, xi):
+    """Weights on the PBW columns of N(n): minus the cell sum plus the length shift."""
+    _check_kind(lat, "N", "rho")
     z, c = xi.z_dict(), xi.c_dict()
-    lat = pbw_lattice(n)
     out = {}
     for alpha in lat.elements:
         out[lat.weight_key(alpha)] = (
@@ -509,21 +507,21 @@ class ConvexClassification:
     sign: int = 0
 
 
-def classify_facet_vs_subcone(target, facet_id, n):
-    """Pull a facet form back through sigma (or rho) and compare with the parameter cone.
+def classify_facet_vs_subcone(hrep, facet_id):
+    """Pull a facet form of ``hrep`` back through sigma (or rho) and compare with the parameter cone.
 
     Vanishing modulo the zero-diagonal subspace means the facet hyperplane
     contains the whole toric subcone; otherwise the pullback must match
     exactly one submodularity facet binomial, which is returned.
     """
-    if target not in ("SSYT", "PBW"):
+    if hrep.target not in ("SSYT", "PBW"):
         raise ValueError("classification applies to the SSYT and PBW targets")
-    hrep = cone_hrep(target, n=n)
     ineq = hrep.inequality(facet_id)
     lat = hrep.lattice
+    n = lat.n
     zcoeff = {}
     ccoeff = {}
-    sign = 1 if target == "SSYT" else -1  # sigma adds the cells of a column, rho subtracts them
+    sign = 1 if hrep.target == "SSYT" else -1  # sigma adds the cells of a column, rho subtracts them
     for key, coeff in ineq.form:
         alpha = lat.element_of_key(key)
         for j, v in enumerate(alpha):

@@ -111,7 +111,7 @@ def _signature(mono):
     return tuple(sorted(map(len, mono))), sorted(chain.from_iterable(mono))
 
 
-def assert_bihomogeneous(poly, n):
+def assert_bihomogeneous(poly):
     signatures = map(_signature, poly)
     first = next(signatures, None)
     for signature in signatures:
@@ -196,7 +196,7 @@ def shuffle_relation(col_a, col_b, r, n=None):
     if lead:
         poly = {m: _quotient(c, lead) for m, c in poly.items()}
     if n is not None:
-        assert_bihomogeneous(poly, n)
+        assert_bihomogeneous(poly)
     return poly
 
 
@@ -279,7 +279,7 @@ def straighten_pair(lat, a, b):
     if nf is None:
         nf = _normal_form(lat, lead, _pivot_m if lat.kind == "M" else _pivot_n, set())
     result = {lead: sa * sb} | {mono: -sa * sb * c for mono, c in nf.items()}
-    assert_bihomogeneous(result, lat.n)
+    assert_bihomogeneous(result)
     return result
 
 

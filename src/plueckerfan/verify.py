@@ -16,12 +16,14 @@ check guards, and ``STACK_BYTES`` bounds every stacked temporary.  The
 records keep the order of checking one partition at one t at a time.  A run
 builds each box of side t+1 once per poset size and t, and drops it when the
 run ends.  ``minkowski`` reads each level set's piece from tables over the
-poset's ideals, built once per poset.  The cone suites check all their samples at once through
-``cones.contains_many``, on the samples-by-keys matrix the sampler returns,
-and check once per pair, exactly, that the redundant rows are its
-polynomial's lead against each other term.  numpy is imported on first use, by the box, the transfer checks
-and the cone suites, so the exact suites (``strlaws``, ``pbwstrlaws``,
-``tau``, ``convex``, ``counts``, ``asl``) never load it.
+poset's ideals, built once per poset.  A cone suite builds one lattice, and
+over it both descriptions and every pair's relation.  It checks all its
+samples at once through ``cones.contains_many``, on the samples-by-keys
+matrix the sampler returns, and once per pair, exactly, that the redundant
+rows are its polynomial's lead against each other term.  numpy is imported
+on first use, by the box, the transfer checks and the cone suites, so the
+exact suites (``strlaws``, ``pbwstrlaws``, ``tau``, ``convex``, ``counts``,
+``asl``) never load it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .chain_order import (
 from .order_core import CapacityError, InvariantError, Poset, check, ideal_masks, key_name
 from .plucker_lattices import (
     PluckerLattice,
+    _ji_poset,
     pbw_lattice,
     pbw_to_ssyt,
     pbw_two_column_leq,
@@ -170,7 +173,7 @@ def ehrhart_posets(n, seed):
     """Bounded-size posets: the irreducible grids up to the cutoff plus seeded random ones."""
     out = []
     for m in range(2, 6):
-        grid = PluckerLattice("M", m).ji_poset
+        grid = _ji_poset(m)
         if len(grid) <= n:
             out.append(("grid", m, grid))
     rng = random.Random(seed)
@@ -479,8 +482,8 @@ def _cone_suite(report, target):
     import numpy as np
     n, seed = report.n, report.seed
     lat = PluckerLattice("M" if target in ("HIBI", "SSYT") else "N", n)
-    minimal = cones.cone_hrep(target, n=n, lattice=lat)
-    redundant = cones.cone_hrep(target + "_REDUNDANT", n=n, lattice=lat)
+    minimal = cones.cone_hrep(target, lat)
+    redundant = cones.cone_hrep(target + "_REDUNDANT", lat)
     if minimal.partition is None:
         center = cones.interior_witness(lat)
     else:  # the generalized cones
@@ -501,9 +504,8 @@ def _cone_suite(report, target):
     key = lat.weight_key
     for a, b in lat.incomparable_pairs():
         if target in ("SSYT", "PBW"):
-            # on the redundant description's lattice, so its normal forms are reused
             check_name = "relation rows"
-            poly = straightening.straighten_pair(redundant.lattice, a, b)
+            poly = straightening.straighten_pair(lat, a, b)
         else:  # the Hibi binomial, generalized over the cone's partition if it has one
             check_name = "binomial rows"
             gen = straightening.hibi_generator(lat, a, b, minimal.partition)
@@ -525,11 +527,11 @@ def suite_convex(report):
     """Facet pullbacks: every facet either contains the toric subcone or meets a facet of it."""
     n = report.n
     for target in ("SSYT", "PBW"):
-        hrep = cones.cone_hrep(target, n=n)
+        hrep = cones.cone_hrep(target, PluckerLattice(cones.KIND[target], n))
         for fid in hrep.facet_ids():
             iq = hrep.inequalities[fid]
             try:
-                res = cones.classify_facet_vs_subcone(target, fid, n)
+                res = cones.classify_facet_vs_subcone(hrep, fid)
             except InvariantError as exc:
                 report.record(False, ("pullback", target, iq.provenance, str(exc)))
                 continue
@@ -541,6 +543,7 @@ def suite_convex(report):
                               ("special facet", target, iq.provenance, res))
     # instance checks of the parametrized toric points
     m = min(n, 5)
+    gt, fflv = (cones.cone_hrep(t, PluckerLattice(cones.KIND[t], m)) for t in cones.TORIC_TARGETS)
     rng = random.Random(report.seed)
     skipped = 0
     for trial in range(5):
@@ -551,10 +554,8 @@ def suite_convex(report):
         if not cones.in_K(m, xi):
             skipped += 1
             continue
-        report.record(cones.contains(cones.cone_hrep("TORIC_GT", n=m), cones.sigma_map(m, xi)),
-                      ("sigma image", trial))
-        report.record(cones.contains(cones.cone_hrep("TORIC_FFLV", n=m), cones.rho_map(m, xi)),
-                      ("rho image", trial))
+        report.record(cones.contains(gt, cones.sigma_map(gt.lattice, xi)), ("sigma image", trial))
+        report.record(cones.contains(fflv, cones.rho_map(fflv.lattice, xi)), ("rho image", trial))
     if skipped:
         report.notes["skipped_toric_trials"] = f"{skipped} sampled points fell outside the parameter cone"
 

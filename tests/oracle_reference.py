@@ -13,14 +13,17 @@
   straightening.
 - ``weight_matrix`` stacks weight dicts into the array that
   ``cones.contains_many`` reads.
+- ``transported_pbw_ladder`` is the facet witness of a special PBW facet
+  carried over from the ladder on M(n), which ``cones.facet_witness`` runs on
+  N(n) itself.
 """
 
 from math import comb
 
 from plueckerfan import straightening
-from plueckerfan.cones import _INT64_LIMIT
+from plueckerfan.cones import _INT64_LIMIT, _ladder_witness
 from plueckerfan.order_core import InvariantError, check
-from plueckerfan.plucker_lattices import canonicalize
+from plueckerfan.plucker_lattices import canonicalize, pbw_to_ssyt, semistandard_lattice
 from plueckerfan.straightening import (
     ORACLE_PRIME,
     MinorTable,
@@ -70,7 +73,7 @@ def exchange_relation_loop(col_a, col_b, r, n=None):
             continue
         poly_add_term(poly, monomial((ca[1], cb[1])), -ca[0] * cb[0])
     if n is not None:
-        assert_bihomogeneous(poly, n)
+        assert_bihomogeneous(poly)
     return poly
 
 
@@ -132,7 +135,7 @@ def append_columns(poly, extra, n=None):
             continue
         poly_add_term(out, monomial((long_col, grown[1])), coeff * grown[0])
     if n is not None:
-        assert_bihomogeneous(out, n)
+        assert_bihomogeneous(out)
     return out
 
 
@@ -225,3 +228,16 @@ def weight_matrix(points, keys):
     fits = all(type(v) is int and -_INT64_LIMIT < v < _INT64_LIMIT for v in values())
     W = np.fromiter(values(), dtype=np.int64 if fits else object, count=len(points) * len(keys))
     return W.reshape(len(keys), len(points)).T
+
+
+def transported_pbw_ladder(hrep, facet_id):
+    """The witness of a special facet of a PBW description, by the ladder on M(n).
+
+    It runs the ladder on a kind-M lattice of its own at the kind-M columns
+    of the pair, and gives each PBW column the value of the kind-M column of
+    the same cell ideal.
+    """
+    lat = hrep.lattice
+    _, a, b = hrep.inequality(facet_id).provenance
+    hat = _ladder_witness(semistandard_lattice(lat.n), pbw_to_ssyt(lat, a), pbw_to_ssyt(lat, b))
+    return {lat.weight_key(c): hat[pbw_to_ssyt(lat, c)] for c in lat.elements}

@@ -10,7 +10,7 @@ from oracle_reference import standard_expansion_mod_p
 from plueckerfan import cones, verify
 from plueckerfan.cones import cone_hrep, facet_count, facet_witness
 from plueckerfan.order_core import InvariantError
-from plueckerfan.plucker_lattices import pbw_lattice, semistandard_lattice
+from plueckerfan.plucker_lattices import PluckerLattice, pbw_lattice, semistandard_lattice
 from plueckerfan.straightening import (
     ORACLE_PRIME,
     monomial,
@@ -135,9 +135,8 @@ def test_criterion_08_irredundancy_witnesses():
     bad = []
     for n in (3, 4, 5):
         M, N = semistandard_lattice(n), pbw_lattice(n)
-        for target, kwargs in (("HIBI", {"lattice": M}), ("GENHIBI", {"lattice": N}),
-                               ("SSYT", {"n": n}), ("PBW", {"n": n})):
-            hrep = cone_hrep(target, **kwargs)
+        for target, lat in (("HIBI", M), ("GENHIBI", N), ("SSYT", M), ("PBW", N)):
+            hrep = cone_hrep(target, lat)
             for fid in hrep.facet_ids():
                 w = facet_witness(hrep, fid)
                 own_fails = not hrep.inequality(fid).holds(w)
@@ -154,11 +153,11 @@ def test_criterion_09_convex_geometry():
     failures = []
     for n in (4, 5, 6):
         for target in ("SSYT", "PBW"):
-            hrep = cone_hrep(target, n=n)
+            hrep = cone_hrep(target, PluckerLattice(cones.KIND[target], n))
             for fid in hrep.facet_ids():
                 kind = hrep.inequality(fid).provenance[0]
                 try:
-                    res = cones.classify_facet_vs_subcone(target, fid, n)
+                    res = cones.classify_facet_vs_subcone(hrep, fid)
                 except InvariantError as exc:
                     failures.append((target, n, fid, str(exc)))
                     continue

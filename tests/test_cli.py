@@ -166,6 +166,26 @@ class TestCone:
                            "--weights", str(path))
         assert code == 1 and json.loads(out)["member"] is False
 
+    @pytest.mark.parametrize("command, builds", [
+        ("cone --target SSYT_REDUNDANT --n 6", 1),
+        ("check-point --target SSYT --n 3 --weights {weights}", 1),
+        ("verify --suite ssyt-cone --n 5", 1),
+        ("verify --suite pbw-cone --n 5", 1),
+        ("verify --suite convex --n 6", 4),  # M(6) and N(6), and the toric M(5) and N(5)
+        ("verify --suite ehrhart --n 4", 0),  # the grids' posets, without their lattices
+    ])
+    def test_one_lattice_per_kind_and_size(self, capsys, monkeypatch, tmp_path, command, builds):
+        # every description is built over the lattice its caller hands down
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(cones.weights_to_json_obj(
+            cones.interior_witness(semistandard_lattice(3)))))
+        made = []
+        real = PluckerLattice.__init__
+        monkeypatch.setattr(PluckerLattice, "__init__",
+                            lambda self, kind, n: made.append((kind, n)) or real(self, kind, n))
+        code, _, _ = run(capsys, *shlex.split(command.format(weights=weights)))
+        assert code == 0 and len(made) == builds, made
+
 
 class TestPolytope:
     @pytest.fixture

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from lattice_reference import cell_ideal
-from oracle_reference import weight_matrix
+from oracle_reference import transported_pbw_ladder, weight_matrix
 from plueckerfan.cones import (
     ALL_TARGETS,
+    KIND,
     ConeHRep,
     LinearInequality,
     STRICT,
@@ -30,7 +31,8 @@ from plueckerfan.cones import (
     weights_from_json_obj,
     weights_to_json_obj,
 )
-from plueckerfan.plucker_lattices import pbw_lattice, semistandard_lattice
+from plueckerfan.order_core import IdealLattice
+from plueckerfan.plucker_lattices import PluckerLattice, pbw_lattice, semistandard_lattice
 from plueckerfan.straightening import hibi_generator, monomial, straighten_pair
 from plueckerfan import verify
 
@@ -48,36 +50,36 @@ class TestHRepExamples:
             (1,): 1, (2, 3): 1, (1, 3): -1, (2,): -1}
 
     def test_ssyt3_two_inequalities(self):
-        h = cone_hrep("SSYT", n=3)
+        h = cone_hrep("SSYT", semistandard_lattice(3))
         assert len(h) == 2
         special = h.inequality(1)
         assert dict(special.form) == {(1,): 1, (2, 3): 1, (1, 2): -1, (3,): -1}
 
     def test_pbw4_eight_inequalities(self):
-        assert len(cone_hrep("PBW", n=4)) == 8
+        assert len(cone_hrep("PBW", pbw_lattice(4))) == 8
 
     def test_redundant_targets_cover_all_pairs(self):
         for n in (3, 4):
             lat = semistandard_lattice(n)
             h = cone_hrep("HIBI_REDUNDANT", lattice=lat)
             assert len(h) == len(lat.incomparable_pairs())
-            hr = cone_hrep("SSYT_REDUNDANT", n=n)
+            hr = cone_hrep("SSYT_REDUNDANT", lat)
             assert len(hr) >= len(h)
 
     def test_toric_targets_have_equalities(self):
-        h = cone_hrep("TORIC_GT", n=3)
+        h = cone_hrep("TORIC_GT", semistandard_lattice(3))
         rels = [iq.relation for iq in h.inequalities]
         assert "=" in rels and "<" in rels
 
     def test_unknown_target(self):
         with pytest.raises(ValueError):
-            cone_hrep("NOPE", n=3)
+            cone_hrep("NOPE", semistandard_lattice(3))
 
 
 class TestContains:
     def test_zero_vector_fails_strict(self):
-        h = cone_hrep("SSYT", n=3)
-        zero = {c: 0 for c in semistandard_lattice(3).elements}
+        h = cone_hrep("SSYT", semistandard_lattice(3))
+        zero = {c: 0 for c in h.lattice.elements}
         assert not contains(h, zero)
         assert all(ineq.holds_nonstrict(zero) for ineq in h.inequalities)  # in the closure
 
@@ -85,12 +87,12 @@ class TestContains:
         for n in (3, 4, 5):
             M, N = semistandard_lattice(n), pbw_lattice(n)
             assert contains(cone_hrep("HIBI", lattice=M), interior_witness(M))
-            assert contains(cone_hrep("SSYT", n=n), interior_witness(M))
+            assert contains(cone_hrep("SSYT", M), interior_witness(M))
             w = generalized_interior_witness(N)
             assert contains(cone_hrep("GENHIBI", lattice=N), w)
             assert contains(cone_hrep("GENHIBI_REDUNDANT", lattice=N), w)
-            assert contains(cone_hrep("PBW", n=n), w)
-            assert contains(cone_hrep("SSYT", n=n), generalized_interior_witness(M))
+            assert contains(cone_hrep("PBW", N), w)
+            assert contains(cone_hrep("SSYT", M), generalized_interior_witness(M))
 
     def test_squared_weights_leave_generalized_cone(self):
         # squared grades stop working once a special pair sits at grade >= 3:
@@ -109,7 +111,7 @@ class TestFacetWitnesses:
         assert not h.inequality(0).holds(v)
 
     def test_ssyt4_special_witness_values(self):
-        h = cone_hrep("SSYT", n=4)
+        h = cone_hrep("SSYT", semistandard_lattice(4))
         fid = next(i for i in h.facet_ids()
                    if h.inequality(i).provenance == ("special", (1, 4), (2, 3)))
         v = facet_witness(h, fid)
@@ -119,9 +121,8 @@ class TestFacetWitnesses:
     @pytest.mark.parametrize("n", [3, 4])
     def test_witness_pattern_all_targets(self, n):
         M, N = semistandard_lattice(n), pbw_lattice(n)
-        for target, kwargs in (("HIBI", {"lattice": M}), ("GENHIBI", {"lattice": N}),
-                               ("SSYT", {"n": n}), ("PBW", {"n": n})):
-            h = cone_hrep(target, **kwargs)
+        for target, lat in (("HIBI", M), ("GENHIBI", N), ("SSYT", M), ("PBW", N)):
+            h = cone_hrep(target, lat)
             for fid in h.facet_ids():
                 v = facet_witness(h, fid)
                 assert not h.inequality(fid).holds(v)
@@ -161,25 +162,25 @@ class TestParameterCone:
         assert not in_K(n, XiPoint.build(n, z))
 
     def test_zero_xi_maps_to_zero(self):
-        w = sigma_map(3, XiPoint.build(3, {}))
+        w = sigma_map(semistandard_lattice(3), XiPoint.build(3, {}))
         assert all(v == 0 for v in w.values())
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_sigma_image_in_toric_cone(self, n):
-        w = sigma_map(n, square_xi(n))
-        assert contains(cone_hrep("TORIC_GT", n=n), w)
+        h = cone_hrep("TORIC_GT", semistandard_lattice(n))
+        assert contains(h, sigma_map(h.lattice, square_xi(n)))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_rho_image_in_toric_cone(self, n):
-        w = rho_map(n, square_xi(n))
-        assert contains(cone_hrep("TORIC_FFLV", n=n), w)
+        h = cone_hrep("TORIC_FFLV", pbw_lattice(n))
+        assert contains(h, rho_map(h.lattice, square_xi(n)))
 
     def test_shift_does_not_change_initial_forms(self):
         n = 4
         lat = semistandard_lattice(n)
-        base = sigma_map(n, square_xi(n))
-        shifted = sigma_map(n, XiPoint.build(n, square_xi(n).z_dict(),
-                                             {1: 9, 2: -4, 3: 2}))
+        base = sigma_map(lat, square_xi(n))
+        shifted = sigma_map(lat, XiPoint.build(n, square_xi(n).z_dict(),
+                                               {1: 9, 2: -4, 3: 2}))
         for a, b in lat.incomparable_pairs():
             rel = straighten_pair(lat, a, b)
             assert initial_form(rel, base) == initial_form(rel, shifted)
@@ -187,27 +188,27 @@ class TestParameterCone:
 
 class TestConvexClassification:
     def test_diamond_contains_subcone(self):
-        h = cone_hrep("SSYT", n=4)
+        h = cone_hrep("SSYT", semistandard_lattice(4))
         fid = next(i for i in h.facet_ids()
                    if h.inequality(i).provenance[0] == "diamond")
-        assert classify_facet_vs_subcone("SSYT", fid, 4).kind == "contains_subcone"
+        assert classify_facet_vs_subcone(h, fid).kind == "contains_subcone"
 
     def test_ssyt_special_facet_formula(self):
-        h = cone_hrep("SSYT", n=4)
+        h = cone_hrep("SSYT", semistandard_lattice(4))
         fid = next(i for i in h.facet_ids()
                    if h.inequality(i).provenance == ("special", (1, 4), (2, 3)))
-        res = classify_facet_vs_subcone("SSYT", fid, 4)
+        res = classify_facet_vs_subcone(h, fid)
         # the pullback is z_(1,2) - z_(1,3) + z_(2,3) - z_(2,2): the (1,2) facet
         assert res.kind == "meets_in_facet" and res.k_facet == (1, 2) and res.sign == 1
 
     def test_pbw_special_facet_formula(self):
-        h = cone_hrep("PBW", n=4)
+        h = cone_hrep("PBW", pbw_lattice(4))
         lat = h.lattice
         for fid in h.facet_ids():
             iq = h.inequality(fid)
             if iq.provenance[0] != "special":
                 continue
-            res = classify_facet_vs_subcone("PBW", fid, 4)
+            res = classify_facet_vs_subcone(h, fid)
             _, a, b = iq.provenance
             cls = lat.classify_pair(a, b)
             cells = sorted(
@@ -221,9 +222,9 @@ class TestConvexClassification:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_no_assertion_failures(self, n):
         for target in ("SSYT", "PBW"):
-            h = cone_hrep(target, n=n)
+            h = cone_hrep(target, PluckerLattice(KIND[target], n))
             for fid in h.facet_ids():
-                res = classify_facet_vs_subcone(target, fid, n)
+                res = classify_facet_vs_subcone(h, fid)
                 expected = ("contains_subcone"
                             if h.inequality(fid).provenance[0] == "diamond"
                             else "meets_in_facet")
@@ -245,7 +246,7 @@ class TestInitialForm:
 
     def test_toric_weights_keep_binomial(self):
         n, lat = 4, semistandard_lattice(4)
-        w = sigma_map(n, square_xi(n))
+        w = sigma_map(lat, square_xi(n))
         rel = straighten_pair(lat, (1, 4), (2, 3))
         assert initial_form(rel, w) == {
             monomial(((1, 4), (2, 3))): Fraction(1),
@@ -265,10 +266,8 @@ class TestMinimalImpliesRedundant:
              interior_witness(M)),
             (cone_hrep("GENHIBI", lattice=N), cone_hrep("GENHIBI_REDUNDANT", lattice=N),
              generalized_interior_witness(N)),
-            (cone_hrep("SSYT", n=n), cone_hrep("SSYT_REDUNDANT", n=n),
-             interior_witness(M)),
-            (cone_hrep("PBW", n=n), cone_hrep("PBW_REDUNDANT", n=n),
-             generalized_interior_witness(N)),
+            (cone_hrep("SSYT", M), cone_hrep("SSYT_REDUNDANT", M), interior_witness(M)),
+            (cone_hrep("PBW", N), cone_hrep("PBW_REDUNDANT", N), generalized_interior_witness(N)),
         ]
         for minimal, redundant, center in cases:
             W, _ = verify.sample_cone_points(minimal, center, 50, seed=1)
@@ -283,7 +282,6 @@ class TestGenericLattices:
 
     def _random_lattices(self, count=6, seed=13):
         import random
-        from plueckerfan.order_core import IdealLattice
         rng = random.Random(seed)
         out = []
         while len(out) < count:
@@ -357,7 +355,6 @@ class TestGenericLattices:
         # compare the generalized Hibi descriptions inequality by inequality,
         # a PBW key read as the cell-ideal mask of its element
         from plueckerfan.chain_order import ChainOrderPartition
-        from plueckerfan.order_core import IdealLattice
         for n in (3, 4):
             nlat = pbw_lattice(n)
             generic = IdealLattice(nlat.ji_poset)
@@ -396,7 +393,7 @@ def test_hibi_binomial_initial_at_toric_point():
     # on the parametrized toric points the full binomial survives as a tie
     n = 4
     lat = semistandard_lattice(n)
-    w = sigma_map(n, square_xi(n))
+    w = sigma_map(lat, square_xi(n))
     for a, b in lat.incomparable_pairs():
         gen = hibi_generator(lat, a, b)
         poly = {monomial(m): c for m, c in gen.items()}
@@ -408,7 +405,7 @@ def target_hrep(target, n):
         return cone_hrep(target, lattice=semistandard_lattice(n))
     if target.startswith("GENHIBI"):
         return cone_hrep(target, lattice=pbw_lattice(n))
-    return cone_hrep(target, n=n)
+    return cone_hrep(target, PluckerLattice(KIND[target], n))
 
 
 def seeded_weights(hrep, rng, count, scale):
@@ -432,7 +429,7 @@ class TestBatchedTwins:
         expect = [contains(hrep, w) for w in pts]
         assert got.tolist() == expect
         if target in ("TORIC_GT", "TORIC_FFLV"):
-            w = (sigma_map if target == "TORIC_GT" else rho_map)(n, square_xi(n))
+            w = (sigma_map if target == "TORIC_GT" else rho_map)(hrep.lattice, square_xi(n))
             assert contains(hrep, w)
             assert contains_many(hrep, keys, weight_matrix([w], keys)).tolist() == [True]
         else:
@@ -448,7 +445,7 @@ class TestBatchedTwins:
         assert set(initial_form({**poly, stranger: 1}, w)) == {stranger}
 
     def test_fraction_weights_take_the_object_path(self):
-        hrep = cone_hrep("PBW_REDUNDANT", n=4)
+        hrep = cone_hrep("PBW_REDUNDANT", pbw_lattice(4))
         keys, pts = seeded_weights(hrep, random.Random(3), 40, 1)
         pts = [{k: Fraction(v, 3) for k, v in w.items()} for w in pts]
         W = weight_matrix(pts, keys)
@@ -457,8 +454,8 @@ class TestBatchedTwins:
 
     def test_weights_near_two_to_the_62(self):
         # every weight fits int64, but a form's sum may not: the object path must run
-        hrep = cone_hrep("SSYT_REDUNDANT", n=4)
         lat = semistandard_lattice(4)
+        hrep = cone_hrep("SSYT_REDUNDANT", lat)
         center = generalized_interior_witness(lat)
         keys = sorted(center)
         top = max(center.values())
@@ -521,7 +518,7 @@ def reference_minimal_rows(target, n):
 @pytest.mark.parametrize("target, hibi_target, lattice", [
     ("SSYT", "HIBI", semistandard_lattice), ("PBW", "GENHIBI", pbw_lattice)])
 def test_minimal_cone_is_the_hibi_rows_plus_special_rows(target, hibi_target, lattice, n):
-    minimal = cone_hrep(target, n=n)
+    minimal = cone_hrep(target, lattice(n))
     rows = [(iq.form, iq.relation, iq.provenance) for iq in minimal.inequalities]
     assert rows == reference_minimal_rows(target, n)
     hibi = cone_hrep(hibi_target, lattice=lattice(n))
@@ -535,13 +532,37 @@ def test_minimal_cone_is_the_hibi_rows_plus_special_rows(target, hibi_target, la
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_power_witness_uses_the_classified_product(n):
-    hrep = cone_hrep("PBW", n=n)
+    hrep = cone_hrep("PBW", pbw_lattice(n))
     lat = hrep.lattice
     for fid in hrep.facet_ids():
         kind, a, b = hrep.inequality(fid).provenance
         if kind == "diamond":
             below = lat.classify_pair(a, b).below
             assert facet_witness(hrep, fid) == _power_witness(lat, a, b, below)
+
+
+@pytest.mark.parametrize("n, facets", [(3, 1), (4, 3), (5, 8), (6, 20), (7, 48)])
+def test_pbw_ladder_matches_the_transported_one(n, facets):
+    # N(n) classifies a special pair on the same cell ideals as M(n), so the ladder agrees
+    hrep = cone_hrep("PBW", pbw_lattice(n))
+    special = [fid for fid in hrep.facet_ids() if hrep.inequality(fid).provenance[0] == "special"]
+    assert len(special) == facets
+    for fid in special:
+        assert facet_witness(hrep, fid) == transported_pbw_ladder(hrep, fid)
+
+
+@pytest.mark.parametrize("target", sorted(KIND))
+def test_plucker_targets_refuse_another_lattice(target):
+    other = PluckerLattice("N" if KIND[target] == "M" else "M", 4)
+    for lattice in (other, IdealLattice(other.ji_poset)):
+        with pytest.raises(ValueError, match=f"target {target} needs a kind-{KIND[target]} "):
+            cone_hrep(target, lattice)
+
+
+def test_toric_maps_refuse_another_lattice():
+    for toric_map, kind in ((sigma_map, "N"), (rho_map, "M")):
+        with pytest.raises(ValueError, match="needs a kind-"):
+            toric_map(PluckerLattice(kind, 3), XiPoint.build(3, {}))
 
 
 def test_k_facet_form_rejects_out_of_range_cells():
@@ -560,9 +581,8 @@ class TestConeWriter:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("target", ALL_TARGETS)
     def test_matches_json_dumps(self, target, n):
-        from plueckerfan.plucker_lattices import PluckerLattice
-        for kind in ("M", "N") if "HIBI" in target else ("M",):
-            hrep = cone_hrep(target, n=n, lattice=PluckerLattice(kind, n))
+        for kind in ("M", "N") if "HIBI" in target else (KIND[target],):
+            hrep = cone_hrep(target, PluckerLattice(kind, n))
             assert hrep.to_json() == self.reference(hrep)
 
     def test_names_needing_escapes(self):

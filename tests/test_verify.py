@@ -176,7 +176,7 @@ def sampler_outcome(sampler, *args):
 
 def minimal_cone(target, n):
     lat = verify.PluckerLattice("M" if target in ("HIBI", "SSYT") else "N", n)
-    hrep = cones.cone_hrep(target, n=n, lattice=lat)
+    hrep = cones.cone_hrep(target, lat)
     if hrep.partition is None:
         return hrep, cones.interior_witness(lat)
     return hrep, cones.generalized_interior_witness(lat)
@@ -222,9 +222,8 @@ def reference_cone_suite(name, n, seed, target, redundant_target, relation_kind)
         lat = verify.semistandard_lattice(n)
     else:
         lat = verify.pbw_lattice(n)
-    kwargs = {"n": n} if target in ("SSYT", "PBW") else {"lattice": lat}
-    minimal = cones.cone_hrep(target, **kwargs)
-    redundant = cones.cone_hrep(redundant_target, **kwargs)
+    minimal = cones.cone_hrep(target, lat)
+    redundant = cones.cone_hrep(redundant_target, lat)
     if target in ("HIBI", "SSYT"):
         center = cones.interior_witness(lat)
     else:
@@ -301,8 +300,8 @@ def broken_redundant(monkeypatch):
     """SSYT_REDUNDANT gains a row that about half of the sampled points violate."""
     build = cones.cone_hrep
 
-    def broken(target, **kwargs):
-        hrep = build(target, **kwargs)
+    def broken(target, lattice, partition=None):
+        hrep = build(target, lattice, partition)
         if target != "SSYT_REDUNDANT":
             return hrep
         lat = hrep.lattice
@@ -376,8 +375,8 @@ CONE_SUITES_WITH_BROKEN_ROWS = (
     "import dataclasses, sys\n"
     "from plueckerfan import cones, verify\n"
     "build = cones.cone_hrep\n"
-    "def broken(target, **kwargs):\n"
-    "    hrep = build(target, **kwargs)\n"
+    "def broken(target, lattice, partition=None):\n"
+    "    hrep = build(target, lattice, partition)\n"
     "    if not target.endswith('_REDUNDANT'):\n"
     "        return hrep\n"
     "    rows, mid = list(hrep.inequalities), len(hrep.inequalities) // 2\n"
